@@ -1,28 +1,18 @@
 """Continuous-time q-learning under entropy-regularized exploration.
 
-The package splits into simulation (envsim), parametric families (approx),
-closed-form references (oracle), martingale-based learners (learners),
-step-size baselines (baselines) and reproduction experiments (experiments).
+The package splits into models and noise streams (envsim), parametric
+families (approx), the mean-variance step-size and policy-gradient families
+(baselines), closed-form references (oracle) and the reproduction
+experiments (experiments), whose drivers hold each update rule once: the
+ergodic regulator's q-learning, SARSA and policy-gradient lane kernels and
+the mean-variance driver's episode updates.
 """
 
-from .approx import (GaussianPolicy, GaussianQApprox, ValueApprox,
-                     gaussian_q_normalizer, lq_q, lq_value, mv_q, mv_value,
-                     policy_entropy, policy_log_density, policy_sample)
-from .baselines import (PolicyFamily, QdtApprox, SarsaTransition,
-                        pg_lq_family, pg_mv_family, pg_update,
-                        qdt_lq_preset, qdt_mv_preset, sarsa_bracket,
-                        sarsa_update)
-from .envsim import (EnvModel, EpisodeConfig, LqCoefficients, RngStream,
-                     Trajectory, ZeroStream, builtin_lq_env, builtin_mv_env,
-                     load_trajectory, make_behavior_stream, save_trajectory,
-                     simulate_episode, step_euler)
-from .errors import (ImprovementUndefined, InfeasibleProblem,
-                     ParameterDiverged, SimulationDiverged)
-from .learners import (LearnerConfig, TdIncrement, Transition, ergodic_update,
-                       gmm_objective, martingale_loss, martingale_residuals,
-                       ml_update, offline_td_update, online_td_update,
-                       power_schedule, sqrt_log_schedule, td_increment,
-                       td_residuals, unit_schedule)
+from .approx import (GaussianPolicy, GaussianQApprox, ValueApprox, lq_q,
+                     lq_value, mv_q, mv_value, policy_entropy,
+                     policy_log_density)
+from .envsim import EnvModel, LqCoefficients, RngStream, builtin_lq_env
+from .errors import ImprovementUndefined, InfeasibleProblem
 from .oracle import (LqErgodicSolution, ergodic_identity_residual, hamiltonian,
                      lq_ergodic_fixed_point, lq_policy_value,
                      policy_improvement_map, q_from_value,

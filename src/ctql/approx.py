@@ -1,10 +1,12 @@
 """Parametric value functions, q-functions and Gaussian policies.
 
-Every family is a plain closed-form expression with a hand-coded parameter
-gradient.  The module-level *_eval / *_grad helpers take parameters as
-positional scalars (or equally shaped arrays) and broadcast over (t, x, a);
-they are the single source of the formulas, shared between the object API
-below and the vectorized experiment drivers.
+Every family is a plain closed-form expression.  The module-level
+*_eval / *_grad helpers take parameters as positional scalars (or equally
+shaped arrays) and broadcast over (t, x, a); they are the single source of
+the formulas, which the mean-variance driver calls directly and the family
+objects wrap for the oracle and the property suite.  The ergodic LQ
+families carry values only: their gradients are the test vectors of the
+ergodic driver's update kernels.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
 one, so gamma * log pi equals q for the induced policy.
@@ -12,9 +14,8 @@ one, so gamma * log pi equals q for the induced policy.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,18 +35,10 @@ def _stack(*parts):
 
 @dataclass(frozen=True)
 class GaussianPolicy:
-    """State-feedback Gaussian policy with mean(t, x) and variance(t, x).
-
-    Scalar actions use the fast path; multivariate actions expect variance to
-    return an (m, m) covariance and go through a Cholesky factor.
-    """
+    """Scalar state-feedback Gaussian policy with mean(t, x) and variance(t, x)."""
 
     mean: Callable
     variance: Callable
-    action_dim: int = 1
-
-    def sample(self, t, x, gen):
-        return policy_sample(self, t, x, gen)
 
     def log_density(self, t, x, a):
         return policy_log_density(self, t, x, a)
@@ -54,54 +47,21 @@ class GaussianPolicy:
         return policy_entropy(self, t, x)
 
 
-def policy_sample(policy: GaussianPolicy, t, x, rng):
-    """Draw one action; consumes action_dim standard normals from the stream."""
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    mu = np.asarray(policy.mean(t, x), float)
+def _variance(policy: GaussianPolicy, t, x):
     var = np.asarray(policy.variance(t, x), float)
-    if var.ndim < 2:
-        if np.any(var <= 0):
-            raise ValueError("policy variance must be positive")
-        z = gen.standard_normal() if policy.action_dim == 1 else gen.standard_normal(policy.action_dim)
-        return mu + np.sqrt(var) * z
-    try:
-        chol = np.linalg.cholesky(var)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("policy covariance is not positive definite") from exc
-    z = gen.standard_normal(policy.action_dim)
-    return mu + chol @ z
+    if np.any(var <= 0):
+        raise ValueError("policy variance must be positive")
+    return var
 
 
 def policy_log_density(policy: GaussianPolicy, t, x, a):
     mu = np.asarray(policy.mean(t, x), float)
-    var = np.asarray(policy.variance(t, x), float)
-    a = np.asarray(a, float)
-    if var.ndim < 2:
-        if np.any(var <= 0):
-            raise ValueError("policy variance must be positive")
-        return -0.5 * (a - mu) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
-    m = policy.action_dim
-    diff = (a - mu).reshape(m)
-    try:
-        chol = np.linalg.cholesky(var)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("policy covariance is not positive definite") from exc
-    y = np.linalg.solve(chol, diff)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * y @ y - 0.5 * (m * LOG_2PI + logdet))
+    var = _variance(policy, t, x)
+    return -0.5 * (np.asarray(a, float) - mu) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
 
 
 def policy_entropy(policy: GaussianPolicy, t, x):
-    var = np.asarray(policy.variance(t, x), float)
-    if var.ndim < 2:
-        if np.any(var <= 0):
-            raise ValueError("policy variance must be positive")
-        return 0.5 * np.log(2.0 * np.pi * np.e * var)
-    sign, logdet = np.linalg.slogdet(var)
-    if sign <= 0:
-        raise ValueError("policy covariance is not positive definite")
-    m = policy.action_dim
-    return float(0.5 * (m * (LOG_2PI + 1.0) + logdet))
+    return 0.5 * np.log(2.0 * np.pi * np.e * _variance(policy, t, x))
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +75,17 @@ class ValueApprox:
     value/grad_theta broadcast over t and x.  The space and time derivative
     callables exist so oracle routines can form Hamiltonians without finite
     differences; terminal_pinned marks families whose t = horizon slice equals
-    the terminal payoff for every theta.
+    the terminal payoff for every theta.  The ergodic LQ family carries no
+    grad_theta: its gradient is a test vector of the experiment kernels.
     """
 
     theta: np.ndarray
     value: Callable
-    grad_theta: Callable
+    grad_theta: Optional[Callable]
     d_t: Optional[Callable] = None
     d_x: Optional[Callable] = None
     d_xx: Optional[Callable] = None
     terminal_pinned: bool = False
-    _factory: Optional[Callable] = field(default=None, repr=False, compare=False)
-
-    def with_params(self, theta) -> "ValueApprox":
-        if self._factory is None:
-            raise ValueError("family has no rebuild factory")
-        return self._factory(np.asarray(theta, float))
 
 
 @dataclass(frozen=True)
@@ -140,48 +95,22 @@ class GaussianQApprox:
     mean/precision_scale give the Gibbs parameters (the induced policy is
     Gaussian with variance gamma / precision_scale); value includes the
     normalizing constant so exp(q/gamma) integrates to one over actions.
+    The ergodic LQ family carries no grad_psi: its gradient is a test vector
+    of the experiment kernels.
     """
 
     psi: np.ndarray
     gamma: float
     value: Callable
-    grad_psi: Callable
+    grad_psi: Optional[Callable]
     mean: Callable
     precision_scale: Callable
-    _factory: Optional[Callable] = field(default=None, repr=False, compare=False)
-
-    def with_params(self, psi) -> "GaussianQApprox":
-        if self._factory is None:
-            raise ValueError("family has no rebuild factory")
-        return self._factory(np.asarray(psi, float))
 
     def policy(self) -> GaussianPolicy:
         gamma = self.gamma
         mean = self.mean
         scale = self.precision_scale
         return GaussianPolicy(mean=mean, variance=lambda t, x: gamma / scale(t, x))
-
-
-def gaussian_q_normalizer(q2, gamma: float, action_dim: int = 1):
-    """Constant term that normalizes a quadratic q-function.
-
-    q2 is the precision scale (scalar or SPD matrix).  Returns
-    (gamma/2) log det q2 - (m gamma / 2) log 2 pi.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    q2 = np.asarray(q2, float)
-    if q2.ndim < 2:
-        if np.any(q2 <= 0):
-            raise ValueError("precision scale must be positive")
-        logdet = np.log(q2)
-        m = action_dim
-    else:
-        sign, logdet = np.linalg.slogdet(q2)
-        if sign <= 0:
-            raise ValueError("precision scale must be positive definite")
-        m = q2.shape[0]
-    return 0.5 * gamma * logdet - 0.5 * m * gamma * LOG_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +153,6 @@ def mv_value(theta, w: float, z: float, T: float) -> ValueApprox:
         d_x=lambda t, x: mv_value_dx(t1, t2, t3, w, z, T, t, x),
         d_xx=lambda t, x: mv_value_dxx(t1, t2, t3, w, z, T, t, x),
         terminal_pinned=True,
-        _factory=lambda th: mv_value(th, w, z, T),
     )
 
 
@@ -257,7 +185,6 @@ def mv_q(psi, w: float, gamma: float, T: float) -> GaussianQApprox:
         grad_psi=lambda t, x, a: mv_q_grad(p1, p2, p3, w, gamma, T, t, x, a),
         mean=lambda t, x: -p2 * (x - w),
         precision_scale=lambda t, x: np.exp(-p1 - p3 * (T - t)) + 0.0 * np.asarray(x, float),
-        _factory=lambda p: mv_q(p, w, gamma, T),
     )
 
 
@@ -266,10 +193,6 @@ def mv_q(psi, w: float, gamma: float, T: float) -> GaussianQApprox:
 
 def lq_value_eval(th1, th2, x):
     return th1 * x ** 2 + th2 * x
-
-
-def lq_value_grad(th1, th2, x):
-    return _stack(x ** 2, x)
 
 
 def lq_value(theta) -> ValueApprox:
@@ -281,24 +204,17 @@ def lq_value(theta) -> ValueApprox:
     return ValueApprox(
         theta=theta,
         value=lambda t, x: lq_value_eval(t1, t2, x),
-        grad_theta=lambda t, x: lq_value_grad(t1, t2, x),
+        grad_theta=None,
         d_t=lambda t, x: 0.0 * np.asarray(x, float),
         d_x=lambda t, x: 2.0 * t1 * np.asarray(x, float) + t2,
         d_xx=lambda t, x: 2.0 * t1 + 0.0 * np.asarray(x, float),
         terminal_pinned=False,
-        _factory=lambda th: lq_value(th),
     )
 
 
 def lq_q_eval(p1, p2, p3, gamma, x, a):
     dev = a - p1 * x - p2
     return -0.5 * np.exp(-p3) * dev ** 2 - 0.5 * gamma * (LOG_2PI + np.log(gamma) + p3)
-
-
-def lq_q_grad(p1, p2, p3, gamma, x, a):
-    prec = np.exp(-p3)
-    dev = a - p1 * x - p2
-    return _stack(prec * dev * x, prec * dev, 0.5 * prec * dev ** 2 - 0.5 * gamma)
 
 
 def lq_q(psi, gamma: float) -> GaussianQApprox:
@@ -313,34 +229,7 @@ def lq_q(psi, gamma: float) -> GaussianQApprox:
         psi=psi,
         gamma=gamma,
         value=lambda t, x, a: lq_q_eval(p1, p2, p3, gamma, x, a),
-        grad_psi=lambda t, x, a: lq_q_grad(p1, p2, p3, gamma, x, a),
+        grad_psi=None,
         mean=lambda t, x: p1 * np.asarray(x, float) + p2,
         precision_scale=lambda t, x: np.exp(-p3) + 0.0 * np.asarray(x, float),
-        _factory=lambda p: lq_q(p, gamma),
     )
-
-
-# ---------------------------------------------------------------------------
-# Parameter snapshots
-
-
-def save_params(path, name: str, *, theta=None, psi=None, gamma=None,
-                extra: Optional[dict] = None) -> None:
-    """JSON snapshot of learned parameters; floats round-trip bit-exactly."""
-    payload = {"name": name}
-    if theta is not None:
-        payload["theta"] = [float(v) for v in np.atleast_1d(theta)]
-    if psi is not None:
-        payload["psi"] = [float(v) for v in np.atleast_1d(psi)]
-    if gamma is not None:
-        payload["gamma"] = float(gamma)
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_params(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

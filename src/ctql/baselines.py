@@ -1,93 +1,41 @@
-"""Discrete-time baselines: SARSA on a step-size Q-function and policy
-gradient with a separately learned critic.
+"""Discrete-time baselines on the mean-variance task: SARSA on a step-size
+Q-function and policy gradient with a separately learned critic.
 
-The Q-function presets parameterize Q directly at a fixed step size dt; their
-induced Boltzmann policies have variance proportional to gamma * dt, which is
+The Q-function family parameterizes Q directly at a fixed step size dt; its
+induced Boltzmann policy has variance proportional to gamma * dt, which is
 the step-size sensitivity the rate-based learner avoids.  The policy gradient
-family shares the parameterization of the corresponding q-induced policies so
-comparisons run at matched coordinates.
+family shares the parameterization of the corresponding q-induced policy so
+comparisons run at matched coordinates.  The ergodic regulator's versions of
+both rules are the lane kernels of `experiments.ergodic`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .approx import GaussianPolicy, ValueApprox, _stack
-from .errors import ParameterDiverged
-from .learners import LearnerConfig, Transition
+from .approx import _stack
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class QdtApprox:
-    """Direct Q-function approximation tied to a step size dt.
-
-    The induced policy is proportional to exp(Q / (gamma dt)).
-    """
-
-    psi: np.ndarray
-    gamma: float
-    dt: float
-    value: Callable
-    grad_psi: Callable
-    policy_mean: Callable
-    policy_variance: Callable
-    _factory: Optional[Callable] = field(default=None, repr=False, compare=False)
-
-    def with_params(self, psi) -> "QdtApprox":
-        if self._factory is None:
-            raise ValueError("family has no rebuild factory")
-        return self._factory(np.asarray(psi, float))
-
-    def policy(self) -> GaussianPolicy:
-        return GaussianPolicy(mean=self.policy_mean, variance=self.policy_variance)
-
-
-# ---------------------------------------------------------------------------
-# Presets
-
-def qdt_lq_eval(p1, p2, p3, p4, p5, x, a):
-    dev = a - p1 * x - p2
-    return -0.5 * np.exp(-p3) * dev ** 2 + p4 * x ** 2 + p5 * x
-
-
-def qdt_lq_grad(p1, p2, p3, p4, p5, x, a):
-    prec = np.exp(-p3)
-    dev = a - p1 * x - p2
-    return _stack(prec * dev * x, prec * dev, 0.5 * prec * dev ** 2, x ** 2, x)
-
-
-def qdt_lq_preset(psi, gamma: float, dt: float) -> QdtApprox:
-    """Ergodic LQ Q-function: -(e^{-psi3}/2)(a - psi1 x - psi2)^2
-    + psi4 x^2 + psi5 x; policy N(psi1 x + psi2, gamma dt e^{psi3})."""
-    psi = np.asarray(psi, float)
-    if psi.shape != (5,):
-        raise ValueError("psi must have five components")
-    if gamma <= 0 or dt <= 0:
-        raise ValueError("gamma and dt must be positive")
-    p1, p2, p3, p4, p5 = psi
-    return QdtApprox(
-        psi=psi, gamma=gamma, dt=dt,
-        value=lambda t, x, a: qdt_lq_eval(p1, p2, p3, p4, p5, x, a),
-        grad_psi=lambda t, x, a: qdt_lq_grad(p1, p2, p3, p4, p5, x, a),
-        policy_mean=lambda t, x: p1 * np.asarray(x, float) + p2,
-        policy_variance=lambda t, x: gamma * dt * np.exp(p3) + 0.0 * np.asarray(x, float),
-        _factory=lambda p: qdt_lq_preset(p, gamma, dt),
-    )
-
-
 def qdt_mv_eval(p1, p2, p3, p4, p5, w, z, T, t, x, a):
+    """Wealth-targeting Q-function for the terminal-variance problem.
+
+    Q = -e^{-p3 (T-t)} ((x-w)^2 + p2 a (x-w) + e^{-p1} a^2 / 2)
+    + p4 (t^2 - T^2) + p5 (t - T) + (w - z)^2, whose policy is
+    N(-p2 e^{p1} (x - w), gamma dt e^{p3 (T-t) + p1}).
+    """
     e = np.exp(-p3 * (T - t))
     quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
     return -e * quad + p4 * (t ** 2 - T ** 2) + p5 * (t - T) + (w - z) ** 2
 
 
 def qdt_mv_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
+    """Exact parameter gradient of qdt_mv_eval (one published gradient
+    component differs by a stray e^{-p1} factor from the function it is
+    supposed to differentiate; the exact derivative is used here)."""
     e = np.exp(-p3 * (T - t))
     quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
     return _stack(
@@ -99,202 +47,18 @@ def qdt_mv_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
     )
 
 
-def qdt_mv_preset(psi, w: float, z: float, gamma: float, T: float,
-                  dt: float) -> QdtApprox:
-    """Wealth-targeting Q-function for the terminal-variance problem.
-
-    Policy: N(-psi2 e^{psi1} (x - w), gamma dt e^{psi3 (T-t) + psi1}).
-    grad_psi is the exact parameter gradient of value (one published gradient
-    component differs by a stray e^{-psi1} factor from the function it is
-    supposed to differentiate; the exact derivative is used here).
-    """
-    psi = np.asarray(psi, float)
-    if psi.shape != (5,):
-        raise ValueError("psi must have five components")
-    if gamma <= 0 or dt <= 0:
-        raise ValueError("gamma and dt must be positive")
-    p1, p2, p3, p4, p5 = psi
-    return QdtApprox(
-        psi=psi, gamma=gamma, dt=dt,
-        value=lambda t, x, a: qdt_mv_eval(p1, p2, p3, p4, p5, w, z, T, t, x, a),
-        grad_psi=lambda t, x, a: qdt_mv_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a),
-        policy_mean=lambda t, x: -p2 * np.exp(p1) * (np.asarray(x, float) - w),
-        policy_variance=lambda t, x: (gamma * dt * np.exp(p3 * (T - t) + p1)
-                                      + 0.0 * np.asarray(x, float)),
-        _factory=lambda p: qdt_mv_preset(p, w, z, gamma, T, dt),
-    )
-
-
-# ---------------------------------------------------------------------------
-# SARSA
-
-
-class SarsaTransition(NamedTuple):
-    """Transition extended with the action drawn at the next state."""
-
-    t: float
-    x: float
-    a: float
-    reward: float
-    x_next: float
-    a_next: float
-    dt: float
-
-
-def sarsa_bracket(trans: SarsaTransition, qdt: QdtApprox, beta: float,
-                  V: Optional[float] = None, policy: Optional[GaussianPolicy] = None) -> float:
-    """Target-minus-current bracket of the SARSA rule.
-
-    Q(t', x', a') - gamma log pi(a'|t', x') dt - Q(t, x, a) + r dt minus
-    either beta Q(t, x, a) dt (discounted episodic) or V dt (ergodic).
-    """
-    if policy is None:
-        policy = qdt.policy()
-    t, x, a, r, x2, a2, dt = trans
-    q_now = float(np.asarray(qdt.value(t, x, a), float))
-    q_next = float(np.asarray(qdt.value(t + dt, x2, a2), float))
-    logp = float(np.asarray(policy.log_density(t + dt, x2, a2), float))
-    bracket = q_next - qdt.gamma * logp * dt - q_now + r * dt
-    if V is not None:
-        bracket -= V * dt
-    else:
-        bracket -= beta * q_now * dt
-    return bracket
-
-
-def sarsa_update(trans: SarsaTransition, qdt: QdtApprox, cfg: LearnerConfig,
-                 beta: float, *, policy: Optional[GaussianPolicy] = None,
-                 V: Optional[float] = None, schedule_arg: Optional[float] = None,
-                 grad_mode: str = "raw"):
-    """One SARSA step on psi (and on V in the ergodic case).
-
-    grad_mode='raw' multiplies the bracket by the full dQ/dpsi; 'advantage'
-    keeps only the action-dependent block scaled by 1/dt, the rate-matched
-    variant.  Returns psi' or (psi', V').
-    """
-    if grad_mode not in ("raw", "advantage"):
-        raise ValueError("grad_mode must be 'raw' or 'advantage'")
-    bracket = sarsa_bracket(trans, qdt, beta, V=V, policy=policy)
-    lr = 1.0 if schedule_arg is None else cfg.schedule(schedule_arg)
-    grad = np.asarray(qdt.grad_psi(trans.t, trans.x, trans.a), float)
-    if grad_mode == "advantage":
-        grad = grad.copy()
-        grad[3:] = 0.0
-        grad = grad / trans.dt
-    psi_new = qdt.psi + lr * cfg.alpha_psi * bracket * grad
-    if not np.all(np.isfinite(psi_new)):
-        raise ParameterDiverged("sarsa_update", qdt.psi)
-    if V is None:
-        return psi_new
-    v_new = V + lr * cfg.alpha_v * bracket
-    if not math.isfinite(v_new):
-        raise ParameterDiverged("sarsa_update", qdt.psi)
-    return psi_new, v_new
-
-
-# ---------------------------------------------------------------------------
-# Policy gradient
-
-
-@dataclass(frozen=True)
-class PolicyFamily:
-    """Differentiable stochastic policy with score function d log pi / d phi."""
-
-    phi: np.ndarray
-    mean: Callable
-    variance: Callable
-    log_density: Callable
-    score: Callable
-    _factory: Optional[Callable] = field(default=None, repr=False, compare=False)
-
-    def with_params(self, phi) -> "PolicyFamily":
-        if self._factory is None:
-            raise ValueError("family has no rebuild factory")
-        return self._factory(np.asarray(phi, float))
-
-    def policy(self) -> GaussianPolicy:
-        return GaussianPolicy(mean=self.mean, variance=self.variance)
-
-
-def pg_lq_logp(f1, f2, f3, gamma, x, a):
-    dev = np.asarray(a, float) - (f1 * np.asarray(x, float) + f2)
-    return -0.5 * dev ** 2 * np.exp(-f3) / gamma - 0.5 * (LOG_2PI + np.log(gamma) + f3)
-
-
-def pg_lq_score(f1, f2, f3, gamma, x, a):
-    x = np.asarray(x, float)
-    dev = np.asarray(a, float) - (f1 * x + f2)
-    prec = np.exp(-f3) / gamma
-    return _stack(prec * dev * x, prec * dev, 0.5 * (prec * dev ** 2 - 1.0))
-
-
-def pg_lq_family(phi, gamma: float) -> PolicyFamily:
-    """Gaussian feedback policy N(phi1 x + phi2, gamma e^{phi3})."""
-    phi = np.asarray(phi, float)
-    if phi.shape != (3,):
-        raise ValueError("phi must have three components")
-    f1, f2, f3 = phi
-    return PolicyFamily(
-        phi=phi,
-        mean=lambda t, x: f1 * np.asarray(x, float) + f2,
-        variance=lambda t, x: gamma * np.exp(f3) + 0.0 * np.asarray(x, float),
-        log_density=lambda t, x, a: pg_lq_logp(f1, f2, f3, gamma, x, a),
-        score=lambda t, x, a: pg_lq_score(f1, f2, f3, gamma, x, a),
-        _factory=lambda p: pg_lq_family(p, gamma),
-    )
-
-
 def pg_mv_logp(f1, f2, f3, w, gamma, T, t, x, a):
+    """Log-density of the wealth-tracking policy
+    N(-f2 (x - w), gamma e^{f1 + f3 (T-t)})."""
     ex = f1 + f3 * (T - np.asarray(t, float))
     dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
     return -0.5 * dev ** 2 * np.exp(-ex) / gamma - 0.5 * (LOG_2PI + np.log(gamma) + ex)
 
 
 def pg_mv_score(f1, f2, f3, w, gamma, T, t, x, a):
+    """Score d log pi / df of pg_mv_logp."""
     t = np.asarray(t, float)
     ex = f1 + f3 * (T - t)
     dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
     g1 = 0.5 * (dev ** 2 * np.exp(-ex) / gamma - 1.0)
     return _stack(g1, -np.exp(-ex) / gamma * dev * (np.asarray(x, float) - w), (T - t) * g1)
-
-
-def pg_mv_family(phi, w: float, gamma: float, T: float) -> PolicyFamily:
-    """Wealth-tracking policy N(-phi2 (x - w), gamma e^{phi1 + phi3 (T-t)})."""
-    phi = np.asarray(phi, float)
-    if phi.shape != (3,):
-        raise ValueError("phi must have three components")
-    f1, f2, f3 = phi
-    return PolicyFamily(
-        phi=phi,
-        mean=lambda t, x: -f2 * (np.asarray(x, float) - w),
-        variance=lambda t, x: gamma * np.exp(f1 + f3 * (T - np.asarray(t, float))),
-        log_density=lambda t, x, a: pg_mv_logp(f1, f2, f3, w, gamma, T, t, x, a),
-        score=lambda t, x, a: pg_mv_score(f1, f2, f3, w, gamma, T, t, x, a),
-        _factory=lambda p: pg_mv_family(p, w, gamma, T),
-    )
-
-
-def pg_update(trans: Transition, J: ValueApprox, family: PolicyFamily,
-              cfg: LearnerConfig, beta: float, j: int,
-              V: Optional[float] = None) -> np.ndarray:
-    """One policy-gradient step from a single transition.
-
-    phi moves along [ -gamma log pi dt + dJ + r dt - beta J dt ] * score; the
-    entropy and value terms make the bracket an unbiased advantage estimate
-    only when the transition was generated by the family itself.  Passing V
-    switches the correction term to the ergodic - V dt.
-    """
-    t, x, a, r, x_next, dt = trans
-    j_now = float(np.asarray(J.value(t, x), float))
-    j_next = float(np.asarray(J.value(t + dt, x_next), float))
-    logp = float(np.asarray(family.log_density(t, x, a), float))
-    bracket = -cfg.gamma * logp * dt + j_next - j_now + r * dt
-    if V is not None:
-        bracket -= V * dt
-    else:
-        bracket -= beta * j_now * dt
-    lr = cfg.schedule(j)
-    phi_new = family.phi + lr * cfg.alpha_phi * bracket * np.asarray(family.score(t, x, a), float)
-    if not np.all(np.isfinite(phi_new)):
-        raise ParameterDiverged("pg_update", family.phi)
-    return phi_new

@@ -1,28 +1,22 @@
-"""Controlled-diffusion models and fixed-step Euler simulation.
+"""Controlled-diffusion models and counter-based noise streams.
 
-A model is a bundle of drift/diffusion/reward callables on (t, x, a).  Episodes
-are simulated on a uniform grid; actions are sampled at the left endpoint and
-held constant over the step.  All randomness flows through counter-based
-streams keyed by (master_seed, replication, episode) so any trajectory can be
+A model is a bundle of drift/diffusion/reward callables on (t, x, a); the
+oracle forms Hamiltonians from them.  The experiment drivers step their
+models with Euler-Maruyama on a uniform grid, actions sampled at the left
+endpoint and held over the step.  All randomness flows through counter-based
+streams keyed by (master_seed, replication, ...) so any run can be
 reproduced bit-for-bit from its key.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SimulationDiverged
-
-# Episodes abort once the state norm passes this bound.
+# A lane is marked diverged once its state passes this bound.
 STATE_GUARD = 1.0e8
-
-_CSV_FLOAT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -55,82 +49,6 @@ class EnvModel:
 
 
 @dataclass(frozen=True)
-class EpisodeConfig:
-    """Uniform time grid: K steps of size dt covering [0, horizon]."""
-
-    horizon: float
-    dt: float
-    steps: Optional[int] = None
-    episode_count: int = 1
-    batch_size: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ValueError("horizon and dt must be positive")
-        k = self.steps if self.steps is not None else int(round(self.horizon / self.dt))
-        if k <= 0:
-            raise ValueError("grid must contain at least one step")
-        if abs(k * self.dt - self.horizon) > 1e-12 * max(1.0, abs(self.horizon)):
-            raise ValueError(f"steps*dt = {k * self.dt!r} does not match horizon {self.horizon!r}")
-        if self.episode_count < 0 or self.batch_size < 1:
-            raise ValueError("bad episode_count or batch_size")
-        object.__setattr__(self, "steps", k)
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One simulated episode on the uniform grid.
-
-    states has K+1 rows, actions and rewards have K rows; rewards hold the
-    sampled rate r(t_k, x_k, a_k), not r*dt.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    terminal_payoff: Optional[float] = None
-    tag: str = ""
-
-    def __post_init__(self):
-        times = np.asarray(self.times, float)
-        states = np.atleast_2d(np.asarray(self.states, float))
-        actions = np.atleast_2d(np.asarray(self.actions, float))
-        rewards = np.asarray(self.rewards, float)
-        if states.shape[0] == 1 and times.size > 1:
-            states = states.T
-        if actions.shape[0] == 1 and times.size > 2:
-            actions = actions.T
-        k = times.size - 1
-        if k < 1:
-            raise ValueError("trajectory needs at least one step")
-        if states.shape[0] != k + 1 or actions.shape[0] != k or rewards.size != k:
-            raise ValueError("inconsistent trajectory lengths")
-        dts = np.diff(times)
-        if dts.min() <= 0:
-            raise ValueError("times must be strictly increasing")
-        scale = max(1.0, abs(times[-1]))
-        if np.max(np.abs(dts - dts[0])) > 1e-9 * scale:
-            raise ValueError("time grid must be uniform")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "rewards", rewards)
-
-    @property
-    def steps(self) -> int:
-        return self.times.size - 1
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-@dataclass(frozen=True)
 class RngStream:
     """Counter-based noise stream keyed by (master_seed, replication, episode).
 
@@ -151,126 +69,6 @@ class RngStream:
 
     def child(self, *ids) -> "RngStream":
         return RngStream(self.master_seed, tuple(self.stream_id) + tuple(int(i) for i in ids))
-
-
-class _ZeroGenerator:
-    """Drop-in generator stub that returns zero noise (deterministic paths)."""
-
-    def standard_normal(self, size=None):
-        if size is None:
-            return 0.0
-        return np.zeros(size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        if size is None:
-            return float(loc)
-        return np.broadcast_to(np.asarray(loc, float), size).copy()
-
-    def integers(self, low, high=None, size=None):
-        if size is None:
-            return int(low if high is not None else 0)
-        return np.full(size, int(low if high is not None else 0))
-
-
-class ZeroStream:
-    """Stream whose generator emits zeros; used to force noise-free paths."""
-
-    def generator(self):
-        return _ZeroGenerator()
-
-
-def as_generator(rng):
-    """Accept an RngStream-like object or a live numpy Generator."""
-    if hasattr(rng, "generator"):
-        return rng.generator()
-    return rng
-
-
-def _sample_action(policy, t, x, gen):
-    if hasattr(policy, "sample"):
-        return policy.sample(t, x, gen)
-    return policy(t, x, gen)
-
-
-def step_euler(model: EnvModel, t: float, x, a, dt: float, dW):
-    """One Euler-Maruyama step; returns (x_next, reward_rate_sample).
-
-    dW is the Brownian increment itself (already scaled by sqrt(dt)).
-    """
-    d, n = model.state_dim, model.noise_dim
-    x = np.asarray(x, float).reshape(d)
-    a_arr = np.atleast_1d(np.asarray(a, float))
-    # overflow here is caught by the finiteness guard below, not by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.asarray(model.drift(t, x, a_arr), float).reshape(d)
-        sig = np.asarray(model.diffusion(t, x, a_arr), float).reshape(d, n)
-        dw = np.asarray(dW, float).reshape(n)
-        x_next = x + b * dt + sig @ dw
-        r = float(np.asarray(model.reward_rate(t, x, a_arr), float).reshape(()))
-    if not (np.all(np.isfinite(x_next)) and math.isfinite(r)):
-        raise SimulationDiverged(t, x, a_arr, "non-finite Euler step")
-    return x_next, r
-
-
-def simulate_episode(model: EnvModel, policy, cfg: EpisodeConfig, x0, rng,
-                     tag: str = "") -> Trajectory:
-    """Simulate one episode under the sampling policy.
-
-    Noise consumption per step: the policy draw first, then the n-dimensional
-    Brownian increment.  The result is a pure function of (model, policy, cfg,
-    x0, stream key).
-    """
-    gen = as_generator(rng)
-    k_steps = cfg.steps
-    d, m, n = model.state_dim, model.action_dim, model.noise_dim
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    times = cfg.grid()
-    states = np.empty((k_steps + 1, d))
-    actions = np.empty((k_steps, m))
-    rewards = np.empty(k_steps)
-    x = np.asarray(x0, float).reshape(d)
-    states[0] = x
-    for k in range(k_steps):
-        t = times[k]
-        a = np.atleast_1d(np.asarray(_sample_action(policy, t, x if d > 1 else float(x[0]), gen), float))
-        dW = sqdt * np.asarray(gen.standard_normal(n))
-        x, r = step_euler(model, t, x, a, dt, dW)
-        if np.max(np.abs(x)) > STATE_GUARD:
-            raise SimulationDiverged(times[k + 1], x, a, "state guard exceeded")
-        states[k + 1] = x
-        actions[k] = a
-        rewards[k] = r
-    terminal = None
-    if model.terminal_reward is not None:
-        terminal = float(np.asarray(model.terminal_reward(states[-1] if d > 1 else float(states[-1, 0])), float))
-    return Trajectory(times, states, actions, rewards, terminal, tag=tag)
-
-
-def make_behavior_stream(model: EnvModel, behavior_policy, cfg: EpisodeConfig,
-                         x0, rng) -> Trajectory:
-    """Generate off-policy data by running an exogenous behavior policy."""
-    return simulate_episode(model, behavior_policy, cfg, x0, rng, tag="behavior")
-
-
-def builtin_mv_env(mu: float, sigma: float, rfree: float = 0.0) -> EnvModel:
-    """Self-financing wealth dynamics dX = a ((mu - rfree) dt + sigma dW).
-
-    Zero running reward; the terminal objective is supplied by the experiment
-    layer, which tracks the moving target in the payoff itself.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    excess = mu - rfree
-    return EnvModel(
-        drift=lambda t, x, a: a * excess,
-        diffusion=lambda t, x, a: a * sigma,
-        reward_rate=lambda t, x, a: 0.0 * np.asarray(a, float),
-        terminal_reward=None,
-        discount_beta=0.0,
-        state_dim=1, action_dim=1, noise_dim=1,
-        ergodic=False,
-    )
 
 
 @dataclass(frozen=True)
@@ -309,62 +107,4 @@ def builtin_lq_env(A: float = -1.0, B: float = 0.0, C: float = 0.0, D: float = 1
         discount_beta=0.0,
         state_dim=1, action_dim=1, noise_dim=1,
         ergodic=True,
-    )
-
-
-def save_trajectory(path, traj: Trajectory, config: Optional[dict] = None,
-                    seed: Optional[int] = None) -> None:
-    """Write a trajectory as CSV plus a JSON sidecar (<path>.json).
-
-    Floats are printed with 17 significant digits so the read-back is
-    bit-exact.
-    """
-    d = traj.states.shape[1]
-    m = traj.actions.shape[1]
-    header = (["k", "t"] + [f"x{i}" for i in range(d)]
-              + [f"a{i}" for i in range(m)] + ["r"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.steps):
-            row = [k, _CSV_FLOAT % traj.times[k]]
-            row += [_CSV_FLOAT % v for v in traj.states[k]]
-            row += [_CSV_FLOAT % v for v in traj.actions[k]]
-            row.append(_CSV_FLOAT % traj.rewards[k])
-            writer.writerow(row)
-        last = [traj.steps, _CSV_FLOAT % traj.times[-1]]
-        last += [_CSV_FLOAT % v for v in traj.states[-1]]
-        last += ["" for _ in range(m)] + [""]
-        writer.writerow(last)
-    sidecar = {
-        "state_dim": d,
-        "action_dim": m,
-        "terminal_payoff": traj.terminal_payoff,
-        "tag": traj.tag,
-        "config": config or {},
-        "seed": seed,
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    d, m = sidecar["state_dim"], sidecar["action_dim"]
-    times, states, actions, rewards = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            times.append(float(row[1]))
-            states.append([float(v) for v in row[2:2 + d]])
-            a_cells = row[2 + d:2 + d + m]
-            if a_cells and a_cells[0] != "":
-                actions.append([float(v) for v in a_cells])
-                rewards.append(float(row[2 + d + m]))
-    return Trajectory(
-        np.asarray(times), np.asarray(states), np.asarray(actions),
-        np.asarray(rewards), sidecar["terminal_payoff"], tag=sidecar.get("tag", ""),
     )

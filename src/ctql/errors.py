@@ -1,28 +1,6 @@
 """Exception types shared across the package."""
 
 
-class SimulationDiverged(RuntimeError):
-    """State left the admissible region (non-finite or |x| beyond the guard).
-
-    Carries the step context so callers can log where the episode died.
-    """
-
-    def __init__(self, t, x, a, message="state diverged"):
-        super().__init__(f"{message} at t={t!r}, x={x!r}, a={a!r}")
-        self.t = t
-        self.x = x
-        self.a = a
-
-
-class ParameterDiverged(RuntimeError):
-    """A learner update produced non-finite parameters."""
-
-    def __init__(self, name, last_finite, message="parameter update diverged"):
-        super().__init__(f"{message}: {name}")
-        self.name = name
-        self.last_finite = last_finite
-
-
 class InfeasibleProblem(ValueError):
     """No admissible solution exists for the requested model coefficients."""
 

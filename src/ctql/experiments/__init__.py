@@ -1,6 +1,6 @@
 from .checks import CheckResult, run_all_checks
 from .ergodic import (ErgodicExperimentConfig, run_ergodic,
-                      run_ergodic_replications, running_average_reward)
+                      run_ergodic_replications)
 from .mv import (MvExperimentConfig, lagrange_update, metrics_terminal,
                  run_mv, run_mv_replications)
 from .records import RunRecord, aggregate_metrics, config_dict, write_summary
@@ -19,6 +19,5 @@ __all__ = [
     "run_ergodic_replications",
     "run_mv",
     "run_mv_replications",
-    "running_average_reward",
     "write_summary",
 ]

@@ -2,11 +2,14 @@
 
 Each check is self-seeded and returns a CheckResult; run_all_checks drives
 the full list.  The suite covers the structural identities the learners rely
-on: Gibbs consistency and normalization of the q-families, analytic gradients
-against finite differences, the backward-recursion loss against a brute-force
-double sum, zero-learning-rate no-ops, policy improvement monotonicity
-(exact and Monte Carlo), the mean-zero gap between the SARSA target and the
-rate-based residual, and the first-order expansion of the step-size Q.
+on, on the code the experiment drivers run: Gibbs consistency and
+normalization of the q-families, the ergodic update kernels' test vectors
+and the mean-variance gradient helpers against finite differences, the
+mean-variance driver's episode residuals against a brute-force double sum,
+zero-learning-rate no-ops of every driver, policy improvement monotonicity
+(exact and Monte Carlo), the mean-zero gap between the SARSA kernel's
+bracket and the q-learning kernel's residual, and the first-order expansion
+of the step-size Q.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from typing import Callable, List
 import numpy as np
 from scipy.integrate import quad
 
-from .. import approx, baselines
-from ..approx import lq_q, lq_value, mv_q, mv_value
-from ..baselines import qdt_lq_preset, qdt_mv_preset, sarsa_bracket, SarsaTransition
-from ..envsim import LqCoefficients, RngStream, Trajectory, builtin_lq_env
-from ..learners import (LearnerConfig, Transition, ergodic_update,
-                        martingale_residuals, ml_update, offline_td_update,
-                        online_td_update, td_increment)
+from ..approx import (lq_q, lq_value, mv_q, mv_q_eval, mv_q_grad,
+                      mv_value_eval, mv_value_grad)
+from ..baselines import pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad
+from ..envsim import LqCoefficients, RngStream, builtin_lq_env
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
                       policy_improvement_map, q_from_value, qdt_expansion_check)
+from .ergodic import (ALGOS, MODES, PARAM_NAMES, ErgodicExperimentConfig,
+                      _init_params, rate_kernel, run_ergodic_replications,
+                      sarsa_kernel)
+from .mv import (MV_ALGOS, MvExperimentConfig, _init_mv_params,
+                 martingale_residuals, run_mv_replications)
 
 
 @dataclass(frozen=True)
@@ -116,46 +121,56 @@ def _fd_grad(fn: Callable[[np.ndarray], float], p: np.ndarray) -> np.ndarray:
 
 
 def check_gradients(seed: int = 0) -> CheckResult:
-    """Analytic parameter gradients against central differences."""
+    """Analytic parameter gradients against central differences.
+
+    The ergodic kernels' test vectors are checked through their residuals
+    at a transition that ends at x' = 0, where J(x') vanishes: there the
+    residual's parameter gradient is minus the test vector scaled by the
+    step (and by gamma for the policy-gradient score).  The SARSA bracket
+    also carries the s3-derivative gamma dt / 2 of Q(x', a') - gamma
+    log pi(a'|x') dt, which is free of the action.  The mean-variance
+    helpers are checked against their own values.
+    """
     rng = np.random.default_rng(seed)
     gamma, T, dt = 0.1, 1.0, 0.04
     w, z = 1.35, 1.4
     t = float(rng.uniform(0, T))
     x = float(rng.normal(loc=1.0))
     a = float(rng.normal())
+    r = float(rng.normal())
+    a2 = float(rng.normal())
+    gdt = gamma * dt
     cases = []
-    p3 = rng.normal(scale=0.5, size=3)
+    for name, kernel, args, scale, shift in (
+            ("q kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "q"),
+             [1, 1, dt, dt, dt, dt], 0.0),
+            ("pg kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "sampled"),
+             [1, 1, gdt, gdt, gdt, dt], 0.0),
+            ("sarsa kernel", sarsa_kernel, (x, a, r, 0.0, a2, gamma, dt),
+             [1, 1, 1, 1, 1, dt], np.array([0, 0, 0.5 * gdt, 0, 0, 0]))):
+        P = rng.normal(scale=0.5, size=6)
+        tests = np.ones((6, 1))
+        kernel(P.reshape(6, 1), *args, tests)
+        want = shift - np.asarray(scale, float) * tests[:, 0]
+        cases.append((name,
+                      lambda p, kernel=kernel, args=args: float(
+                          kernel(p.reshape(6, 1), *args, np.ones((6, 1)))[0]),
+                      lambda p, want=want: want, P))
     cases.append(("mv_value",
-                  lambda p: float(mv_value(p, w, z, T).value(t, x)),
-                  lambda p: np.asarray(mv_value(p, w, z, T).grad_theta(t, x), float),
-                  p3))
+                  lambda p: float(mv_value_eval(*p, w, z, T, t, x)),
+                  lambda p: np.asarray(mv_value_grad(*p, w, z, T, t, x), float),
+                  rng.normal(scale=0.5, size=3)))
     cases.append(("mv_q",
-                  lambda p: float(mv_q(p, w, gamma, T).value(t, x, a)),
-                  lambda p: np.asarray(mv_q(p, w, gamma, T).grad_psi(t, x, a), float),
+                  lambda p: float(mv_q_eval(*p, w, gamma, T, t, x, a)),
+                  lambda p: np.asarray(mv_q_grad(*p, w, gamma, T, t, x, a), float),
                   rng.normal(scale=0.5, size=3)))
-    cases.append(("lq_value",
-                  lambda p: float(lq_value(p).value(t, x)),
-                  lambda p: np.asarray(lq_value(p).grad_theta(t, x), float),
-                  rng.normal(scale=0.5, size=2)))
-    cases.append(("lq_q",
-                  lambda p: float(lq_q(p, gamma).value(t, x, a)),
-                  lambda p: np.asarray(lq_q(p, gamma).grad_psi(t, x, a), float),
-                  rng.normal(scale=0.5, size=3)))
-    cases.append(("qdt_lq",
-                  lambda p: float(qdt_lq_preset(p, gamma, dt).value(t, x, a)),
-                  lambda p: np.asarray(qdt_lq_preset(p, gamma, dt).grad_psi(t, x, a), float),
-                  rng.normal(scale=0.5, size=5)))
     cases.append(("qdt_mv",
-                  lambda p: float(qdt_mv_preset(p, w, z, gamma, T, dt).value(t, x, a)),
-                  lambda p: np.asarray(qdt_mv_preset(p, w, z, gamma, T, dt).grad_psi(t, x, a), float),
+                  lambda p: float(qdt_mv_eval(*p, w, z, T, t, x, a)),
+                  lambda p: np.asarray(qdt_mv_grad(*p, w, z, T, t, x, a), float),
                   rng.normal(scale=0.5, size=5)))
-    cases.append(("pg_lq_score",
-                  lambda p: float(baselines.pg_lq_family(p, gamma).log_density(t, x, a)),
-                  lambda p: np.asarray(baselines.pg_lq_family(p, gamma).score(t, x, a), float),
-                  rng.normal(scale=0.5, size=3)))
     cases.append(("pg_mv_score",
-                  lambda p: float(baselines.pg_mv_family(p, w, gamma, T).log_density(t, x, a)),
-                  lambda p: np.asarray(baselines.pg_mv_family(p, w, gamma, T).score(t, x, a), float),
+                  lambda p: float(pg_mv_logp(*p, w, gamma, T, t, x, a)),
+                  lambda p: np.asarray(pg_mv_score(*p, w, gamma, T, t, x, a), float),
                   rng.normal(scale=0.5, size=3)))
     worst = 0.0
     worst_name = ""
@@ -170,69 +185,51 @@ def check_gradients(seed: int = 0) -> CheckResult:
 
 
 def check_loss_recursion(seed: int = 0) -> CheckResult:
-    """Backward recursion for the episode residuals against a double loop."""
+    """The mean-variance driver's backward recursion for the episode
+    residuals against a double loop."""
     rng = np.random.default_rng(seed)
-    K = 64
+    K, B, L = 64, 3, 2
     dt = 1.0 / K
-    beta = 0.3
-    times = np.arange(K + 1) * dt
-    states = np.cumsum(rng.normal(scale=0.1, size=K + 1)) + 1.0
-    actions = rng.normal(size=K)
-    rewards = rng.normal(size=K)
-    traj = Trajectory(times, states, actions, rewards,
-                      terminal_payoff=float(rng.normal()))
-    J = mv_value(rng.normal(size=3), 1.35, 1.4, 1.0)
-    q = mv_q(rng.normal(size=3), 1.35, 0.1, 1.0)
-    g_fast = martingale_residuals(traj, J, q, beta)
-    qs = np.array([float(q.value(times[k], states[k], actions[k])) for k in range(K)])
-    js = np.array([float(J.value(times[k], states[k])) for k in range(K)])
-    g_slow = np.empty(K)
+    terminal = rng.normal(size=(B, L))
+    js = rng.normal(size=(K, B, L))
+    running = rng.normal(size=(K, B, L))
+    g_fast = martingale_residuals(terminal, js, running, dt)
+    g_slow = np.empty((K, B, L))
     for k in range(K):
-        tail = sum(math.exp(-beta * (times[i] - times[k])) * (rewards[i] - qs[i]) * dt
-                   for i in range(k, K))
-        g_slow[k] = (traj.terminal_payoff * math.exp(-beta * (times[K] - times[k]))
-                     - js[k] + tail)
+        g_slow[k] = terminal - js[k] + sum(running[i] * dt for i in range(k, K))
     worst = float(np.max(np.abs(g_fast - g_slow)))
     return CheckResult("loss-recursion", worst < 1e-12,
                        f"max |recursive - brute force| = {worst:.3e} (tol 1e-12)")
 
 
 def check_zero_rate(seed: int = 0) -> CheckResult:
-    """Zero learning rates must leave every parameter untouched."""
-    rng = np.random.default_rng(seed)
-    cfg = LearnerConfig(gamma=0.1, alpha_theta=0.0, alpha_psi=0.0,
-                        alpha_v=0.0, alpha_phi=0.0)
-    K = 8
-    dt = 0.125
-    times = np.arange(K + 1) * dt
-    states = rng.normal(size=K + 1)
-    actions = rng.normal(size=K)
-    rewards = rng.normal(size=K)
-    traj = Trajectory(times, states, actions, rewards, terminal_payoff=0.5)
-    J = mv_value(rng.normal(size=3), 1.4, 1.4, 1.0)
-    q = mv_q(rng.normal(size=3), 1.4, 0.1, 1.0)
+    """Zero learning rates must leave every parameter of every driver
+    untouched, over a short run."""
+    lanes = 2
     exact = []
-    th, ps = ml_update(traj, J, q, cfg, beta=0.2, j=1)
-    exact.append(np.array_equal(th, J.theta) and np.array_equal(ps, q.psi))
-    th, ps = offline_td_update(traj, J, q, cfg, beta=0.2, j=1)
-    exact.append(np.array_equal(th, J.theta) and np.array_equal(ps, q.psi))
-    trans = Transition(0.0, 0.3, -0.2, 0.1, 0.35, dt)
-    th, ps = online_td_update(trans, J, q, cfg, beta=0.2, j=1)
-    exact.append(np.array_equal(th, J.theta) and np.array_equal(ps, q.psi))
-    Jl = lq_value(rng.normal(size=2))
-    ql = lq_q(rng.normal(size=3), 0.1)
-    th, ps, v = ergodic_update(trans, Jl, ql, V=0.4, cfg=cfg, elapsed=10.0)
-    exact.append(np.array_equal(th, Jl.theta) and np.array_equal(ps, ql.psi) and v == 0.4)
-    qdt = qdt_lq_preset(rng.normal(size=5), 0.1, dt)
-    st = SarsaTransition(0.0, 0.3, -0.2, 0.1, 0.35, 0.1, dt)
-    ps, v = baselines.sarsa_update(st, qdt, cfg, beta=0.0, V=0.4)
-    exact.append(np.array_equal(ps, qdt.psi) and v == 0.4)
-    fam = baselines.pg_lq_family(rng.normal(size=3), 0.1)
-    ph = baselines.pg_update(trans, Jl, fam, cfg, beta=0.0, j=1, V=0.4)
-    exact.append(np.array_equal(ph, fam.phi))
+    cfg = ErgodicExperimentConfig(horizon=2.0, alpha_theta=0.0, alpha_psi=0.0,
+                                  alpha_v=0.0, alpha_phi=0.0)
+    for algo in ALGOS:
+        start, _rates = _init_params(cfg, algo, lanes)
+        for mode in MODES:
+            recs = run_ergodic_replications(cfg, algo, mode, seed, lanes)
+            exact.append(all(
+                rec.status == "ok"
+                and [rec.final_params[k] for k in PARAM_NAMES[algo]] == start[:, i].tolist()
+                for i, rec in enumerate(recs)))
+    mv_cfg = MvExperimentConfig(updates=10, batch=2, eval_runs=2, train_years=2.0,
+                                alpha_theta=0.0, alpha_psi=0.0, alpha_phi=0.0,
+                                alpha_w=0.0)
+    for algo in MV_ALGOS:
+        start = _init_mv_params(mv_cfg, algo, lanes)
+        recs = run_mv_replications(mv_cfg, algo, seed, lanes)
+        exact.append(all(
+            rec.status == "ok"
+            and rec.final_params == {k: float(v[i]) for k, v in start.items()}
+            for i, rec in enumerate(recs)))
     ok = all(exact)
     return CheckResult("zero-rate-identity", ok,
-                       f"{sum(exact)}/{len(exact)} update rules are exact no-ops")
+                       f"{sum(exact)}/{len(exact)} driver runs are exact no-ops")
 
 
 def _improved_policy(coef: LqCoefficients, gamma: float, k: float, m: float,
@@ -313,8 +310,8 @@ def check_improvement_mc(seed: int = 0) -> CheckResult:
 
 
 def check_sarsa_target(seed: int = 0) -> CheckResult:
-    """Averaging the SARSA target over the next action recovers the rate
-    residual when the step-size Q matches J + q dt.
+    """Averaging the SARSA kernel's bracket over the next action recovers
+    the q-learning kernel's residual when the step-size Q matches J + q dt.
 
     For a normalized family the extra term q(t', x', a') - gamma log pi(a'|x')
     vanishes pointwise, not just in expectation, so the Monte Carlo gate
@@ -323,42 +320,38 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
     sol = lq_ergodic_fixed_point()
     gamma = sol.gamma
     dt = 0.1
+    n = 200_000
     th, ps = sol.theta_star, sol.psi_star
+    P_q = np.array([th[0], th[1], ps[0], ps[1], ps[2], sol.V_star]).reshape(6, 1)
     # e^{-s3} = dt e^{-p3} lines the advantage block up with q psi
-    qdt = qdt_lq_preset([ps[0], ps[1], ps[2] - math.log(dt), th[0], th[1]],
-                        gamma, dt)
-    J = lq_value(th)
-    q = lq_q(ps, gamma)
+    P_s = np.array([ps[0], ps[1], ps[2] - math.log(dt), th[0], th[1],
+                    sol.V_star]).reshape(6, 1)
     gen = RngStream(seed, (702,)).generator()
     x, a = 0.8, -0.5
     coef = LqCoefficients()
     r = float(coef.reward(x, a))
     x2 = x + (coef.A * x + coef.B * a) * dt \
         + (coef.C * x + coef.D * a) * math.sqrt(dt) * gen.standard_normal()
-    inc = td_increment(Transition(0.0, x, a, r, x2, dt), J, q, beta=0.0, V=sol.V_star)
-    n = 200_000
-    mu2 = float(np.asarray(qdt.policy_mean(0.0, x2)))
-    var2 = float(np.asarray(qdt.policy_variance(0.0, x2)))
+    delta = float(rate_kernel(P_q, x, a, r, x2, gamma, dt, "q", np.ones((6, 1)))[0])
+    # n lanes of the one transition, each with its own next action drawn from
+    # the step-size policy N(s1 x' + s2, gamma dt e^{s3})
+    mu2 = ps[0] * x2 + ps[1]
+    var2 = gamma * dt * math.exp(P_s[2, 0])
     a2 = mu2 + math.sqrt(var2) * gen.standard_normal(n)
-    q_next = np.asarray(qdt.value(dt, x2, a2), float)
-    logp = -0.5 * (a2 - mu2) ** 2 / var2 - 0.5 * math.log(2.0 * math.pi * var2)
-    q_now = float(np.asarray(qdt.value(0.0, x, a)))
-    brackets = q_next - gamma * logp * dt - q_now + r * dt - sol.V_star * dt
-    few = [sarsa_bracket(SarsaTransition(0.0, x, a, r, x2, float(a2[i]), dt),
-                         qdt, beta=0.0, V=sol.V_star) for i in range(3)]
-    route_gap = max(abs(few[i] - brackets[i]) for i in range(3))
-    mean_gap = float(brackets.mean()) - inc.delta
+    brackets = sarsa_kernel(P_s, np.full(n, x), a, r, x2, a2, gamma, dt,
+                            np.ones((6, n)))
+    mean_gap = float(brackets.mean()) - delta
     se = float(brackets.std(ddof=1) / math.sqrt(n))
     # matched params: rate policy N(p1 x + p2, gamma e^{p3}) equals the step
     # policy, so the same draws feed the pointwise extra-term check
-    extra = np.asarray(q.value(dt, x2, a2), float) - gamma * logp
+    logp = -0.5 * (a2 - mu2) ** 2 / var2 - 0.5 * math.log(2.0 * math.pi * var2)
+    extra = np.asarray(lq_q(ps, gamma).value(dt, x2, a2), float) - gamma * logp
     extra_max = float(np.abs(extra).max())
-    ok = abs(mean_gap) < 4.0 * se + 1e-12 and extra_max < 1e-10 \
-        and route_gap < 1e-12
+    ok = abs(mean_gap) < 4.0 * se + 1e-12 and extra_max < 1e-10
     return CheckResult("sarsa-target-mean", ok,
                        f"|E[bracket] - delta| = {abs(mean_gap):.2e} "
                        f"(4 SE + floor = {4.0 * se + 1e-12:.2e}); "
-                       f"max |extra term| {extra_max:.1e}; route gap {route_gap:.1e}")
+                       f"max |extra term| {extra_max:.1e}")
 
 
 def check_qdt_intercept(seed: int = 0) -> CheckResult:

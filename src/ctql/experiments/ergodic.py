@@ -6,6 +6,14 @@ temporal-difference critic.  On-policy runs execute the learner's own policy;
 off-policy runs execute a fixed Gaussian behavior policy and feed the learner
 the observed transitions.
 
+Every learner is one instance of the ergodic martingale condition: a residual
+tested against a vector of test functions.  Each update rule is one lane
+kernel that computes its residual and writes its test vectors into a
+(6, lanes) buffer (`rate_kernel` for q-learning and policy gradient,
+`sarsa_kernel` for SARSA); the driver holds the six parameters of every lane
+in one (6, lanes) array and moves them along rate * residual * tests in a
+single block shared by all three learners.
+
 The policy-gradient arm realizes the exploration bonus as the policy's
 entropy by default (`pg_regularizer="entropy"`), which is the benchmark
 convention; both regularizer forms agree in conditional mean on-policy.  With
@@ -21,19 +29,20 @@ consumes exactly the same numbers regardless of how many lanes run beside it.
 SARSA draws its action at the *next* state (column 0 of the step belongs to
 that draw, after one extra draw for the initial action); off-policy SARSA
 samples the bracket action from its own stream so the observed data stay
-shared across algorithms.
+shared across algorithms.  A lane's trace ends at the first record after it
+diverges, and the driver stops once every lane has diverged, so a lane's
+record does not depend on the lanes beside it either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from ..envsim import LqCoefficients, RngStream, STATE_GUARD
-from ..learners import sqrt_log_schedule
 from .records import RunRecord
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -48,6 +57,20 @@ PARAM_GUARD = 25.0
 
 ALGOS = ("qlearn-online", "sarsa", "pg")
 MODES = ("on-policy", "off-policy")
+
+# Rows of the (6, lanes) parameter array; the last row is always the rate V.
+PARAM_NAMES = {
+    "qlearn-online": ("th1", "th2", "p1", "p2", "p3", "V"),
+    "sarsa": ("s1", "s2", "s3", "s4", "s5", "V"),
+    "pg": ("th1", "th2", "f1", "f2", "f3", "V"),
+}
+
+
+def sqrt_log_schedule(arg: float) -> float:
+    """l(t) = 1 / max(1, sqrt(log t)); equals 1 for t <= e."""
+    if arg <= 1.0:
+        return 1.0
+    return 1.0 / max(1.0, math.sqrt(math.log(arg)))
 
 
 @dataclass(frozen=True)
@@ -82,20 +105,99 @@ class ErgodicExperimentConfig:
         return int(round(self.horizon / self.dt))
 
 
-def _init_params(cfg: ErgodicExperimentConfig, algo: str, reps: int) -> dict:
-    """All parameters start at zero except policy variances, which start at 1."""
-    z = lambda: np.zeros(reps)
+def _init_params(cfg: ErgodicExperimentConfig, algo: str, lanes: int):
+    """(6, lanes) start parameters and the (6, 1) learning rate of each row.
+
+    All parameters start at zero except the policy log-precision row, which
+    starts where the policy variance is 1.
+    """
+    P = np.zeros((6, lanes))
     if algo == "qlearn-online":
-        return {"th1": z(), "th2": z(), "p1": z(), "p2": z(),
-                "p3": np.full(reps, math.log(1.0 / cfg.gamma)), "V": z()}
-    if algo == "sarsa":
-        return {"s1": z(), "s2": z(),
-                "s3": np.full(reps, math.log(1.0 / (cfg.gamma * cfg.dt))),
-                "s4": z(), "s5": z(), "V": z()}
-    if algo == "pg":
-        return {"th1": z(), "th2": z(), "f1": z(), "f2": z(),
-                "f3": np.full(reps, math.log(1.0 / cfg.gamma)), "V": z()}
-    raise ValueError(f"unknown algo {algo!r}")
+        P[4] = math.log(1.0 / cfg.gamma)
+        rates = (cfg.alpha_theta,) * 2 + (cfg.alpha_psi,) * 3
+    elif algo == "sarsa":
+        P[2] = math.log(1.0 / (cfg.gamma * cfg.dt))
+        rates = (cfg.alpha_psi,) * 5
+    elif algo == "pg":
+        P[4] = math.log(1.0 / cfg.gamma)
+        rates = (cfg.alpha_theta,) * 2 + (cfg.alpha_phi,) * 3
+    else:
+        raise ValueError(f"unknown algo {algo!r}")
+    return P, np.array(rates + (cfg.alpha_v,)).reshape(6, 1)
+
+
+# ---------------------------------------------------------------------------
+# Update kernels
+
+
+def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
+    """Ergodic residual dJ + (r + running term) dt - V dt of the rate learners.
+
+    P rows are (theta1, theta2, psi1, psi2, psi3, V): the value is
+    J = theta1 x^2 + theta2 x and the policy N(psi1 x + psi2, gamma e^{psi3}).
+    `running` picks the learner:
+
+      * "q": q-learning.  The running term is -q with the normalized
+        q = -(e^{-psi3}/2)(a - psi1 x - psi2)^2 - (gamma/2)(log 2 pi gamma
+        + psi3), tested against dq/dpsi.
+      * "entropy" / "sampled": policy gradient.  The running term is the
+        policy's entropy bonus, or -gamma log pi(a|x) at the taken action,
+        tested against the score d log pi / dpsi, which is dq/dpsi / gamma.
+
+    Writes the test vectors (dJ/dtheta, dq/dpsi or score, 1) into the
+    (6, lanes) buffer `tests` and returns the residual.
+    """
+    th1, th2, p1, p2, p3, V = P
+    prec = np.exp(-p3)
+    if running != "q":
+        prec /= gamma
+    dev = a - (p1 * x + p2)
+    np.multiply(x, x, out=tests[0])
+    tests[1] = x
+    pdev = np.multiply(prec, dev, out=tests[3])
+    np.multiply(pdev, x, out=tests[2])
+    pdd = pdev * dev
+    np.subtract(pdd, gamma if running == "q" else 1.0, out=tests[4])
+    tests[4] *= 0.5
+    log_gamma = math.log(gamma)
+    if running == "q":
+        gain = r - (-0.5 * pdd - 0.5 * gamma * (LOG_2PI + log_gamma + p3))
+    elif running == "entropy":
+        gain = r + 0.5 * gamma * (LOG_2PI + 1.0 + log_gamma + p3)
+    else:
+        gain = r - gamma * (-0.5 * pdd - 0.5 * (LOG_2PI + log_gamma + p3))
+    return ((th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x)
+            + gain * dt - V * dt)
+
+
+def sarsa_kernel(P, x, a, r, x2, a2, gamma: float, dt: float, tests):
+    """SARSA bracket of the step-size Q-function in the ergodic form.
+
+    P rows are (s1, ..., s5, V) with Q(x, a) = -(e^{-s3}/2)(a - s1 x - s2)^2
+    + s4 x^2 + s5 x, whose policy is N(s1 x + s2, gamma dt e^{s3}).  The
+    bracket is Q(x', a') - gamma log pi(a'|x') dt - Q(x, a) + r dt - V dt
+    for the next action a' drawn at x'.  Writes (dQ/ds, 1) into the
+    (6, lanes) buffer `tests` and returns the bracket.
+    """
+    s1, s2, s3, s4, s5, V = P
+    var_next = gamma * dt * np.exp(s3)
+    es3 = np.exp(-s3)
+    dev = a - (s1 * x + s2)
+    dev2 = a2 - (s1 * x2 + s2)
+    edev = np.multiply(es3, dev, out=tests[1])
+    np.multiply(edev, x, out=tests[0])
+    np.multiply(edev, dev, out=tests[2])
+    tests[2] *= 0.5
+    np.multiply(x, x, out=tests[3])
+    tests[4] = x
+    q_now = -tests[2] + s4 * x * x + s5 * x
+    q_next = -0.5 * es3 * dev2 * dev2 + s4 * x2 * x2 + s5 * x2
+    logp = -0.5 * dev2 * dev2 / var_next - 0.5 * np.log(2.0 * np.pi * var_next)
+    return q_next - gamma * logp * dt - q_now + r * dt - V * dt
+
+
+# ---------------------------------------------------------------------------
+# Drivers
 
 
 def run_ergodic_replications(cfg: ErgodicExperimentConfig, algo: str, mode: str,
@@ -108,42 +210,38 @@ def run_ergodic_replications(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     data_streams = [RngStream(master_seed, (r, 0)) for r in range(reps)]
     learner_streams = [RngStream(master_seed, (r, 1)) for r in range(reps)]
     out = _drive(cfg, algo, mode, data_streams, learner_streams)
-    records = []
-    for r in range(reps):
-        status = "ok" if out["div_step"][r] < 0 else "NA"
-        final = {k: float(v[r]) for k, v in out["params"].items()}
-        metrics = {}
-        if status == "ok":
-            metrics = dict(final)
-            metrics["avg_reward"] = float(out["avg_reward"][r])
-        records.append(RunRecord(
-            algo=algo, mode=mode, replication=r, master_seed=master_seed,
-            status=status,
-            divergence_step=None if out["div_step"][r] < 0 else int(out["div_step"][r]),
-            final_params=final,
-            metrics=metrics,
-            trace={k: v[:, r].tolist() for k, v in out["trace"].items()},
-        ))
-    return records
+    return [_record(algo, mode, out, r, r, master_seed) for r in range(reps)]
 
 
 def run_ergodic(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 rng: RngStream) -> RunRecord:
-    """Single replication driven by an explicit stream (lane width one)."""
-    out = _drive(cfg, algo, mode, [rng], [rng.child(1)])
-    status = "ok" if out["div_step"][0] < 0 else "NA"
-    final = {k: float(v[0]) for k, v in out["params"].items()}
+    """Single replication driven by an explicit stream (lane width one).
+
+    `rng` is the data stream (r, 0) of replication r; the learner stream is
+    (r, 1), as in `run_ergodic_replications`.
+    """
+    rep_id = int(rng.stream_id[0]) if rng.stream_id else 0
+    out = _drive(cfg, algo, mode, [rng], [RngStream(rng.master_seed, (rep_id, 1))])
+    return _record(algo, mode, out, 0, rep_id, rng.master_seed)
+
+
+def _record(algo, mode, out, lane, rep_id, master_seed) -> RunRecord:
+    status = "ok" if out["div_step"][lane] < 0 else "NA"
+    final = {k: float(v) for k, v in zip(out["names"], out["params"][:, lane])}
     metrics = {}
     if status == "ok":
         metrics = dict(final)
-        metrics["avg_reward"] = float(out["avg_reward"][0])
-    rep_id = int(rng.stream_id[0]) if rng.stream_id else 0
+        metrics["avg_reward"] = float(out["avg_reward"][lane])
+    n = out["rows"][lane]
+    trace = {"t": out["t"][:n].tolist()}
+    trace.update((k, out["trace"][:n, i, lane].tolist())
+                 for i, k in enumerate(out["names"]))
+    trace["reward_avg"] = out["reward_avg"][:n, lane].tolist()
     return RunRecord(
-        algo=algo, mode=mode, replication=rep_id,
-        master_seed=rng.master_seed, status=status,
-        divergence_step=None if out["div_step"][0] < 0 else int(out["div_step"][0]),
-        final_params=final, metrics=metrics,
-        trace={k: v[:, 0].tolist() for k, v in out["trace"].items()},
+        algo=algo, mode=mode, replication=rep_id, master_seed=master_seed,
+        status=status,
+        divergence_step=None if status == "ok" else int(out["div_step"][lane]),
+        final_params=final, metrics=metrics, trace=trace,
     )
 
 
@@ -154,7 +252,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
         raise ValueError(f"algo must be one of {ALGOS}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    reps = len(data_streams)
+    lanes = len(data_streams)
     steps = cfg.steps
     dt = cfg.dt
     sqdt = math.sqrt(dt)
@@ -162,213 +260,109 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     co = cfg.coef
     off_policy = (mode == "off-policy")
     b_mean, b_std = cfg.behavior_mean, math.sqrt(cfg.behavior_var)
+    sarsa = (algo == "sarsa")
+    running = "q" if algo == "qlearn-online" else cfg.pg_regularizer
 
     gens = [s.generator() for s in data_streams]
-    lgens = [s.generator() for s in learner_streams]
+    lgens = [s.generator() for s in learner_streams] if sarsa and off_policy else None
 
-    params = _init_params(cfg, algo, reps)
-    x = np.full(reps, float(cfg.x0))
-    reward_sum = np.zeros(reps)
-    active = np.ones(reps, bool)
-    act = np.ones(reps)
-    div_step = np.full(reps, -1, dtype=np.int64)
+    P, rates = _init_params(cfg, algo, lanes)
+    tests = np.ones((6, lanes))  # the kernels leave row 5, the V test, at 1
+    x = np.full(lanes, float(cfg.x0))
+    reward_sum = np.zeros(lanes)
+    active = np.ones(lanes, bool)
+    all_alive = True
+    act = np.ones(lanes)
+    div_step = np.full(lanes, -1, dtype=np.int64)
 
     record_every = max(1, steps // max(1, cfg.trace_points))
     n_rec = steps // record_every
-    trace_keys = ["t"] + list(params.keys()) + ["reward_avg"]
-    trace = {k: np.empty((n_rec, reps)) for k in trace_keys}
+    t_trace = np.empty(n_rec)
+    p_trace = np.empty((n_rec, 6, lanes))
+    r_trace = np.empty((n_rec, lanes))
     rec_i = 0
 
     a_cur = None
-    if algo == "sarsa":
+    if sarsa:
         z0 = np.array([g.standard_normal() for g in gens])
-        mean0 = params["s1"] * x + params["s2"]
-        std0 = np.sqrt(gamma * dt * np.exp(params["s3"]))
+        mean0 = P[0] * x + P[1]
+        std0 = np.sqrt(gamma * dt * np.exp(P[2]))
         a_cur = (b_mean + b_std * z0) if off_policy else (mean0 + std0 * z0)
 
     k = 0
-    log_gamma = math.log(gamma)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while k < steps:
+        while k < steps and active.any():
             chunk = min(_CHUNK, steps - k)
             noise = np.stack([g.standard_normal((chunk, 2)) for g in gens], axis=-1)
             lnoise = None
-            if algo == "sarsa" and off_policy:
+            if lgens is not None:
                 lnoise = np.stack([g.standard_normal(chunk) for g in lgens], axis=-1)
             lvals = np.array([cfg.schedule((k + i) * dt) for i in range(chunk)])
             for i in range(chunk):
                 z0 = noise[i, 0]
                 z1 = noise[i, 1]
-                l = lvals[i]
-                if algo == "qlearn-online":
-                    p1, p2, p3 = params["p1"], params["p2"], params["p3"]
-                    th1, th2, V = params["th1"], params["th2"], params["V"]
-                    if off_policy:
-                        a = b_mean + b_std * z0
-                        dev = a - (p1 * x + p2)
-                    else:
-                        std = np.sqrt(gamma * np.exp(p3))
-                        a = p1 * x + p2 + std * z0
-                        dev = a - (p1 * x + p2)
-                    x2 = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
-                    r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
-                          + co.P * x + co.Q * a)
-                    ep3 = np.exp(-p3)
-                    qv = -0.5 * ep3 * dev * dev - 0.5 * gamma * (LOG_2PI + log_gamma + p3)
-                    delta = (th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x) \
-                        + (r - qv) * dt - V * dt
-                    pmag = np.maximum.reduce([np.abs(p1), np.abs(p2), np.abs(p3),
-                                              np.abs(th1), np.abs(th2), np.abs(V)])
-                    bad = ~np.isfinite(x2) | (np.abs(x2) > STATE_GUARD) \
-                        | ~np.isfinite(delta) | (pmag > PARAM_GUARD)
-                    if bad.any():
-                        newly = bad & active
-                        div_step[newly] = k + i
-                        active &= ~bad
-                        act = active.astype(float)
-                        x2 = np.where(active, x2, 0.0)
-                        delta = np.where(active, delta, 0.0)
-                        r = np.where(active, r, 0.0)
-                    da = delta * act
-                    params["th1"] = th1 + (l * cfg.alpha_theta) * da * x * x
-                    params["th2"] = th2 + (l * cfg.alpha_theta) * da * x
-                    params["p1"] = p1 + (l * cfg.alpha_psi) * da * (ep3 * dev * x)
-                    params["p2"] = p2 + (l * cfg.alpha_psi) * da * (ep3 * dev)
-                    params["p3"] = p3 + (l * cfg.alpha_psi) * da * (0.5 * ep3 * dev * dev - 0.5 * gamma)
-                    params["V"] = V + (l * cfg.alpha_v) * da
-                    if not active.all():
-                        # dead lanes can produce 0 * inf above; hold them at
-                        # their frozen values exactly
-                        for key, old in (("th1", th1), ("th2", th2), ("p1", p1),
-                                         ("p2", p2), ("p3", p3), ("V", V)):
-                            params[key] = np.where(active, params[key], old)
-                elif algo == "sarsa":
-                    s1, s2, s3 = params["s1"], params["s2"], params["s3"]
-                    s4, s5, V = params["s4"], params["s5"], params["V"]
+                if sarsa:
                     a = a_cur
-                    x2 = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
-                    r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
-                          + co.P * x + co.Q * a)
-                    var_next = gamma * dt * np.exp(s3)
-                    mean_next = s1 * x2 + s2
+                elif off_policy:
+                    a = b_mean + b_std * z0
+                else:
+                    a = P[2] * x + P[3] + np.sqrt(gamma * np.exp(P[4])) * z0
+                x2 = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
+                r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
+                      + co.P * x + co.Q * a)
+                if sarsa:
                     if off_policy:
                         a2 = b_mean + b_std * lnoise[i]
                     else:
-                        a2 = mean_next + np.sqrt(var_next) * z0
-                    es3 = np.exp(-s3)
-                    dev = a - (s1 * x + s2)
-                    dev2 = a2 - mean_next
-                    q_now = -0.5 * es3 * dev * dev + s4 * x * x + s5 * x
-                    q_next = -0.5 * es3 * dev2 * dev2 + s4 * x2 * x2 + s5 * x2
-                    logp = -0.5 * dev2 * dev2 / var_next - 0.5 * np.log(2.0 * np.pi * var_next)
-                    bracket = q_next - gamma * logp * dt - q_now + r * dt - V * dt
-                    pmag = np.maximum.reduce([np.abs(s1), np.abs(s2), np.abs(s3),
-                                              np.abs(s4), np.abs(s5), np.abs(V)])
-                    bad = ~np.isfinite(x2) | (np.abs(x2) > STATE_GUARD) | ~np.isfinite(bracket) \
-                        | ~np.isfinite(a2) | (pmag > PARAM_GUARD)
-                    if bad.any():
-                        newly = bad & active
-                        div_step[newly] = k + i
-                        active &= ~bad
-                        act = active.astype(float)
-                        x2 = np.where(active, x2, 0.0)
+                        a2 = (P[0] * x2 + P[1]
+                              + np.sqrt(gamma * dt * np.exp(P[2])) * z0)
+                    resid = sarsa_kernel(P, x, a, r, x2, a2, gamma, dt, tests)
+                else:
+                    resid = rate_kernel(P, x, a, r, x2, gamma, dt, running, tests)
+
+                # one guard, freeze, update and trace block for every learner;
+                # the comparisons are written so that NaN fails them
+                healthy = ((np.abs(x2) <= STATE_GUARD) & np.isfinite(resid)
+                           & (np.abs(P).max(0) <= PARAM_GUARD))
+                newly = active & ~healthy
+                if newly.any():
+                    div_step[newly] = k + i
+                    active &= ~newly
+                    if not active.any():
+                        break
+                    all_alive = False
+                    act = active.astype(float)
+                    x2 = np.where(active, x2, 0.0)
+                    if sarsa:
                         a2 = np.where(active, a2, 0.0)
-                        bracket = np.where(active, bracket, 0.0)
-                        r = np.where(active, r, 0.0)
-                    ba = bracket * act
-                    params["s1"] = s1 + (l * cfg.alpha_psi) * ba * (es3 * dev * x)
-                    params["s2"] = s2 + (l * cfg.alpha_psi) * ba * (es3 * dev)
-                    params["s3"] = s3 + (l * cfg.alpha_psi) * ba * (0.5 * es3 * dev * dev)
-                    params["s4"] = s4 + (l * cfg.alpha_psi) * ba * x * x
-                    params["s5"] = s5 + (l * cfg.alpha_psi) * ba * x
-                    params["V"] = V + (l * cfg.alpha_v) * ba
-                    if not active.all():
-                        # dead lanes can produce 0 * inf above; hold them at
-                        # their frozen values exactly
-                        for key, old in (("s1", s1), ("s2", s2), ("s3", s3),
-                                         ("s4", s4), ("s5", s5), ("V", V)):
-                            params[key] = np.where(active, params[key], old)
-                    a_cur = a2
-                else:  # pg
-                    f1, f2, f3 = params["f1"], params["f2"], params["f3"]
-                    th1, th2, V = params["th1"], params["th2"], params["V"]
-                    mean = f1 * x + f2
-                    if off_policy:
-                        a = b_mean + b_std * z0
-                    else:
-                        std = np.sqrt(gamma * np.exp(f3))
-                        a = mean + std * z0
-                    dev = a - mean
-                    x2 = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
-                    r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
-                          + co.P * x + co.Q * a)
-                    ef3 = np.exp(-f3) / gamma
-                    if cfg.pg_regularizer == "entropy":
-                        # exploration bonus enters as the policy's entropy,
-                        # not the sampled log-density; the delta then carries
-                        # no action-dependent regularizer term
-                        reg = 0.5 * gamma * (LOG_2PI + 1.0 + log_gamma + f3)
-                    else:
-                        logp = -0.5 * dev * dev * ef3 - 0.5 * (LOG_2PI + log_gamma + f3)
-                        reg = -gamma * logp
-                    delta = (th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x) \
-                        + (r + reg) * dt - V * dt
-                    pmag = np.maximum.reduce([np.abs(f1), np.abs(f2), np.abs(f3),
-                                              np.abs(th1), np.abs(th2), np.abs(V)])
-                    bad = ~np.isfinite(x2) | (np.abs(x2) > STATE_GUARD) \
-                        | ~np.isfinite(delta) | ~np.isfinite(f1 + f2 + f3) \
-                        | (pmag > PARAM_GUARD)
-                    if bad.any():
-                        newly = bad & active
-                        div_step[newly] = k + i
-                        active &= ~bad
-                        act = active.astype(float)
-                        x2 = np.where(active, x2, 0.0)
-                        delta = np.where(active, delta, 0.0)
-                        r = np.where(active, r, 0.0)
-                    da = delta * act
-                    params["th1"] = th1 + (l * cfg.alpha_theta) * da * x * x
-                    params["th2"] = th2 + (l * cfg.alpha_theta) * da * x
-                    params["f1"] = f1 + (l * cfg.alpha_phi) * da * (ef3 * dev * x)
-                    params["f2"] = f2 + (l * cfg.alpha_phi) * da * (ef3 * dev)
-                    params["f3"] = f3 + (l * cfg.alpha_phi) * da * 0.5 * (ef3 * dev * dev - 1.0)
-                    params["V"] = V + (l * cfg.alpha_v) * da
-                    if not active.all():
-                        # dead lanes can produce 0 * inf above; hold them at
-                        # their frozen values exactly
-                        for key, old in (("th1", th1), ("th2", th2), ("f1", f1),
-                                         ("f2", f2), ("f3", f3), ("V", V)):
-                            params[key] = np.where(active, params[key], old)
+                P_new = P + (lvals[i] * rates) * (resid * act) * tests
+                # dead lanes can produce 0 * inf above; hold them at their
+                # frozen values exactly
+                P = P_new if all_alive else np.where(active, P_new, P)
                 reward_sum += r * act * dt
                 x = x2
+                if sarsa:
+                    a_cur = a2
                 kk = k + i + 1
                 if kk % record_every == 0 and rec_i < n_rec:
                     t_now = kk * dt
-                    trace["t"][rec_i] = t_now
-                    for key in params:
-                        trace[key][rec_i] = params[key]
-                    with np.errstate(invalid="ignore"):
-                        trace["reward_avg"][rec_i] = np.where(
-                            active, reward_sum / t_now, np.nan)
+                    t_trace[rec_i] = t_now
+                    p_trace[rec_i] = P
+                    r_trace[rec_i] = np.where(active, reward_sum / t_now, np.nan)
                     rec_i += 1
             k += chunk
-            if not active.any():
-                break
 
+    if not active.any() and rec_i < n_rec:
+        # the record the run would have written next: frozen parameters and
+        # no reward average, so a lane's trace ends the same way alone or
+        # beside lanes that live longer
+        t_trace[rec_i] = (rec_i + 1) * record_every * dt
+        p_trace[rec_i] = P
+        r_trace[rec_i] = np.nan
+        rec_i += 1
+    rows = np.where(div_step < 0, rec_i,
+                    np.minimum(rec_i, div_step // record_every + 1))
     avg = np.where(active, reward_sum / (steps * dt), np.nan)
-    return {"params": params, "avg_reward": avg, "div_step": div_step,
-            "trace": {k2: v[:rec_i] for k2, v in trace.items()}}
-
-
-def running_average_reward(rewards: np.ndarray, dt: float, every: int = 1):
-    """Cumulative time-average of reward-rate samples on the grid.
-
-    Returns (times, averages) downsampled to every `every`-th step.
-    """
-    rewards = np.asarray(rewards, float)
-    n = rewards.size
-    if n == 0:
-        raise ValueError("empty reward sequence")
-    avg = np.cumsum(rewards) / np.arange(1, n + 1)
-    times = dt * np.arange(1, n + 1)
-    return times[every - 1::every], avg[every - 1::every]
+    return {"names": PARAM_NAMES[algo], "params": P, "avg_reward": avg,
+            "div_step": div_step, "t": t_trace, "trace": p_trace,
+            "reward_avg": r_trace, "rows": rows}

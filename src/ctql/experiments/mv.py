@@ -29,12 +29,19 @@ import numpy as np
 from ..approx import (mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad)
 from ..baselines import (pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad)
 from ..envsim import RngStream, STATE_GUARD
-from ..learners import power_schedule
 from .records import RunRecord
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 MV_ALGOS = ("qlearn-td", "qlearn-ml", "sarsa", "pg")
+
+
+def power_schedule(exponent: float = 0.51) -> Callable[[float], float]:
+    """l(j) = j^-exponent for episode counters j >= 1."""
+    def sched(j: float) -> float:
+        return float(max(j, 1.0)) ** (-exponent)
+    sched.__name__ = f"power_schedule_{exponent:g}"
+    return sched
 
 
 @dataclass(frozen=True)
@@ -165,6 +172,16 @@ def _init_mv_params(cfg: MvExperimentConfig, algo: str, reps: int) -> dict:
     raise ValueError(f"algo must be one of {MV_ALGOS}")
 
 
+def martingale_residuals(terminal, js, running, dt: float):
+    """G_k = h(x_K) - J(t_k, x_k) + sum_{i>=k} running_i dt along axis 0.
+
+    The deviation between the realized payoff and the value at every grid
+    point, from one reversed cumulative sum; js holds J at the K left grid
+    points and running the K running terms.
+    """
+    return terminal[None] - js + np.flip(np.cumsum(np.flip(running, 0), 0), 0) * dt
+
+
 def _contract(tests, resid):
     """Sum tests[p, k, b, r] * resid[k, b, r] over the step and batch axes.
 
@@ -270,8 +287,7 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
                     d_p = -_contract(zeta, delta)
                 else:
                     term = mv_value_eval(th1, th2, th3, w, cfg.z, T, T, xs[K])
-                    g = term[None] - js[:-1] + np.flip(
-                        np.cumsum(np.flip(qs, 0), 0), 0) * dt
+                    g = martingale_residuals(term, js[:-1], qs, dt)
                     if cfg.ml_inner_sum == "discounted":
                         zacc = np.flip(np.cumsum(np.flip(zeta, 1), 1), 1) * dt
                     else:

@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ctql.approx import (LOG_2PI, GaussianPolicy, ValueApprox,
-                         gaussian_q_normalizer, load_params, lq_q, lq_q_eval,
-                         lq_value, mv_q, mv_value, policy_entropy,
-                         policy_log_density, policy_sample, save_params)
-from ctql.envsim import RngStream, ZeroStream
+from ctql.approx import (LOG_2PI, GaussianPolicy, lq_q, lq_q_eval, lq_value,
+                         mv_q, mv_value, policy_entropy, policy_log_density)
 
 params = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -113,19 +110,12 @@ def test_value_gradients_match_finite_differences():
 def test_q_gradients_match_finite_differences():
     gamma, w, T = 0.1, 1.3, 1.0
     psi = np.array([0.2, 0.9, -0.4])
-    for make, args in [(lq_q, (gamma,)), (mv_q, (w, gamma, T))]:
-        q = make(psi, *args)
-        for (t, x, a) in [(0.0, 1.1, -0.5), (0.6, 0.8, 0.3)]:
-            got = np.asarray(q.grad_psi(t, x, a), float)
-            want = [_fd(lambda p: make(p, *args).value(t, x, a), psi, i)
-                    for i in range(3)]
-            assert np.allclose(got, want, atol=1e-6)
-
-
-def test_policy_sample_zero_noise_returns_mean():
-    q = lq_q(np.array([0.5, -0.2, 0.0]), 0.1)
-    a = policy_sample(q.policy(), 0.0, 2.0, ZeroStream())
-    assert a == pytest.approx(0.5 * 2.0 - 0.2, abs=1e-15)
+    q = mv_q(psi, w, gamma, T)
+    for (t, x, a) in [(0.0, 1.1, -0.5), (0.6, 0.8, 0.3)]:
+        got = np.asarray(q.grad_psi(t, x, a), float)
+        want = [_fd(lambda p: mv_q(p, w, gamma, T).value(t, x, a), psi, i)
+                for i in range(3)]
+        assert np.allclose(got, want, atol=1e-6)
 
 
 def test_policy_log_density_matches_reference():
@@ -133,46 +123,6 @@ def test_policy_log_density_matches_reference():
     got = policy_log_density(pol, 0.0, 2.0, 1.1)
     assert got == pytest.approx(stats.norm(0.6, 0.5).logpdf(1.1), abs=1e-12)
     assert pol.log_density(0.0, 2.0, 1.1) == got
-
-
-def test_multivariate_policy_branch():
-    cov = np.array([[0.5, 0.2], [0.2, 0.4]])
-    mu = np.array([0.1, -0.3])
-    pol = GaussianPolicy(mean=lambda t, x: mu, variance=lambda t, x: cov,
-                         action_dim=2)
-    a = np.array([0.4, 0.0])
-    assert policy_log_density(pol, 0.0, 0.0, a) == pytest.approx(
-        stats.multivariate_normal(mu, cov).logpdf(a), abs=1e-12)
-    assert policy_entropy(pol, 0.0, 0.0) == pytest.approx(
-        stats.multivariate_normal(mu, cov).entropy(), abs=1e-12)
-    draw = policy_sample(pol, 0.0, 0.0, RngStream(5))
-    assert np.asarray(draw).shape == (2,)
-
-
-def test_normalizer_scalar_and_matrix_agree():
-    assert gaussian_q_normalizer(2.0, 0.1) == pytest.approx(
-        gaussian_q_normalizer(np.array([[2.0]]), 0.1), abs=1e-15)
-    assert gaussian_q_normalizer(2.0, 0.1) == pytest.approx(
-        0.05 * math.log(2.0) - 0.05 * LOG_2PI, abs=1e-15)
-    with pytest.raises(ValueError):
-        gaussian_q_normalizer(2.0, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_q_normalizer(-1.0, 0.1)
-
-
-def test_with_params_rebuilds_family():
-    q = lq_q(np.zeros(3), 0.1)
-    q2 = q.with_params(np.array([0.1, 0.2, 0.3]))
-    assert np.allclose(q2.psi, [0.1, 0.2, 0.3])
-    assert np.allclose(q.psi, 0.0)
-    assert q2.value(0.0, 1.0, 0.5) == pytest.approx(
-        lq_q_eval(0.1, 0.2, 0.3, 0.1, 1.0, 0.5), abs=1e-15)
-    bare = ValueApprox(theta=np.zeros(2), value=lambda t, x: 0.0,
-                       grad_theta=lambda t, x: np.zeros(2),
-                       d_t=lambda t, x: 0.0, d_x=lambda t, x: 0.0,
-                       d_xx=lambda t, x: 0.0)
-    with pytest.raises(ValueError):
-        bare.with_params(np.ones(2))
 
 
 def test_family_constructors_validate():
@@ -189,14 +139,3 @@ def test_family_constructors_validate():
     pol = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: -1.0)
     with pytest.raises(ValueError):
         policy_log_density(pol, 0.0, 0.0, 0.0)
-
-
-def test_params_roundtrip(tmp_path):
-    path = tmp_path / "psi.json"
-    vec = np.array([0.1, -0.70849738, 1e-17])
-    save_params(path, "lq", psi=vec, gamma=0.1, extra={"mode": "on-policy"})
-    back = load_params(path)
-    assert back["name"] == "lq"
-    assert np.array_equal(np.asarray(back["psi"]), vec)
-    assert back["gamma"] == 0.1
-    assert back["mode"] == "on-policy"

@@ -1,21 +1,25 @@
-"""Step-size Q-function SARSA and policy gradient baselines."""
+"""Step-size Q-function SARSA and policy gradient baselines: the ergodic
+lane kernels of both rules and the mean-variance families."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ctql.approx import (lq_q_eval, lq_value, mv_q_eval, policy_entropy,
+from ctql.approx import (GaussianPolicy, mv_q_eval, mv_q_grad, policy_entropy,
                          policy_log_density)
-from ctql.baselines import (PolicyFamily, QdtApprox, SarsaTransition,
-                            pg_lq_family, pg_lq_logp, pg_lq_score,
-                            pg_mv_family, pg_mv_logp, pg_mv_score, pg_update,
-                            qdt_lq_eval, qdt_lq_grad, qdt_lq_preset,
-                            qdt_mv_eval, qdt_mv_grad, qdt_mv_preset,
-                            sarsa_bracket, sarsa_update)
-from ctql.errors import ParameterDiverged
-from ctql.learners import LearnerConfig, Transition, td_increment
-from ctql.approx import lq_q, lq_q_grad
+from ctql.baselines import (pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad)
+from ctql.envsim import RngStream
+from ctql.experiments.ergodic import (ErgodicExperimentConfig, rate_kernel,
+                                      run_ergodic, sarsa_kernel)
+
+GAMMA, DT = 0.1, 0.1
+# a fixed 2-lane transition with value x^2: x 1 -> 2 under a = 1, r = 2 and
+# x 2 -> 3 under a = -1, r = 3
+X = np.array([1.0, 2.0])
+A = np.array([1.0, -1.0])
+R = np.array([2.0, 3.0])
+X2 = np.array([2.0, 3.0])
 
 
 def _fd(f, p, i, h=1e-6):
@@ -24,24 +28,45 @@ def _fd(f, p, i, h=1e-6):
     return (f(p + e) - f(p - e)) / (2 * h)
 
 
+def _kernel(running, P, x=X, a=A, r=R, x2=X2):
+    tests = np.ones((6, np.broadcast(x, a).size))
+    return rate_kernel(P, x, a, r, x2, GAMMA, DT, running, tests), tests
+
+
 def test_qdt_policy_variance_scales_with_step_size():
-    psi = np.array([0.3, -0.1, 0.4, 0.2, -0.5])
-    small = qdt_lq_preset(psi, 0.1, 0.01)
-    big = qdt_lq_preset(psi, 0.1, 0.1)
-    # the step-size dependence the rate-based family is free of
-    assert small.policy_variance(0.0, 1.0) / big.policy_variance(0.0, 1.0) \
-        == pytest.approx(0.1, abs=1e-15)
-    assert small.policy_mean(0.0, 2.0) == big.policy_mean(0.0, 2.0)
-    mv_small = qdt_mv_preset(psi, 1.3, 1.4, 0.1, 1.0, 0.01)
-    mv_big = qdt_mv_preset(psi, 1.3, 1.4, 0.1, 1.0, 0.1)
-    assert mv_small.policy_variance(0.2, 1.0) / mv_big.policy_variance(0.2, 1.0) \
-        == pytest.approx(0.1, abs=1e-15)
+    # the step-size dependence the rate-based family is free of: the SARSA
+    # kernel scores the next action under N(s1 x + s2, gamma dt e^{s3})
+    s = np.array([0.3, -0.1, 0.4, 0.2, -0.5])
+    P = np.append(s, 0.0)[:, None]
+    x, a, r, x2, a2 = 1.0, 0.5, 2.0, 1.5, -0.3
+    q = lambda x, a: -0.5 * math.exp(-0.4) * (a - 0.3 * x + 0.1) ** 2 \
+        + 0.2 * x * x - 0.5 * x
+    variances = []
+    for dt in (0.01, 0.1):
+        bracket = sarsa_kernel(P, x, a, r, x2, a2, GAMMA, dt, np.ones((6, 1)))
+        logp = (q(x2, a2) - q(x, a) + r * dt - float(bracket[0])) / (GAMMA * dt)
+        var = GAMMA * dt * math.exp(0.4)
+        pol = GaussianPolicy(mean=lambda t, x: 0.3 * x - 0.1,
+                             variance=lambda t, x, var=var: var)
+        assert logp == pytest.approx(float(policy_log_density(pol, 0.0, x2, a2)),
+                                     rel=1e-9)
+        variances.append(var)
+    assert variances[0] / variances[1] == pytest.approx(0.1, abs=1e-15)
+    # the mean-variance Q(dt) is quadratic in a with curvature
+    # -e^{-p3 (T-t)} e^{-p1}: its Boltzmann policy exp(Q / (gamma dt)) has
+    # variance gamma dt e^{p3 (T-t) + p1} and mean -p2 e^{p1} (x - w)
+    w, z, T, t, xw = 1.3, 1.4, 1.0, 0.2, 1.0
+    mean = -s[1] * math.exp(s[0]) * (xw - w)
+    f = lambda a: qdt_mv_eval(*s, w, z, T, t, xw, a)
+    h = 1e-3
+    curv = (f(mean + h) - 2.0 * f(mean) + f(mean - h)) / h ** 2
+    assert (f(mean + h) - f(mean - h)) / (2 * h) == pytest.approx(0.0, abs=1e-9)
+    for dt in (0.01, 0.1):
+        assert -GAMMA * dt / curv == pytest.approx(
+            GAMMA * dt * math.exp(s[2] * (T - t) + s[0]), rel=1e-6)
 
 
 def test_qdt_hand_values():
-    assert qdt_lq_eval(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0) == pytest.approx(-2.0, abs=1e-15)
-    assert qdt_lq_eval(0.5, 0.1, 0.0, 0.3, -0.2, 2.0, 1.0) == pytest.approx(
-        -0.5 * (1.0 - 1.1) ** 2 + 0.3 * 4.0 - 0.4, abs=1e-14)
     got = qdt_mv_eval(0.0, 0.2, 0.0, 0.0, 0.0, 1.3, 1.4, 1.0, 1.0, 2.0, 0.5)
     quad = 0.49 + 0.2 * 0.5 * 0.7 + 0.5 * 0.25
     assert got == pytest.approx(-quad + 0.01, abs=1e-14)
@@ -50,9 +75,6 @@ def test_qdt_hand_values():
 def test_qdt_gradients_match_finite_differences():
     x, a = 1.2, -0.7
     psi = np.array([0.2, -0.4, 0.3, 0.1, -0.6])
-    got = np.asarray(qdt_lq_grad(*psi, x, a), float)
-    want = [_fd(lambda p: qdt_lq_eval(*p, x, a), psi, i) for i in range(5)]
-    assert np.allclose(got, want, atol=1e-7)
     w, z, T, t = 1.3, 1.4, 1.0, 0.4
     got = np.asarray(qdt_mv_grad(*psi, w, z, T, t, x, a), float)
     want = [_fd(lambda p: qdt_mv_eval(*p, w, z, T, t, x, a), psi, i)
@@ -60,79 +82,101 @@ def test_qdt_gradients_match_finite_differences():
     assert np.allclose(got, want, atol=1e-7)
 
 
-def test_qdt_constructor_validation():
-    with pytest.raises(ValueError):
-        qdt_lq_preset(np.zeros(4), 0.1, 0.1)
-    with pytest.raises(ValueError):
-        qdt_lq_preset(np.zeros(5), 0.1, 0.0)
-    with pytest.raises(ValueError):
-        qdt_mv_preset(np.zeros(5), 1.3, 1.4, -0.1, 1.0, 0.1)
-    qdt = qdt_lq_preset(np.zeros(5), 0.1, 0.1)
-    qdt2 = qdt.with_params(np.arange(5.0))
-    assert np.allclose(qdt2.psi, np.arange(5.0))
-    assert np.allclose(qdt.psi, 0.0)
-
-
 def test_sarsa_bracket_hand_value():
-    qdt = qdt_lq_preset(np.zeros(5), 0.1, 0.1)
-    trans = SarsaTransition(0.0, 1.0, 1.0, 2.0, 2.0, 0.5, 0.1)
-    # policy at psi = 0 is N(0, 0.01)
+    # Q = -(1/2)(a - s1 x - s2)^2 e^{-s3} + s4 x^2 + s5 x at s = 0: the policy
+    # is N(0, 0.01), and the next actions are 0.5 and -0.5
+    P = np.zeros((6, 2))
+    P[5] = 0.3
+    tests = np.ones((6, 2))
+    bracket = sarsa_kernel(P, X, A, R, X2, np.array([0.5, -0.5]), GAMMA, DT, tests)
     logp = -0.5 * 0.25 / 0.01 - 0.5 * math.log(2.0 * math.pi * 0.01)
-    want = -0.125 - 0.1 * logp * 0.1 - (-0.5) + 2.0 * 0.1
-    assert sarsa_bracket(trans, qdt, beta=0.0) == pytest.approx(want, abs=1e-12)
-    assert sarsa_bracket(trans, qdt, beta=0.0, V=0.3) == pytest.approx(
-        want - 0.03, abs=1e-12)
-    assert sarsa_bracket(trans, qdt, beta=0.2) == pytest.approx(
-        want + 0.2 * 0.5 * 0.1, abs=1e-12)
+    want = -0.125 - 0.1 * logp * 0.1 - (-0.5) + R * 0.1 - 0.03
+    assert np.allclose(bracket, want, atol=1e-12)
+    assert np.allclose(tests, [[1.0, -2.0], [1.0, -1.0], [0.5, 0.5],
+                               [1.0, 4.0], [1.0, 2.0], [1.0, 1.0]], atol=1e-15)
 
 
 def test_sarsa_bracket_accepts_external_policy():
-    from ctql.approx import GaussianPolicy
-    qdt = qdt_lq_preset(np.zeros(5), 0.1, 0.1)
-    trans = SarsaTransition(0.0, 1.0, 1.0, 2.0, 2.0, 0.5, 0.1)
-    wide = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: 1.0)
-    logp = -0.5 * 0.25 - 0.5 * math.log(2.0 * math.pi)
-    want = -0.125 - 0.1 * logp * 0.1 + 0.5 + 0.2
-    assert sarsa_bracket(trans, qdt, 0.0, policy=wide) == pytest.approx(want, abs=1e-12)
+    # off-policy SARSA takes its next action from the behaviour policy
+    # N(0.5, 4) on the learner stream (r, 1) and scores it under its own
+    # policy N(0, gamma dt); one driver step replayed by hand
+    cfg = ErgodicExperimentConfig(gamma=GAMMA, dt=DT, horizon=DT, x0=0.5,
+                                  behavior_mean=0.5, behavior_var=4.0,
+                                  alpha_psi=0.2, alpha_v=0.1)
+    rec = run_ergodic(cfg, "sarsa", "off-policy", RngStream(6, (1, 0)))
+    data = RngStream(6, (1, 0)).generator()
+    a = 0.5 + 2.0 * data.standard_normal()
+    z1 = data.standard_normal((1, 2))[0, 1]
+    a2 = 0.5 + 2.0 * RngStream(6, (1, 1)).generator().standard_normal(1)[0]
+    x = 0.5
+    x2 = x - x * DT + a * math.sqrt(DT) * z1
+    r = -(x * x + x * a + a * a + x + 2.0 * a)
+    # s3 starts at log(1 / (gamma dt)), so e^{-s3} = gamma dt and the policy
+    # variance gamma dt e^{s3} is 1
+    es3 = GAMMA * DT
+    logp = -0.5 * a2 * a2 - 0.5 * math.log(2.0 * math.pi)
+    bracket = -0.5 * es3 * a2 * a2 - GAMMA * logp * DT + 0.5 * es3 * a * a + r * DT
+    want = {"s1": 0.2 * bracket * es3 * a * x, "s2": 0.2 * bracket * es3 * a,
+            "s3": math.log(1.0 / es3) + 0.2 * bracket * 0.5 * es3 * a * a,
+            "s4": 0.2 * bracket * x * x, "s5": 0.2 * bracket * x,
+            "V": 0.1 * bracket}
+    assert rec.status == "ok"
+    assert x2 != x
+    for key, val in want.items():
+        assert rec.final_params[key] == pytest.approx(val, abs=1e-13)
 
 
-def test_sarsa_update_raw_and_advantage_modes():
-    psi = np.array([0.1, -0.2, 0.3, 0.05, -0.4])
-    qdt = qdt_lq_preset(psi, 0.1, 0.1)
-    trans = SarsaTransition(0.0, 1.0, 0.5, 2.0, 1.5, -0.3, 0.1)
-    cfg = LearnerConfig(alpha_psi=1.0, alpha_v=0.5)
-    bracket = sarsa_bracket(trans, qdt, 0.0)
-    grad = np.asarray(qdt.grad_psi(0.0, 1.0, 0.5), float)
-    raw = sarsa_update(trans, qdt, cfg, 0.0)
-    assert np.allclose(raw, psi + bracket * grad, atol=1e-12)
-    adv = sarsa_update(trans, qdt, cfg, 0.0, grad_mode="advantage")
-    assert np.allclose(adv[:3], psi[:3] + bracket * grad[:3] / 0.1, atol=1e-12)
-    assert np.array_equal(adv[3:], psi[3:])
-    bracket_v = sarsa_bracket(trans, qdt, 0.0, V=0.2)
-    psi_v, v_new = sarsa_update(trans, qdt, cfg, 0.0, V=0.2)
-    assert np.allclose(psi_v, psi + bracket_v * grad, atol=1e-12)
-    assert v_new == pytest.approx(0.2 + 0.5 * bracket_v, abs=1e-12)
-    with pytest.raises(ValueError):
-        sarsa_update(trans, qdt, cfg, 0.0, grad_mode="other")
-    hot = SarsaTransition(0.0, 1.0, 0.5, math.inf, 1.5, -0.3, 0.1)
-    with pytest.raises(ParameterDiverged):
-        sarsa_update(hot, qdt, cfg, 0.0)
+def test_pg_update_hand_value():
+    # one actor step at unit rates: J = x^2, f = 0 (policy N(0, gamma)),
+    # x 1 -> 2 under a = 1, r = 2, sampled bonus -gamma log pi(a|x)
+    P = np.zeros((6, 1))
+    P[0] = 1.0
+    logp = -0.5 * 10.0 - 0.5 * (math.log(2.0 * math.pi) + math.log(GAMMA))
+    bracket = -GAMMA * logp * DT + 3.0 + 0.2
+    resid, tests = _kernel("sampled", P, X[:1], A[:1], R[:1], X2[:1])
+    phi = P[2:5, 0] + resid[0] * tests[2:5, 0]
+    assert np.allclose(phi, bracket * np.array([10.0, 10.0, 4.5]), atol=1e-12)
+    P[5] = 0.5
+    resid_v, tests = _kernel("sampled", P, X[:1], A[:1], R[:1], X2[:1])
+    assert np.allclose(resid_v[0] * tests[2:5, 0],
+                       (bracket - 0.05) * np.array([10.0, 10.0, 4.5]), atol=1e-12)
+    # a non-finite transition gives a non-finite residual, which the driver's
+    # guard turns into a divergence
+    hot, _ = _kernel("sampled", P, X[:1], A[:1], np.array([math.inf]), X2[:1])
+    assert not np.isfinite(hot).any()
+
+
+def test_pg_kernel_hand_value():
+    # J = x^2, policy N(0, gamma) at f = 0: precision 1/gamma = 10
+    P = np.zeros((6, 2))
+    P[0] = 1.0
+    P[5] = 0.5
+    logp = -0.5 * 10.0 - 0.5 * (math.log(2.0 * math.pi) + math.log(GAMMA))
+    entropy = 0.5 * (math.log(2.0 * math.pi) + 1.0 + math.log(GAMMA))
+    score = [[1.0, 4.0], [1.0, 2.0], [10.0, -20.0], [10.0, -10.0], [4.5, 4.5],
+             [1.0, 1.0]]
+    sampled, tests = _kernel("sampled", P)
+    assert np.allclose(sampled, [3.0, 5.0] + (R - GAMMA * logp) * DT - 0.05, atol=1e-12)
+    assert np.allclose(tests, score, atol=1e-14)
+    bonus, tests = _kernel("entropy", P)
+    assert np.allclose(bonus, [3.0, 5.0] + (R + GAMMA * entropy) * DT - 0.05, atol=1e-12)
+    assert np.allclose(tests, score, atol=1e-14)
 
 
 def test_pg_log_density_is_scaled_q_for_lq_family():
+    # -gamma log pi is -q for the matched policy, and gamma times the score
+    # is the q-gradient
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        f = rng.uniform(-1.5, 1.5, 3)
-        x, a = rng.uniform(-2, 2, 2)
-        assert 0.1 * pg_lq_logp(*f, 0.1, x, a) == pytest.approx(
-            lq_q_eval(*f, 0.1, x, a), abs=1e-12)
-        got = 0.1 * np.asarray(pg_lq_score(*f, 0.1, x, a), float)
-        want = np.asarray(lq_q_grad(*f, 0.1, x, a), float)
-        assert np.allclose(got, want, atol=1e-12)
+    P = np.vstack([rng.uniform(-1.5, 1.5, (5, 20)), np.zeros((1, 20))])
+    x, a, r, x2 = rng.uniform(-2, 2, (4, 20))
+    q_resid, q_tests = _kernel("q", P, x, a, r, x2)
+    pg_resid, pg_tests = _kernel("sampled", P, x, a, r, x2)
+    assert np.allclose(pg_resid, q_resid, atol=1e-12)
+    assert np.allclose(GAMMA * pg_tests[2:5], q_tests[2:5], atol=1e-12)
+    assert np.array_equal(pg_tests[[0, 1, 5]], q_tests[[0, 1, 5]])
 
 
 def test_pg_log_density_is_scaled_q_for_wealth_family():
-    from ctql.approx import mv_q_grad
     rng = np.random.default_rng(4)
     w, T = 1.3, 1.0
     for _ in range(20):
@@ -146,74 +190,52 @@ def test_pg_log_density_is_scaled_q_for_wealth_family():
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_pg_family_entropy_closed_form():
-    gamma = 0.1
-    fam = pg_lq_family(np.array([0.2, -0.3, 0.7]), gamma)
-    want = 0.5 * gamma * (math.log(2.0 * math.pi) + 1.0 + math.log(gamma) + 0.7)
-    assert gamma * policy_entropy(fam.policy(), 0.0, 1.5) == pytest.approx(
-        want, abs=1e-13)
-    # quadrature of -gamma log pi against the policy gives the same number
+def test_family_policy_object_matches_fields():
+    # pg_mv_logp is the log-density of the Gaussian policy with mean
+    # -f2 (x - w) and variance gamma e^{f1 + f3 (T-t)}; its mean over actions
+    # is minus the policy's entropy
+    f1, f2, f3, w, T = 0.2, 0.6, -0.1, 1.3, 1.0
+    pol = GaussianPolicy(mean=lambda t, x: -f2 * (x - w),
+                         variance=lambda t, x: GAMMA * math.exp(f1 + f3 * (T - t)))
+    t, x, a = 0.3, 1.1, -0.2
+    assert pol.mean(t, x) == pytest.approx(-0.6 * (1.1 - 1.3), abs=1e-14)
+    assert policy_log_density(pol, t, x, a) == pytest.approx(
+        pg_mv_logp(f1, f2, f3, w, GAMMA, T, t, x, a), abs=1e-12)
     nodes, weights = np.polynomial.hermite.hermgauss(16)
-    var = gamma * math.exp(0.7)
+    acts = pol.mean(t, x) + math.sqrt(2.0 * pol.variance(t, x)) * nodes
+    mean_logp = float(weights @ pg_mv_logp(f1, f2, f3, w, GAMMA, T, t, x, acts))
+    assert -mean_logp / math.sqrt(math.pi) == pytest.approx(
+        float(policy_entropy(pol, t, x)), abs=1e-12)
+
+
+def test_pg_family_entropy_closed_form():
+    # the entropy bonus is the policy mean of the sampled one: quadrature
+    # over actions drawn at one (x, r, x') as lanes
+    f = np.array([0.2, -0.3, 0.7])
+    P = np.concatenate([[0.4, -0.2], f, [0.1]])[:, None]
+    var = GAMMA * math.exp(0.7)
     mu = 0.2 * 1.5 - 0.3
+    nodes, weights = np.polynomial.hermite.hermgauss(16)
     acts = mu + math.sqrt(2.0 * var) * nodes
-    vals = -gamma * np.asarray(fam.log_density(0.0, 1.5, acts), float)
-    assert float(weights @ vals) / math.sqrt(math.pi) == pytest.approx(want, abs=1e-10)
-
-
-def test_pg_update_hand_value():
-    fam = pg_lq_family(np.zeros(3), 0.1)
-    J = lq_value(np.array([1.0, 0.0]))
-    cfg = LearnerConfig(alpha_phi=1.0)
-    trans = Transition(0.0, 1.0, 1.0, 2.0, 2.0, 0.1)
-    logp = pg_lq_logp(0.0, 0.0, 0.0, 0.1, 1.0, 1.0)
-    bracket = -0.1 * logp * 0.1 + 3.0 + 0.2
-    phi = pg_update(trans, J, fam, cfg, beta=0.0, j=1)
-    assert np.allclose(phi, bracket * np.array([10.0, 10.0, 4.5]), atol=1e-12)
-    phi_v = pg_update(trans, J, fam, cfg, beta=0.0, j=1, V=0.5)
-    assert np.allclose(phi_v, (bracket - 0.05) * np.array([10.0, 10.0, 4.5]),
-                       atol=1e-12)
-    phi_b = pg_update(trans, J, pg_lq_family(np.zeros(3), 0.1), cfg, beta=0.3, j=1)
-    assert np.allclose(phi_b, (bracket - 0.03) * np.array([10.0, 10.0, 4.5]),
-                       atol=1e-12)
-    hot = Transition(0.0, 1.0, 1.0, math.inf, 2.0, 0.1)
-    with pytest.raises(ParameterDiverged):
-        pg_update(hot, J, fam, cfg, 0.0, 1)
+    bonus, _ = _kernel("entropy", P, 1.5, acts, -1.0, 1.2)
+    sampled, _ = _kernel("sampled", P, 1.5, acts, -1.0, 1.2)
+    assert float(weights @ sampled) / math.sqrt(math.pi) == pytest.approx(
+        bonus[0], abs=1e-12)
+    base, _ = _kernel("entropy", P, 1.5, mu, -1.0, 1.2)
+    pol = GaussianPolicy(mean=lambda t, x: mu, variance=lambda t, x: var)
+    plain = (0.4 * 1.2 ** 2 - 0.2 * 1.2) - (0.4 * 1.5 ** 2 - 0.2 * 1.5) \
+        + (-1.0 - 0.1) * DT
+    assert (base[0] - plain) / DT == pytest.approx(
+        GAMMA * policy_entropy(pol, 0.0, 1.5), abs=1e-12)
 
 
 def test_pg_step_equals_rate_learner_step_at_matched_rates():
     # moving phi at gamma times the psi rate reproduces the q-learner step
-    gamma = 0.1
-    params = np.array([0.15, -0.45, 0.25])
-    J = lq_value(np.array([0.4, -0.2]))
-    trans = Transition(0.0, 1.2, -0.6, 1.4, 0.9, 0.1)
-    cfg_pg = LearnerConfig(gamma=gamma, alpha_phi=gamma * 0.01)
-    phi = pg_update(trans, J, pg_lq_family(params, gamma), cfg_pg, 0.0, 1, V=0.3)
-    inc = td_increment(trans, J, lq_q(params, gamma), 0.0, V=0.3)
-    psi = params + 0.01 * inc.delta * inc.zeta
+    P = np.array([0.4, -0.2, 0.15, -0.45, 0.25, 0.3])[:, None]
+    step = (1.2, -0.6, 1.4, 0.9)
+    q_resid, q_tests = _kernel("q", P, *step)
+    pg_resid, pg_tests = _kernel("sampled", P, *step)
+    rates = np.array([0.01, 0.01, GAMMA * 0.01, GAMMA * 0.01, GAMMA * 0.01, 0.01])
+    psi = P[:, 0] + 0.01 * q_resid * q_tests[:, 0]
+    phi = P[:, 0] + rates * pg_resid * pg_tests[:, 0]
     assert np.allclose(phi, psi, atol=1e-12)
-
-
-def test_family_constructors_validate():
-    with pytest.raises(ValueError):
-        pg_lq_family(np.zeros(4), 0.1)
-    with pytest.raises(ValueError):
-        pg_mv_family(np.zeros(2), 1.3, 0.1, 1.0)
-    fam = pg_lq_family(np.zeros(3), 0.1)
-    fam2 = fam.with_params(np.array([0.1, 0.2, 0.3]))
-    assert np.allclose(fam2.phi, [0.1, 0.2, 0.3])
-    bare = PolicyFamily(phi=np.zeros(3), mean=lambda t, x: 0.0,
-                        variance=lambda t, x: 1.0,
-                        log_density=lambda t, x, a: 0.0,
-                        score=lambda t, x, a: np.zeros(3))
-    with pytest.raises(ValueError):
-        bare.with_params(np.zeros(3))
-
-
-def test_family_policy_object_matches_fields():
-    fam = pg_mv_family(np.array([0.2, 0.6, -0.1]), 1.3, 0.1, 1.0)
-    pol = fam.policy()
-    t, x, a = 0.3, 1.1, -0.2
-    assert pol.mean(t, x) == pytest.approx(-0.6 * (1.1 - 1.3), abs=1e-14)
-    assert policy_log_density(pol, t, x, a) == pytest.approx(
-        fam.log_density(t, x, a), abs=1e-12)

@@ -1,37 +1,113 @@
-"""Simulation layer: Euler stepping, episode generation, streams, persistence."""
+"""Models and noise streams, and the drivers' Euler-Maruyama steps."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ctql.envsim import (EnvModel, EpisodeConfig, LqCoefficients, RngStream,
-                         Trajectory, ZeroStream, builtin_lq_env,
-                         builtin_mv_env, load_trajectory, make_behavior_stream,
-                         save_trajectory, simulate_episode, step_euler)
-from ctql.errors import SimulationDiverged
+from ctql.envsim import EnvModel, LqCoefficients, RngStream, builtin_lq_env
+from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
+                                      run_ergodic, run_ergodic_replications)
+from ctql.experiments.mv import (MvExperimentConfig, metrics_terminal,
+                                 run_mv_replications)
 
 
 def test_step_euler_wealth_hand_value():
-    model = builtin_mv_env(mu=-0.5, sigma=0.1)
-    # x' = 1 + 2*(-0.5)*0.1 + 2*0.1*0.3
-    x_next, r = step_euler(model, 0.0, 1.0, 2.0, 0.1, 0.3)
-    assert x_next[0] == pytest.approx(0.96, abs=1e-15)
-    assert r == 0.0
+    # untrained exploratory evaluation: a = sqrt(gamma) z0 and
+    # x' = x + a ((mu - r) dt + sigma sqrt(dt) z1), replayed after the pool
+    # draws of the replication's stream
+    cfg = MvExperimentConfig(mu=-0.5, sigma=0.1, T=0.2, dt=0.1, updates=0,
+                             eval_runs=3, train_years=0.2, eval_exploratory=True)
+    rec = run_mv_replications(cfg, "qlearn-td", 9, 1)[0]
+    gen = RngStream(9, (0, 0)).generator()
+    gen.standard_normal(cfg.pool_size)
+    wealths = []
+    for _ in range(3):
+        x = 1.0
+        for z0, z1 in gen.standard_normal((2, 2)):
+            x = x + math.sqrt(0.1) * z0 * (-0.5 * 0.1 + 0.1 * math.sqrt(0.1) * z1)
+        wealths.append(x)
+    mean, var, sharpe = metrics_terminal(wealths, 1.0)
+    assert rec.status == "ok"
+    assert rec.metrics["mean"] == pytest.approx(mean, abs=1e-15)
+    assert rec.metrics["variance"] == pytest.approx(var, rel=1e-12)
+    assert rec.metrics["sharpe"] == pytest.approx(sharpe, rel=1e-10)
 
 
 def test_step_euler_lq_hand_value():
-    model = builtin_lq_env()
-    x_next, r = step_euler(model, 0.0, 1.0, 2.0, 0.1, 0.3)
-    # drift -x, diffusion a; reward -(x^2 + x a + a^2 + x + 2a) at defaults
-    assert x_next[0] == pytest.approx(1.0 - 0.1 + 2.0 * 0.3, abs=1e-15)
-    assert r == pytest.approx(-12.0, abs=1e-15)
+    # two off-policy steps x' = x + (A x + B a) dt + (C x + D a) sqrt(dt) z1
+    # with a = 0.5 + 2 z0 from the behaviour policy; the reward averages at
+    # t = dt and 2 dt give both rewards, the second one at the stepped state
+    co = LqCoefficients(A=-0.5, B=0.3, C=0.2, D=1.0, M=2.0, N=2.0, R=1.0,
+                        P=1.0, Q=2.0)
+    dt = 0.1
+    cfg = ErgodicExperimentConfig(coef=co, dt=dt, horizon=2 * dt, x0=1.0,
+                                  behavior_mean=0.5, behavior_var=4.0,
+                                  trace_points=2)
+    rec = run_ergodic(cfg, "qlearn-online", "off-policy", RngStream(3, (0, 0)))
+    (z00, z01), (z10, _) = RngStream(3, (0, 0)).generator().standard_normal((2, 2))
+    a0, a1 = 0.5 + 2.0 * z00, 0.5 + 2.0 * z10
+    x1 = 1.0 + (-0.5 + 0.3 * a0) * dt + (0.2 + a0) * math.sqrt(dt) * z01
+    r0 = -(1.0 + a0 + a0 * a0 + 1.0 + 2.0 * a0)
+    r1 = -(x1 * x1 + x1 * a1 + a1 * a1 + x1 + 2.0 * a1)
+    assert rec.trace["reward_avg"] == pytest.approx([r0, (r0 + r1) / 2], abs=1e-12)
+    assert rec.metrics["avg_reward"] == pytest.approx((r0 + r1) / 2, abs=1e-12)
 
 
 def test_step_euler_rejects_nonfinite():
-    model = builtin_mv_env(mu=0.5, sigma=0.2)
-    with pytest.raises(SimulationDiverged):
-        step_euler(model, 0.0, 1.0, math.inf, 0.1, 0.0)
+    # an infinite action makes the first stepped state non-finite: every
+    # learner marks the lane diverged at step 0 instead of raising
+    cfg = ErgodicExperimentConfig(horizon=1.0, behavior_mean=math.inf)
+    for algo in ALGOS:
+        rec = run_ergodic_replications(cfg, algo, "off-policy", 0, 1)[0]
+        assert rec.status == "NA"
+        assert rec.divergence_step == 0
+        assert rec.metrics == {}
+        assert all(math.isfinite(v) for v in rec.final_params.values())
+
+
+def test_zero_noise_closed_loop_decay():
+    # no action or noise enters the state: x_k = (1 - dt)^k from x0 = 1, and
+    # with reward -x^2 every learner and mode reports the same average
+    co = LqCoefficients(A=-1.0, B=0.0, C=0.0, D=0.0, M=2.0, N=0.0, R=0.0,
+                        P=0.0, Q=0.0)
+    cfg = ErgodicExperimentConfig(coef=co, dt=0.1, horizon=1.0, x0=1.0)
+    want = -np.mean(0.81 ** np.arange(10))
+    for algo in ALGOS:
+        for mode in MODES:
+            rec = run_ergodic_replications(cfg, algo, mode, 2, 1)[0]
+            assert rec.status == "ok"
+            assert rec.metrics["avg_reward"] == pytest.approx(want, abs=1e-14)
+
+
+def test_simulation_is_replayable_from_stream_key():
+    s = RngStream(11, (4, 0))
+    assert np.array_equal(s.generator().standard_normal(5),
+                          s.generator().standard_normal(5))
+    cfg = ErgodicExperimentConfig(horizon=2.0)
+    for algo in ALGOS:
+        first = run_ergodic(cfg, algo, "on-policy", s)
+        again = run_ergodic(cfg, algo, "on-policy", s)
+        other = run_ergodic(cfg, algo, "on-policy", RngStream(11, (5, 0)))
+        assert first.to_dict() == again.to_dict()
+        assert first.trace == again.trace
+        assert first.final_params != other.final_params
+
+
+def test_behavior_stream_is_tagged():
+    # off-policy data come from the replication's data stream (r, 0) alone:
+    # q-learning and policy gradient see the same rewards, and a solo run
+    # keyed (r, 0) sees what lane r of a lockstep run sees
+    cfg = ErgodicExperimentConfig(horizon=2.0)
+    q = run_ergodic_replications(cfg, "qlearn-online", "off-policy", 8, 3)
+    pg = run_ergodic_replications(cfg, "pg", "off-policy", 8, 3)
+    for rq, rp in zip(q, pg):
+        assert rq.trace["reward_avg"] == rp.trace["reward_avg"]
+    assert q[1].trace["reward_avg"] != q[2].trace["reward_avg"]
+    solo = run_ergodic(cfg, "pg", "off-policy", RngStream(8, (2, 0)))
+    assert solo.trace["reward_avg"] == q[2].trace["reward_avg"]
+    on = run_ergodic_replications(cfg, "qlearn-online", "on-policy", 8, 1)[0]
+    assert on.trace["reward_avg"] != q[0].trace["reward_avg"]
 
 
 def test_lq_reward_helper_matches_model():
@@ -42,18 +118,6 @@ def test_lq_reward_helper_matches_model():
         assert got.reshape(()) == pytest.approx(coef.reward(x, a), abs=1e-14)
 
 
-def test_episode_config_grid_and_validation():
-    cfg = EpisodeConfig(horizon=1.0, dt=0.25)
-    assert cfg.steps == 4
-    assert np.allclose(cfg.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        EpisodeConfig(horizon=1.0, dt=0.3)
-    with pytest.raises(ValueError):
-        EpisodeConfig(horizon=1.0, dt=0.25, steps=5)
-    with pytest.raises(ValueError):
-        EpisodeConfig(horizon=-1.0, dt=0.1)
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         EnvModel(drift=lambda t, x, a: 0.0, diffusion=lambda t, x, a: 1.0,
@@ -62,31 +126,6 @@ def test_model_validation():
         EnvModel(drift=lambda t, x, a: 0.0, diffusion=lambda t, x, a: 1.0,
                  reward_rate=lambda t, x, a: 0.0, ergodic=True,
                  terminal_reward=lambda x: x)
-    with pytest.raises(ValueError):
-        builtin_mv_env(mu=0.1, sigma=0.0)
-
-
-def test_zero_noise_closed_loop_decay():
-    model = builtin_lq_env()
-    cfg = EpisodeConfig(horizon=1.0, dt=0.1)
-    traj = simulate_episode(model, lambda t, x, gen: 0.0, cfg, 1.0, ZeroStream())
-    expect = (1.0 - 0.1) ** np.arange(11)
-    assert np.allclose(traj.states[:, 0], expect, atol=1e-14)
-    assert traj.steps == 10
-    assert traj.dt == pytest.approx(0.1)
-    assert traj.terminal_payoff is None
-
-
-def test_simulation_is_replayable_from_stream_key():
-    model = builtin_lq_env()
-    cfg = EpisodeConfig(horizon=2.0, dt=0.1)
-    policy = lambda t, x, gen: 0.3 * x + 0.1 * gen.standard_normal()
-    s = RngStream(11, (4, 0))
-    t1 = simulate_episode(model, policy, cfg, 0.5, s)
-    t2 = simulate_episode(model, policy, cfg, 0.5, s)
-    assert np.array_equal(t1.states, t2.states)
-    assert np.array_equal(t1.actions, t2.actions)
-    assert np.array_equal(t1.rewards, t2.rewards)
 
 
 def test_distinct_stream_children_decorrelate():
@@ -99,55 +138,11 @@ def test_distinct_stream_children_decorrelate():
 
 
 def test_state_guard_aborts_episode():
-    model = builtin_mv_env(mu=-0.5, sigma=0.1)
-    cfg = EpisodeConfig(horizon=1.0, dt=0.1)
-    with pytest.raises(SimulationDiverged):
-        simulate_episode(model, lambda t, x, gen: 1e12, cfg, 1.0, ZeroStream())
-
-
-def test_behavior_stream_is_tagged():
-    model = builtin_lq_env()
-    cfg = EpisodeConfig(horizon=0.5, dt=0.1)
-    traj = make_behavior_stream(model, lambda t, x, gen: gen.standard_normal(),
-                                cfg, 0.0, RngStream(3))
-    assert traj.tag == "behavior"
-
-
-def test_trajectory_validation():
-    times = np.array([0.0, 0.1, 0.2])
-    with pytest.raises(ValueError):
-        Trajectory(times, np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(2))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.1, 0.15]), np.zeros((3, 1)),
-                   np.zeros((2, 1)), np.zeros(2))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.2, 0.1, 0.0]), np.zeros((3, 1)),
-                   np.zeros((2, 1)), np.zeros(2))
-
-
-def test_trajectory_roundtrip_is_bit_exact(tmp_path):
-    model = builtin_lq_env()
-    cfg = EpisodeConfig(horizon=1.0, dt=0.1)
-    policy = lambda t, x, gen: 0.2 * x - 0.4 + 0.5 * gen.standard_normal()
-    traj = simulate_episode(model, policy, cfg, 0.3, RngStream(9))
-    path = tmp_path / "episode.csv"
-    save_trajectory(path, traj, config={"dt": 0.1}, seed=9)
-    back = load_trajectory(path)
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.states, traj.states)
-    assert np.array_equal(back.actions, traj.actions)
-    assert np.array_equal(back.rewards, traj.rewards)
-    assert back.terminal_payoff is None
-
-
-def test_trajectory_roundtrip_keeps_terminal_payoff(tmp_path):
-    times = np.array([0.0, 0.5, 1.0])
-    traj = Trajectory(times, np.array([[1.0], [2.0], [3.0]]),
-                      np.array([[0.1], [0.2]]), np.array([5.0, -5.0]),
-                      terminal_payoff=0.5, tag="stored")
-    path = tmp_path / "fixed.csv"
-    save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert back.terminal_payoff == 0.5
-    assert back.tag == "stored"
-    assert np.array_equal(back.rewards, traj.rewards)
+    # a regulator whose state grows like 1.3^k per step; at zero learning
+    # rates nothing but the state guard can end the lane
+    cfg = ErgodicExperimentConfig(coef=LqCoefficients(A=3.0), horizon=50.0,
+                                  alpha_theta=0.0, alpha_psi=0.0, alpha_v=0.0)
+    rec = run_ergodic_replications(cfg, "qlearn-online", "on-policy", 0, 1)[0]
+    assert rec.status == "NA"
+    assert 40 < rec.divergence_step < 120
+    assert rec.metrics == {}

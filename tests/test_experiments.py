@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ctql.envsim import RngStream
+from ctql.envsim import LqCoefficients, RngStream
 from ctql.experiments.cli import main
-from ctql.experiments.ergodic import (ErgodicExperimentConfig, run_ergodic,
-                                      run_ergodic_replications,
-                                      running_average_reward)
+from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
+                                      run_ergodic, run_ergodic_replications)
 from ctql.experiments.mv import (MV_ALGOS, MvExperimentConfig, lagrange_update,
                                  metrics_terminal, run_mv, run_mv_replications)
 from ctql.experiments.records import (RunRecord, aggregate_metrics,
@@ -26,24 +27,74 @@ def small_mv(**kw):
     return MvExperimentConfig(**base)
 
 
+def _same_record(a, b):
+    """Bit-for-bit equality of two run records, NaNs included."""
+    assert (a.status, a.divergence_step, a.replication, a.master_seed) == \
+        (b.status, b.divergence_step, b.replication, b.master_seed)
+    for x, y in ((a.final_params, b.final_params), (a.metrics, b.metrics),
+                 (a.trace, b.trace)):
+        assert sorted(x) == sorted(y)
+        for k in x:
+            assert np.asarray(x[k], float).tobytes() == np.asarray(y[k], float).tobytes(), k
+
+
+@st.composite
+def _lane_of(draw, max_lanes):
+    lanes = draw(st.integers(1, max_lanes))
+    return lanes, draw(st.integers(0, lanes - 1))
+
+
 def test_running_average_reward_hand_values():
-    times, avg = running_average_reward(np.array([1.0, 3.0]), 0.5)
-    assert np.allclose(times, [0.5, 1.0])
-    assert np.allclose(avg, [1.0, 2.0])
-    times, avg = running_average_reward(np.array([1.0, 3.0, 5.0]), 0.5, every=2)
-    assert np.allclose(times, [1.0])
-    assert np.allclose(avg, [2.0])
-    with pytest.raises(ValueError):
-        running_average_reward(np.array([]), 0.5)
+    # reward x^2 along x_k = 2^-k (A = -1, dt = 0.5, nothing else enters):
+    # rewards 1, 1/4, 1/16, 1/64, and the trace keeps every second average
+    co = LqCoefficients(A=-1.0, B=0.0, C=0.0, D=0.0, M=-2.0, N=0.0, R=0.0,
+                        P=0.0, Q=0.0)
+    cfg = ErgodicExperimentConfig(coef=co, dt=0.5, horizon=2.0, x0=1.0,
+                                  trace_points=2)
+    rec = run_ergodic_replications(cfg, "qlearn-online", "on-policy", 0, 1)[0]
+    assert rec.trace["t"] == [1.0, 2.0]
+    assert rec.trace["reward_avg"] == [0.625, 0.33203125]
+    assert rec.metrics["avg_reward"] == 0.33203125
+    every = run_ergodic_replications(dataclasses.replace(cfg, trace_points=4),
+                                     "qlearn-online", "on-policy", 0, 1)[0]
+    assert every.trace["t"] == [0.5, 1.0, 1.5, 2.0]
+    assert every.trace["reward_avg"] == [1.0, 0.625, 0.4375, 0.33203125]
 
 
-def test_scalar_and_lane_ergodic_drivers_agree():
-    recs = run_ergodic_replications(SHORT, "qlearn-online", "on-policy", 17, 2)
-    solo = run_ergodic(SHORT, "qlearn-online", "on-policy", RngStream(17, (1, 0)))
-    assert solo.replication == 1
-    assert solo.final_params == recs[1].final_params
-    assert solo.metrics == recs[1].metrics
-    assert solo.trace == recs[1].trace
+# High learning rates make some lanes diverge within the short horizon, so
+# the replay also covers a lane whose trace ends before the others'.
+@settings(max_examples=30, deadline=None)
+@given(algo=st.sampled_from(ALGOS), mode=st.sampled_from(MODES),
+       lane=_lane_of(4), seed=st.integers(0, 50), fast=st.booleans())
+@example(algo="sarsa", mode="off-policy", lane=(2, 1), seed=17, fast=False)
+def test_scalar_and_lane_ergodic_drivers_agree(algo, mode, lane, seed, fast):
+    lanes, r = lane
+    rate = 0.05 if fast else 0.001
+    cfg = ErgodicExperimentConfig(horizon=20.0, trace_points=40, alpha_theta=rate,
+                                  alpha_psi=rate, alpha_v=rate, alpha_phi=rate)
+    recs = run_ergodic_replications(cfg, algo, mode, seed, lanes)
+    solo = run_ergodic(cfg, algo, mode, RngStream(seed, (r, 0)))
+    assert solo.replication == r
+    _same_record(solo, recs[r])
+
+
+def test_all_dead_run_stops_at_its_last_divergence():
+    cfg = ErgodicExperimentConfig(horizon=2000.0)
+    every = cfg.steps // cfg.trace_points
+    two = run_ergodic_replications(cfg, "pg", "off-policy", 0, 2)
+    # the divergence steps and parameters of a driver that stepped every
+    # lane to the horizon
+    assert [r.divergence_step for r in two] == [7661, 7891]
+    assert two[0].final_params["f3"] == pytest.approx(-92.04527674476557, rel=1e-6)
+    assert two[1].status == "NA"
+    for rec in two:
+        steps_run = round(rec.trace["t"][-1] / cfg.dt)
+        assert rec.divergence_step < steps_run <= rec.divergence_step + every
+    # beside a lane that lives to the horizon the two lanes read the same
+    wide = run_ergodic_replications(cfg, "pg", "off-policy", 0, 8)
+    assert any(r.status == "ok" for r in wide)
+    for a, b in zip(two, wide):
+        _same_record(a, b)
 
 
 def test_lane_count_does_not_change_a_replication():
@@ -151,16 +202,17 @@ def test_exploratory_readout_moves_wealth():
     assert rec.metrics["variance"] > 0.0
 
 
-def test_scalar_and_lane_mv_drivers_agree():
-    cfg = small_mv()
-    recs = run_mv_replications(cfg, "qlearn-td", 23, 2)
-    solo = run_mv(cfg, "qlearn-td", RngStream(23, (1, 0)))
-    assert solo.replication == 1
-    assert solo.final_params == recs[1].final_params
-    assert solo.metrics == recs[1].metrics
-    assert solo.trace == recs[1].trace
-    again = run_mv_replications(cfg, "qlearn-td", 23, 2)
-    assert [r.to_dict() for r in again] == [r.to_dict() for r in recs]
+@settings(max_examples=12, deadline=None)
+@given(algo=st.sampled_from(MV_ALGOS), lane=_lane_of(3), seed=st.integers(0, 50))
+def test_scalar_and_lane_mv_drivers_agree(algo, lane, seed):
+    lanes, r = lane
+    cfg = small_mv(updates=20)
+    recs = run_mv_replications(cfg, algo, seed, lanes)
+    solo = run_mv(cfg, algo, RngStream(seed, (r, 0)))
+    assert solo.replication == r
+    _same_record(solo, recs[r])
+    again = run_mv_replications(cfg, algo, seed, lanes)
+    assert [x.to_dict() for x in again] == [x.to_dict() for x in recs]
 
 
 def test_mv_smoke_every_algorithm():

@@ -1,24 +1,23 @@
-"""Episode and transition learners built on the martingale conditions."""
+"""Update rules of the learners: the ergodic lane kernels, the episode
+residuals of the mean-variance driver, zero-rate no-ops and schedules."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ctql.approx import LOG_2PI, lq_q, lq_value
-from ctql.envsim import (EpisodeConfig, RngStream, Trajectory, builtin_lq_env,
-                         simulate_episode)
-from ctql.errors import ParameterDiverged
-from ctql.learners import (LearnerConfig, Transition, gmm_objective,
-                           martingale_loss, martingale_residuals, ml_update,
-                           offline_td_update, online_td_update, power_schedule,
-                           sqrt_log_schedule, td_increment, td_residuals,
-                           unit_schedule)
-from ctql.learners import ergodic_update
-from ctql.learners import test_covariance as moment_covariance
+from ctql.approx import LOG_2PI, lq_q
+from ctql.envsim import LqCoefficients, RngStream
+from ctql.experiments.ergodic import (ALGOS, MODES, PARAM_NAMES,
+                                      ErgodicExperimentConfig, rate_kernel,
+                                      run_ergodic, run_ergodic_replications,
+                                      sqrt_log_schedule)
+from ctql.experiments.mv import (MV_ALGOS, MvExperimentConfig,
+                                 martingale_residuals, power_schedule,
+                                 run_mv_replications)
 
-# two-step episode with value x^2 and a flat q family; every update below is
-# checked against the same numbers expanded by hand
+# two transitions x: 1 -> 2 -> 3 with value x^2 and a flat q family; every
+# number below is expanded by hand
 C0 = -0.05 * (LOG_2PI + math.log(0.1))
 NET0 = (2.0 - (-0.5 + C0)) * 0.1
 NET1 = (3.0 - (-0.5 + C0)) * 0.1
@@ -26,161 +25,150 @@ G0 = 8.0 + NET0 + NET1
 G1 = 5.0 + NET1
 D0 = 3.0 + NET0
 D1 = 5.0 + NET1
+X = np.array([1.0, 2.0])
+A = np.array([1.0, -1.0])
+R = np.array([2.0, 3.0])
+X2 = np.array([2.0, 3.0])
 
 
-def _fixture():
-    traj = Trajectory(np.array([0.0, 0.1, 0.2]),
-                      np.array([[1.0], [2.0], [3.0]]),
-                      np.array([[1.0], [-1.0]]),
-                      np.array([2.0, 3.0]),
-                      terminal_payoff=9.0)
-    J = lq_value(np.array([1.0, 0.0]))
-    q = lq_q(np.zeros(3), 0.1)
-    return traj, J, q
-
-
-def test_martingale_residuals_hand_values():
-    traj, J, q = _fixture()
-    g = martingale_residuals(traj, J, q, beta=0.0)
-    assert np.allclose(g, [G0, G1], atol=1e-13)
-    assert martingale_loss(traj, J, q, 0.0) == pytest.approx(
-        0.05 * (G0 ** 2 + G1 ** 2), abs=1e-12)
-
-
-def test_martingale_residuals_need_terminal_payoff():
-    traj, J, q = _fixture()
-    bare = Trajectory(traj.times, traj.states, traj.actions, traj.rewards)
-    with pytest.raises(ValueError):
-        martingale_residuals(bare, J, q, 0.0)
+def _q_params(V=0.0):
+    """theta = (1, 0), psi = 0, one column per lane."""
+    P = np.zeros((6, 2))
+    P[0] = 1.0
+    P[5] = V
+    return P
 
 
 def test_td_residuals_hand_values():
-    traj, J, q = _fixture()
-    delta = td_residuals(traj, J, q, beta=0.0)
+    tests = np.full((6, 2), np.nan)
+    delta = rate_kernel(_q_params(), X, A, R, X2, 0.1, 0.1, "q", tests)
     assert np.allclose(delta, [D0, D1], atol=1e-13)
+    # (dJ/dtheta, dq/dpsi) at each left end; row 5, the V test, is not
+    # the kernel's to write
+    assert np.allclose(tests[:5], [[1.0, 4.0], [1.0, 2.0], [1.0, -2.0],
+                                   [1.0, -1.0], [0.45, 0.45]], atol=1e-15)
+    assert np.isnan(tests[5]).all()
+    erg = rate_kernel(_q_params(V=0.7), X, A, R, X2, 0.1, 0.1, "q", tests)
+    assert np.allclose(erg, delta - 0.07, atol=1e-13)
     # the episode residuals aggregate the step residuals at a pinned payoff
-    g = martingale_residuals(traj, J, q, beta=0.0)
+    g = martingale_residuals(np.array(9.0), np.array([1.0, 4.0]),
+                             R - (-0.5 + C0), 0.1)
     assert g[1] == pytest.approx(delta[1], abs=1e-13)
     assert g[0] == pytest.approx(delta[0] + delta[1], abs=1e-13)
 
 
-def test_td_residuals_discount_and_rate_conventions():
-    traj, J, q = _fixture()
-    base = td_residuals(traj, J, q, beta=0.0)
-    disc = td_residuals(traj, J, q, beta=0.5)
-    assert np.allclose(disc, base - 0.5 * np.array([1.0, 4.0]) * 0.1, atol=1e-13)
-    erg = td_residuals(traj, J, q, beta=0.0, V=0.7)
-    assert np.allclose(erg, base - 0.07, atol=1e-13)
-
-
-def test_discounted_episode_residuals_match_direct_sum():
-    traj, J, q = _fixture()
-    beta = 0.5
-    g = martingale_residuals(traj, J, q, beta)
-    qs = [q.value(t, x, a) for t, x, a in
-          zip(traj.times[:-1], traj.states[:-1, 0], traj.actions[:, 0])]
-    for k in range(2):
-        tk = traj.times[k]
-        want = 9.0 * math.exp(-beta * (0.2 - tk)) - J.value(tk, traj.states[k, 0])
-        for i in range(k, 2):
-            want += math.exp(-beta * (traj.times[i] - tk)) \
-                * (traj.rewards[i] - qs[i]) * 0.1
-        assert g[k] == pytest.approx(want, abs=1e-13)
-
-
-def test_ml_update_hand_values():
-    traj, J, q = _fixture()
-    cfg = LearnerConfig(alpha_theta=1.0, alpha_psi=1.0)
-    theta, psi = ml_update(traj, J, q, cfg, beta=0.0, j=1)
-    assert np.allclose(theta, [1.0 + (G0 + 4 * G1) * 0.1, (G0 + 2 * G1) * 0.1],
-                       atol=1e-12)
-    z0 = np.array([1.0, 1.0, 0.45])
-    z1 = np.array([-2.0, -1.0, 0.45])
-    acc1 = z1 * 0.1
-    acc0 = z0 * 0.1 + acc1
-    assert np.allclose(psi, (acc0 * G0 + acc1 * G1) * 0.1, atol=1e-12)
-
-
-def test_ml_update_frozen_inner_sum():
-    traj, J, q = _fixture()
-    cfg = LearnerConfig(alpha_theta=1.0, alpha_psi=1.0, ml_inner_sum="frozen-at-k")
-    _, psi = ml_update(traj, J, q, cfg, beta=0.0, j=1)
-    z0 = np.array([1.0, 1.0, 0.45])
-    z1 = np.array([-2.0, -1.0, 0.45])
-    assert np.allclose(psi, (z0 * 0.2 * G0 + z1 * 0.1 * G1) * 0.1, atol=1e-12)
-
-
-def test_offline_td_update_hand_values():
-    traj, J, q = _fixture()
-    cfg = LearnerConfig(alpha_theta=1.0, alpha_psi=1.0)
-    theta, psi = offline_td_update(traj, J, q, cfg, beta=0.0, j=1)
-    assert np.allclose(theta, [1.0 + D0 + 4 * D1, D0 + 2 * D1], atol=1e-12)
-    z0 = np.array([1.0, 1.0, 0.45])
-    z1 = np.array([-2.0, -1.0, 0.45])
-    assert np.allclose(psi, z0 * D0 + z1 * D1, atol=1e-12)
-
-
 def test_online_td_update_matches_first_step():
-    _, J, q = _fixture()
-    cfg = LearnerConfig(alpha_theta=1.0, alpha_psi=1.0)
-    trans = Transition(0.0, 1.0, 1.0, 2.0, 2.0, 0.1)
-    inc = td_increment(trans, J, q, beta=0.0)
-    assert inc.delta == pytest.approx(D0, abs=1e-13)
-    assert np.allclose(inc.xi, [1.0, 1.0])
-    assert np.allclose(inc.zeta, [1.0, 1.0, 0.45])
-    theta, psi = online_td_update(trans, J, q, cfg, beta=0.0, j=1)
-    assert np.allclose(theta, [1.0 + D0, D0], atol=1e-13)
-    assert np.allclose(psi, np.array([1.0, 1.0, 0.45]) * D0, atol=1e-13)
+    # one driver step of on-policy q-learning from x0 = 0.5, replayed from the
+    # data stream and expanded by hand: theta = 0, psi = (0, 0, log 1/gamma)
+    gamma, dt = 0.1, 0.1
+    cfg = ErgodicExperimentConfig(gamma=gamma, dt=dt, horizon=dt, x0=0.5,
+                                  alpha_theta=0.3, alpha_psi=0.2, alpha_v=0.1)
+    rec = run_ergodic(cfg, "qlearn-online", "on-policy", RngStream(4, (2, 0)))
+    z0 = RngStream(4, (2, 0)).generator().standard_normal((1, 2))[0, 0]
+    # the policy is N(0, gamma e^{psi3}) = N(0, 1) and q's precision e^{-psi3}
+    # is gamma; theta = 0 leaves J(x') - J(x) = 0, so z1 does not enter
+    x, a = 0.5, z0
+    r = -(x * x + x * a + a * a + x + 2.0 * a)
+    q = -0.5 * gamma * a * a - 0.5 * gamma * LOG_2PI
+    delta = (r - q) * dt
+    want = {"th1": 0.3 * delta * x * x, "th2": 0.3 * delta * x,
+            "p1": 0.2 * delta * gamma * a * x, "p2": 0.2 * delta * gamma * a,
+            "p3": -math.log(gamma) + 0.2 * delta * 0.5 * (gamma * a * a - gamma),
+            "V": 0.1 * delta}
+    assert rec.status == "ok"
+    for key, val in want.items():
+        assert rec.final_params[key] == pytest.approx(val, abs=1e-14)
 
 
 def test_ergodic_update_learns_rate():
-    _, J, q = _fixture()
-    cfg = LearnerConfig(alpha_theta=1.0, alpha_psi=1.0, alpha_v=0.2)
-    trans = Transition(0.0, 1.0, 1.0, 2.0, 2.0, 0.1)
-    delta = D0 - 0.5 * 0.1
-    theta, psi, v = ergodic_update(trans, J, q, V=0.5, cfg=cfg, elapsed=0.1)
-    assert np.allclose(theta, [1.0 + delta, delta], atol=1e-13)
-    assert v == pytest.approx(0.5 + 0.2 * delta, abs=1e-13)
-    assert np.allclose(psi, np.array([1.0, 1.0, 0.45]) * delta, atol=1e-13)
+    # one update at unit rates (0.2 for V) on x 1 -> 2 under a = 1, r = 2
+    # from V = 0.5: the rate enters the residual as -V dt and moves by its
+    # own rate times the residual
+    P = _q_params(V=0.5)[:, :1]
+    tests = np.ones((6, 1))
+    delta = rate_kernel(P, X[:1], A[:1], R[:1], X2[:1], 0.1, 0.1, "q", tests)
+    d = D0 - 0.5 * 0.1
+    assert delta[0] == pytest.approx(d, abs=1e-13)
+    new = P + np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.2])[:, None] * delta * tests
+    assert np.allclose(new[:2, 0], [1.0 + d, d], atol=1e-13)
+    assert np.allclose(new[2:5, 0], np.array([1.0, 1.0, 0.45]) * d, atol=1e-13)
+    assert new[5, 0] == pytest.approx(0.5 + 0.2 * d, abs=1e-13)
+
+    # in the driver, with the value and q frozen, V runs the recursion
+    # V += alpha_v (r - q - V) dt along the off-policy data
+    gamma, dt, steps = 0.1, 0.1, 10
+    cfg = ErgodicExperimentConfig(gamma=gamma, dt=dt, horizon=steps * dt,
+                                  alpha_theta=0.0, alpha_psi=0.0, alpha_v=0.5,
+                                  schedule=lambda t: 1.0, trace_points=steps)
+    rec = run_ergodic(cfg, "qlearn-online", "off-policy", RngStream(7, (0, 0)))
+    noise = RngStream(7, (0, 0)).generator().standard_normal((steps, 2))
+    q = lq_q(np.array([0.0, 0.0, math.log(1.0 / gamma)]), gamma)
+    co = LqCoefficients()
+    x, V, want = 0.0, 0.0, []
+    for z0, z1 in noise:
+        a = z0
+        r = co.reward(x, a)
+        V += 0.5 * (r - float(q.value(0.0, x, a)) - V) * dt
+        want.append(V)
+        x = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * math.sqrt(dt) * z1
+    assert rec.status == "ok"
+    assert np.allclose(rec.trace["V"], want, atol=1e-13)
+    assert rec.final_params["V"] == pytest.approx(want[-1], abs=1e-13)
+    assert rec.final_params["th1"] == 0.0 and rec.final_params["p2"] == 0.0
 
 
-def test_zero_rates_are_no_ops():
-    traj, J, q = _fixture()
-    cfg = LearnerConfig(alpha_theta=0.0, alpha_psi=0.0)
-    for update in (ml_update, offline_td_update):
-        theta, psi = update(traj, J, q, cfg, 0.0, 1)
-        assert np.array_equal(theta, J.theta)
-        assert np.array_equal(psi, q.psi)
-
-
-def test_nonfinite_rewards_raise():
-    traj, J, q = _fixture()
-    bad = Trajectory(traj.times, traj.states, traj.actions,
-                     np.array([2.0, math.inf]), terminal_payoff=9.0)
-    cfg = LearnerConfig()
-    with pytest.raises(ParameterDiverged):
-        ml_update(bad, J, q, cfg, 0.0, 1)
-    with pytest.raises(ParameterDiverged):
-        offline_td_update(bad, J, q, cfg, 0.0, 1)
+def test_martingale_residuals_hand_values():
+    g = martingale_residuals(np.array(9.0), np.array([1.0, 4.0]),
+                             R - (-0.5 + C0), 0.1)
+    assert np.allclose(g, [G0, G1], atol=1e-13)
 
 
 def test_episode_and_step_routes_agree_on_simulated_data():
-    model = builtin_lq_env()
-    cfg = EpisodeConfig(horizon=3.0, dt=0.1)
-    policy = lambda t, x, gen: 0.2 * x - 0.1 + 0.3 * gen.standard_normal()
-    raw = simulate_episode(model, policy, cfg, 0.5, RngStream(21))
-    J = lq_value(np.array([0.4, -0.2]))
-    q = lq_q(np.array([0.1, -0.3, 0.2]), 0.1)
-    pinned = Trajectory(raw.times, raw.states, raw.actions, raw.rewards,
-                        terminal_payoff=float(J.value(raw.times[-1],
-                                                      raw.states[-1, 0])))
-    g = martingale_residuals(pinned, J, q, beta=0.0)
-    delta = td_residuals(pinned, J, q, beta=0.0)
+    # one simulated path, its K transitions run as K lanes of the kernel
+    co = LqCoefficients()
+    K, dt, gamma = 30, 0.1, 0.1
+    gen = RngStream(21).generator()
+    xs = np.empty(K + 1)
+    xs[0] = 0.5
+    acts = np.empty(K)
+    for k in range(K):
+        acts[k] = 0.2 * xs[k] - 0.1 + 0.3 * gen.standard_normal()
+        xs[k + 1] = xs[k] + (co.A * xs[k] + co.B * acts[k]) * dt \
+            + (co.C * xs[k] + co.D * acts[k]) * math.sqrt(dt) * gen.standard_normal()
+    rewards = co.reward(xs[:-1], acts)
+    theta, psi = np.array([0.4, -0.2]), np.array([0.1, -0.3, 0.2])
+    P = np.concatenate([theta, psi, [0.0]])[:, None]
+    delta = rate_kernel(P, xs[:-1], acts, rewards, xs[1:], gamma, dt, "q",
+                        np.ones((6, K)))
+    J = theta[0] * xs ** 2 + theta[1] * xs
+    q = np.asarray(lq_q(psi, gamma).value(0.0, xs[:-1], acts), float)
+    g = martingale_residuals(J[-1], J[:-1], rewards - q, dt)
     assert np.allclose(g, np.flip(np.cumsum(np.flip(delta))), atol=1e-10)
 
 
+def test_zero_rates_are_no_ops():
+    cfg = ErgodicExperimentConfig(horizon=2.0, alpha_theta=0.0, alpha_psi=0.0,
+                                  alpha_v=0.0, alpha_phi=0.0)
+    for algo in ALGOS:
+        for mode in MODES:
+            for rec in run_ergodic_replications(cfg, algo, mode, 3, 2):
+                assert rec.status == "ok"
+                for key in PARAM_NAMES[algo]:
+                    column = rec.trace[key]
+                    assert len(set(column)) == 1
+                    assert rec.final_params[key] == column[0]
+                assert rec.final_params["V"] == 0.0
+    mv_cfg = MvExperimentConfig(updates=10, batch=2, eval_runs=2, train_years=2.0,
+                                alpha_theta=0.0, alpha_psi=0.0, alpha_phi=0.0,
+                                alpha_w=0.0, trace_points=5)
+    for algo in MV_ALGOS:
+        rec = run_mv_replications(mv_cfg, algo, 3, 1)[0]
+        assert rec.status == "ok"
+        assert rec.final_params["w"] == mv_cfg.z
+        assert all(v == 0.0 for k, v in rec.final_params.items() if k != "w")
+
+
 def test_schedules():
-    assert unit_schedule(123.0) == 1.0
     sched = power_schedule(0.5)
     assert sched(4.0) == pytest.approx(0.5, abs=1e-15)
     assert sched(0.3) == 1.0
@@ -195,63 +183,11 @@ def test_schedules():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LearnerConfig(gamma=0.0)
+        ErgodicExperimentConfig(gamma=0.0)
     with pytest.raises(ValueError):
-        LearnerConfig(ml_inner_sum="other")
-
-
-def test_custom_test_functions_feed_the_updates():
-    traj, J, q = _fixture()
-    cfg = LearnerConfig(
-        alpha_theta=1.0, alpha_psi=1.0,
-        test_function_theta=lambda t, xs, acts: np.array([1.0, t]),
-        test_function_psi=lambda t, xs, acts: np.array([xs[-1, 0], 0.0, 0.0]))
-    theta, psi = offline_td_update(traj, J, q, cfg, 0.0, 1)
-    assert np.allclose(theta, [1.0 + D0 + D1, 0.1 * D1], atol=1e-13)
-    assert np.allclose(psi, [D0 + 2 * D1, 0.0, 0.0], atol=1e-13)
-
-
-def test_moment_objective_hand_value():
-    traj, J, q = _fixture()
-    cfg = LearnerConfig()
-    obj_t, obj_p = gmm_objective([traj], J, q, cfg, beta=0.0)
-    m_t = np.array([D0 + 4 * D1, D0 + 2 * D1])
-    z0 = np.array([1.0, 1.0, 0.45])
-    z1 = np.array([-2.0, -1.0, 0.45])
-    m_p = z0 * D0 + z1 * D1
-    assert obj_t == pytest.approx(float(m_t @ m_t), rel=1e-12)
-    assert obj_p == pytest.approx(float(m_p @ m_p), rel=1e-12)
-
-
-def test_weighted_moment_objective_ignores_test_scaling():
-    model = builtin_lq_env()
-    epcfg = EpisodeConfig(horizon=1.0, dt=0.1)
-    policy = lambda t, x, gen: 0.1 * x + 0.4 * gen.standard_normal()
-    stream = RngStream(31)
-    trajs = [simulate_episode(model, policy, epcfg, 0.3, stream.child(i))
-             for i in range(3)]
-    J = lq_value(np.array([0.4, -0.2]))
-    q = lq_q(np.array([0.1, -0.3, 0.2]), 0.1)
-    base = LearnerConfig()
-    S_t = np.array([[2.0, 0.0], [1.0, 3.0]])
-    S_p = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.5]])
-    scaled = LearnerConfig(
-        test_function_theta=lambda t, xs, acts:
-            S_t @ np.asarray(J.grad_theta(t, xs[-1, 0]), float),
-        test_function_psi=lambda t, xs, acts:
-            S_p @ np.asarray(q.grad_psi(t, xs[-1, 0], acts[-1, 0]), float))
-
-    def weighted(cfg):
-        cov_t, cov_p = moment_covariance(trajs, J, q, cfg)
-        return gmm_objective(trajs, J, q, cfg, 0.0,
-                             weight_theta=np.linalg.inv(cov_t),
-                             weight_psi=np.linalg.inv(cov_p))
-
-    got = weighted(base)
-    got_scaled = weighted(scaled)
-    assert got[0] == pytest.approx(got_scaled[0], rel=1e-9)
-    assert got[1] == pytest.approx(got_scaled[1], rel=1e-9)
-    # unweighted objectives do move under the same rescaling
-    plain = gmm_objective(trajs, J, q, base, 0.0)
-    plain_scaled = gmm_objective(trajs, J, q, scaled, 0.0)
-    assert abs(plain[0] - plain_scaled[0]) > 1e-8
+        ErgodicExperimentConfig(dt=0.1, horizon=0.01)
+    with pytest.raises(ValueError):
+        MvExperimentConfig(gamma=0.0)
+    with pytest.raises(ValueError):
+        MvExperimentConfig(ml_inner_sum="other")
+    assert MvExperimentConfig(ml_inner_sum="frozen-at-k").ml_inner_sum == "frozen-at-k"
