@@ -128,8 +128,10 @@ def check_gradients(seed: int = 0) -> CheckResult:
     residual's parameter gradient is minus the test vector scaled by the
     step (and by gamma for the policy-gradient score).  The SARSA bracket
     also carries the s3-derivative gamma dt / 2 of Q(x', a') - gamma
-    log pi(a'|x') dt, which is free of the action.  The mean-variance
-    helpers are checked against their own values.
+    log pi(a'|x') dt, which is free of the action.  The policy-gradient
+    score rows are also checked against the log-density of the policy,
+    which does not go through the kernel.  The mean-variance helpers are
+    checked against their own values.
     """
     rng = np.random.default_rng(seed)
     gamma, T, dt = 0.1, 1.0, 0.04
@@ -171,6 +173,24 @@ def check_gradients(seed: int = 0) -> CheckResult:
     cases.append(("pg_mv_score",
                   lambda p: float(pg_mv_logp(*p, w, gamma, T, t, x, a)),
                   lambda p: np.asarray(pg_mv_score(*p, w, gamma, T, t, x, a), float),
+                  rng.normal(scale=0.5, size=3)))
+
+    # the policy-gradient kernel's score rows against the policy's own
+    # log-density log N(a; psi1 x + psi2, gamma e^{psi3}), written out here
+    # so that the kernel's 1/gamma precision scale is checked
+    def pg_log_density(psi):
+        var = gamma * math.exp(psi[2])
+        dev = a - (psi[0] * x + psi[1])
+        return -0.5 * dev * dev / var - 0.5 * math.log(2.0 * math.pi * var)
+
+    def pg_score(psi):
+        P = np.zeros((6, 1))
+        P[2:5, 0] = psi
+        tests = np.ones((6, 1))
+        rate_kernel(P, x, a, r, 0.0, gamma, dt, "entropy", tests)
+        return tests[2:5, 0]
+
+    cases.append(("pg score", pg_log_density, pg_score,
                   rng.normal(scale=0.5, size=3)))
     worst = 0.0
     worst_name = ""

@@ -32,6 +32,14 @@ samples the bracket action from its own stream so the observed data stay
 shared across algorithms.  A lane's trace ends at the first record after it
 diverges, and the driver stops once every lane has diverged, so a lane's
 record does not depend on the lanes beside it either.
+
+Off-policy, the observed actions, states and rewards do not depend on the
+learner, so the driver computes them a block of `_BLOCK` steps at a time
+from the noise already drawn; the per-step loop then runs only the kernel,
+the guard, the update and the trace.  The noise contract above is
+unchanged, and the block uses the same state and reward expressions as the
+on-policy step (`_euler`, `_reward`), so a lane's numbers do not depend on
+the block length.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ from .records import RunRecord
 
 LOG_2PI = math.log(2.0 * math.pi)
 _CHUNK = 32768
+# Off-policy steps whose behaviour data are computed at once.  A block's
+# arrays hold about ten doubles per lane-step, so 512 steps stay well below
+# the (_CHUNK, 2) noise block held beside them.
+_BLOCK = 512
 
 # Runaway parameters can freeze at huge finite values once the actor score
 # underflows, so divergence cannot be detected from non-finiteness alone.
@@ -245,6 +257,42 @@ def _record(algo, mode, out, lane, rep_id, master_seed) -> RunRecord:
     )
 
 
+def _euler(x, px, pa, z1, h, out=None):
+    """x + (A x + B a) dt + (C x + D a) sqrt(dt) z1 from the stacked
+    products px = [A x, C x] and pa = [B a, D a]; h is the column
+    [dt, sqrt(dt)].  The terms are added in the order written."""
+    inc = px + pa
+    inc *= h
+    inc[1] *= z1
+    x2 = np.add(x, inc[0], out=out)
+    x2 += inc[1]
+    return x2
+
+
+def _reward(px, pa, x, a):
+    """-(M/2 x^2 + R x a + N/2 a^2 + P x + Q a) from the stacked products
+    px = [M/2 x, R x, P x] and pa = [N/2 a, Q a], summed in the order
+    written."""
+    return -(px[0] * x + px[1] * a + pa[0] * a + px[2] + pa[1])
+
+
+def _behaviour_path(x, a, z1, cx, ca, h):
+    """States and rewards of n off-policy steps from the state x under the
+    actions a and the Brownian draws z1, both (n, lanes).
+
+    cx and ca are the coefficient columns [A, C, M/2, R, P] and
+    [B, D, N/2, Q].  Returns the states (n + 1, lanes), starting at x, and
+    the rewards (n, lanes), from the same expressions as the per-step path.
+    """
+    pa = ca.reshape(4, 1, 1) * a
+    X = np.empty((len(a) + 1,) + x.shape)
+    X[0] = x
+    for m in range(len(a)):
+        _euler(X[m], cx[:2] * X[m], pa[:2, m], z1[m], h, out=X[m + 1])
+    xs = X[:-1]
+    return X, _reward(cx[2:].reshape(3, 1, 1) * xs, pa[2:], xs, a)
+
+
 def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
            data_streams: Sequence[RngStream],
            learner_streams: Sequence[RngStream]) -> dict:
@@ -255,24 +303,27 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     lanes = len(data_streams)
     steps = cfg.steps
     dt = cfg.dt
-    sqdt = math.sqrt(dt)
     gamma = cfg.gamma
     co = cfg.coef
     off_policy = (mode == "off-policy")
     b_mean, b_std = cfg.behavior_mean, math.sqrt(cfg.behavior_var)
     sarsa = (algo == "sarsa")
     running = "q" if algo == "qlearn-online" else cfg.pg_regularizer
+    # coefficients of the stacked products with the state and the action
+    cx = np.array([co.A, co.C, 0.5 * co.M, co.R, co.P]).reshape(5, 1)
+    ca = np.array([co.B, co.D, 0.5 * co.N, co.Q]).reshape(4, 1)
+    h = np.array([dt, math.sqrt(dt)]).reshape(2, 1)
 
     gens = [s.generator() for s in data_streams]
     lgens = [s.generator() for s in learner_streams] if sarsa and off_policy else None
 
     P, rates = _init_params(cfg, algo, lanes)
     tests = np.ones((6, lanes))  # the kernels leave row 5, the V test, at 1
+    upd = np.empty((6, lanes))
     x = np.full(lanes, float(cfg.x0))
     reward_sum = np.zeros(lanes)
     active = np.ones(lanes, bool)
     all_alive = True
-    act = np.ones(lanes)
     div_step = np.full(lanes, -1, dtype=np.int64)
 
     record_every = max(1, steps // max(1, cfg.trace_points))
@@ -297,49 +348,66 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
             lnoise = None
             if lgens is not None:
                 lnoise = np.stack([g.standard_normal(chunk) for g in lgens], axis=-1)
-            lvals = np.array([cfg.schedule((k + i) * dt) for i in range(chunk)])
+            lr = (np.array([cfg.schedule((k + i) * dt) for i in range(chunk)])
+                  .reshape(chunk, 1, 1) * rates)
             for i in range(chunk):
-                z0 = noise[i, 0]
-                z1 = noise[i, 1]
-                if sarsa:
-                    a = a_cur
-                elif off_policy:
-                    a = b_mean + b_std * z0
+                if off_policy:
+                    j = i % _BLOCK
+                    if j == 0:
+                        n = min(_BLOCK, chunk - i)
+                        if sarsa:
+                            # a step's action is the previous step's a2
+                            A2 = b_mean + b_std * lnoise[i:i + n]
+                            A = np.concatenate((a_cur[None], A2[:-1]))
+                        else:
+                            A = b_mean + b_std * noise[i:i + n, 0]
+                        X, R = _behaviour_path(x, A, noise[i:i + n, 1], cx, ca, h)
+                        RDT = R * dt
+                        OK = np.abs(X[1:]) <= STATE_GUARD
+                    a, x2, r, rdt, state_ok = A[j], X[j + 1], R[j], RDT[j], OK[j]
+                    if sarsa:
+                        a2 = A2[j]
                 else:
-                    a = P[2] * x + P[3] + np.sqrt(gamma * np.exp(P[4])) * z0
-                x2 = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
-                r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
-                      + co.P * x + co.Q * a)
-                if sarsa:
-                    if off_policy:
-                        a2 = b_mean + b_std * lnoise[i]
+                    z0 = noise[i, 0]
+                    if sarsa:
+                        a = a_cur
                     else:
+                        a = P[2] * x + P[3] + np.sqrt(gamma * np.exp(P[4])) * z0
+                    px = cx * x
+                    pa = ca * a
+                    x2 = _euler(x, px[:2], pa[:2], noise[i, 1], h)
+                    r = _reward(px[2:], pa[2:], x, a)
+                    rdt = r * dt
+                    state_ok = np.abs(x2) <= STATE_GUARD
+                    if sarsa:
                         a2 = (P[0] * x2 + P[1]
                               + np.sqrt(gamma * dt * np.exp(P[2])) * z0)
+                if sarsa:
                     resid = sarsa_kernel(P, x, a, r, x2, a2, gamma, dt, tests)
                 else:
                     resid = rate_kernel(P, x, a, r, x2, gamma, dt, running, tests)
 
                 # one guard, freeze, update and trace block for every learner;
                 # the comparisons are written so that NaN fails them
-                healthy = ((np.abs(x2) <= STATE_GUARD) & np.isfinite(resid)
-                           & (np.abs(P).max(0) <= PARAM_GUARD))
+                healthy = (state_ok & np.isfinite(resid)
+                           & (np.abs(P) <= PARAM_GUARD).all(0))
                 newly = active & ~healthy
-                if newly.any():
+                if np.count_nonzero(newly):
                     div_step[newly] = k + i
                     active &= ~newly
                     if not active.any():
                         break
                     all_alive = False
-                    act = active.astype(float)
-                    x2 = np.where(active, x2, 0.0)
-                    if sarsa:
-                        a2 = np.where(active, a2, 0.0)
-                P_new = P + (lvals[i] * rates) * (resid * act) * tests
-                # dead lanes can produce 0 * inf above; hold them at their
-                # frozen values exactly
-                P = P_new if all_alive else np.where(active, P_new, P)
-                reward_sum += r * act * dt
+                # dead lanes run on, and can produce non-finite updates here;
+                # they keep their frozen parameters and reward sums exactly
+                np.multiply(lr[i], resid, out=upd)
+                upd *= tests
+                if all_alive:
+                    P += upd
+                    reward_sum += rdt
+                else:
+                    np.add(P, upd, out=P, where=active)
+                    np.add(reward_sum, rdt, out=reward_sum, where=active)
                 x = x2
                 if sarsa:
                     a_cur = a2

@@ -84,12 +84,11 @@ def write_trace_csv(path, trace: dict) -> None:
     lead = [k for k in ("step", "j", "t") if k in keys]
     rest = sorted(k for k in keys if k not in lead)
     cols = lead + rest
-    n = len(trace[cols[0]])
+    # the rows csv.writer would write: no formatted float needs quoting
+    row = ",".join([_CSV_FLOAT] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(n):
-            writer.writerow([_CSV_FLOAT % float(trace[c][i]) for c in cols])
+        csv.writer(fh).writerow(cols)
+        fh.writelines(row % vals for vals in zip(*(trace[c] for c in cols)))
 
 
 def write_summary(out_dir, config: dict, records: Sequence[RunRecord],

@@ -97,6 +97,50 @@ def test_all_dead_run_stops_at_its_last_divergence():
         _same_record(a, b)
 
 
+@pytest.mark.parametrize("algo", ["qlearn-online", "sarsa"])
+def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
+    # at zero rates the running reward average of an off-policy run depends
+    # on the behaviour data alone; replay them in plain floats over several
+    # blocks of steps and across one (32,768, 2) noise chunk
+    chunk, dt, seed = 32768, 0.1, 9
+    steps = chunk + 1300
+    b_mean, b_var = 0.3, 0.5
+    cfg = ErgodicExperimentConfig(dt=dt, horizon=steps * dt, trace_points=steps,
+                                  behavior_mean=b_mean, behavior_var=b_var,
+                                  alpha_theta=0.0, alpha_psi=0.0, alpha_v=0.0,
+                                  alpha_phi=0.0)
+    assert cfg.steps == steps
+    rec = run_ergodic(cfg, algo, "off-policy", RngStream(seed, (0, 0)))
+
+    data = RngStream(seed, (0, 0)).generator()
+    b_std = math.sqrt(b_var)
+    if algo == "sarsa":
+        # the first action comes from one draw of the data stream, each later
+        # one from the learner stream (0, 1), drawn one step ahead
+        first = b_mean + b_std * data.standard_normal()
+        learner = RngStream(seed, (0, 1)).generator()
+        z = np.concatenate([learner.standard_normal(chunk),
+                            learner.standard_normal(steps - chunk)])
+        actions = [first] + [b_mean + b_std * v for v in z[:-1].tolist()]
+    noise = np.concatenate([data.standard_normal((chunk, 2)),
+                            data.standard_normal((steps - chunk, 2))])
+    if algo != "sarsa":
+        actions = [b_mean + b_std * v for v in noise[:, 0].tolist()]
+    co = cfg.coef
+    sqdt = math.sqrt(dt)
+    x, total, want = 0.0, 0.0, []
+    for k, (a, z1) in enumerate(zip(actions, noise[:, 1].tolist())):
+        r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
+              + co.P * x + co.Q * a)
+        total += r * dt
+        want.append(total / ((k + 1) * dt))
+        x = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
+    assert rec.status == "ok"
+    assert len(rec.trace["reward_avg"]) == steps
+    assert rec.trace["reward_avg"] == want
+    assert rec.metrics["avg_reward"] == total / (steps * dt)
+
+
 def test_lane_count_does_not_change_a_replication():
     two = run_ergodic_replications(SHORT, "qlearn-online", "on-policy", 17, 2)
     five = run_ergodic_replications(SHORT, "qlearn-online", "on-policy", 17, 5)
