@@ -30,8 +30,8 @@ from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
 from .ergodic import (ALGOS, MODES, PARAM_NAMES, ErgodicExperimentConfig,
                       _init_params, rate_kernel, run_ergodic_replications,
                       sarsa_kernel)
-from .mv import (MV_ALGOS, MvExperimentConfig, _init_mv_params,
-                 martingale_residuals, run_mv_replications)
+from .mv import (MV_ALGOS, MV_PARAM_NAMES, MvExperimentConfig,
+                 _init_mv_params, martingale_residuals, run_mv_replications)
 
 
 @dataclass(frozen=True)
@@ -206,17 +206,18 @@ def check_gradients(seed: int = 0) -> CheckResult:
 
 def check_loss_recursion(seed: int = 0) -> CheckResult:
     """The mean-variance driver's backward recursion for the episode
-    residuals against a double loop."""
+    residuals against a double loop, on its (lanes, K, batch) layout."""
     rng = np.random.default_rng(seed)
-    K, B, L = 64, 3, 2
+    L, K, B = 2, 64, 3
     dt = 1.0 / K
-    terminal = rng.normal(size=(B, L))
-    js = rng.normal(size=(K, B, L))
-    running = rng.normal(size=(K, B, L))
-    g_fast = martingale_residuals(terminal, js, running, dt)
-    g_slow = np.empty((K, B, L))
+    terminal = rng.normal(size=(L, 1, B))
+    js = rng.normal(size=(L, K, B))
+    running = rng.normal(size=(L, K, B))
+    g_fast = martingale_residuals(terminal, js, running, dt, axis=1)
+    g_slow = np.empty((L, K, B))
     for k in range(K):
-        g_slow[k] = terminal - js[k] + sum(running[i] * dt for i in range(k, K))
+        g_slow[:, k] = terminal[:, 0] - js[:, k] + sum(running[:, i] * dt
+                                                      for i in range(k, K))
     worst = float(np.max(np.abs(g_fast - g_slow)))
     return CheckResult("loss-recursion", worst < 1e-12,
                        f"max |recursive - brute force| = {worst:.3e} (tol 1e-12)")
@@ -241,11 +242,11 @@ def check_zero_rate(seed: int = 0) -> CheckResult:
                                 alpha_theta=0.0, alpha_psi=0.0, alpha_phi=0.0,
                                 alpha_w=0.0)
     for algo in MV_ALGOS:
-        start = _init_mv_params(mv_cfg, algo, lanes)
+        start, _rates = _init_mv_params(mv_cfg, algo, lanes)
         recs = run_mv_replications(mv_cfg, algo, seed, lanes)
         exact.append(all(
             rec.status == "ok"
-            and rec.final_params == {k: float(v[i]) for k, v in start.items()}
+            and rec.final_params == dict(zip(MV_PARAM_NAMES[algo], start[:, i].tolist()))
             for i, rec in enumerate(recs)))
     ok = all(exact)
     return CheckResult("zero-rate-identity", ok,

@@ -344,10 +344,15 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while k < steps and active.any():
             chunk = min(_CHUNK, steps - k)
-            noise = np.stack([g.standard_normal((chunk, 2)) for g in gens], axis=-1)
+            # filled a lane at a time: one lane's draw is held beside it
+            noise = np.empty((chunk, 2, lanes))
+            for lane, g in enumerate(gens):
+                noise[:, :, lane] = g.standard_normal((chunk, 2))
             lnoise = None
             if lgens is not None:
-                lnoise = np.stack([g.standard_normal(chunk) for g in lgens], axis=-1)
+                lnoise = np.empty((chunk, lanes))
+                for lane, g in enumerate(lgens):
+                    lnoise[:, lane] = g.standard_normal(chunk)
             lr = (np.array([cfg.schedule((k + i) * dt) for i in range(chunk)])
                   .reshape(chunk, 1, 1) * rates)
             for i in range(chunk):

@@ -9,11 +9,19 @@ The target-wealth multiplier w moves every `multiplier_every` updates toward
 matching the expected terminal wealth to the target z.  After training the
 learned policy is evaluated out of sample on fresh market noise.
 
+The driver holds every lane's parameters in one (P, lanes) array whose last
+row is w (`MV_PARAM_NAMES`), and lanes lead every per-update array: wealth
+paths, actions and residuals are (lanes, K + 1, batch), so each lane's
+contraction sums its own contiguous block.  Each algorithm turns its residual
+and test vectors into parameter increments (`_increments`), and one block
+guards, freezes, updates and traces the array for all four.
+
 Noise consumption per replication stream, in order: pool draws
 (standard_normal(pool_size)), then per update the segment starts
 (integers(0, pool_size - K + 1, size=batch)) followed by action normals of
 shape (K, batch) ((K + 1, batch) for sarsa, which also draws an action at the
-terminal state), then per evaluation episode standard_normal((K, 2)) with
+terminal state), then one standard_normal((eval_runs, K, 2)) block for the
+evaluation episodes, which is the same stream as one (K, 2) draw per episode:
 column 0 the action draw and column 1 the Brownian increment.  The same
 numbers are consumed whether replications run alone or in lockstep.
 """
@@ -34,6 +42,15 @@ from .records import RunRecord
 LOG_2PI = math.log(2.0 * math.pi)
 
 MV_ALGOS = ("qlearn-td", "qlearn-ml", "sarsa", "pg")
+
+# Rows of the (P, lanes) parameter array; the last row is always the
+# multiplier w.
+MV_PARAM_NAMES = {
+    "qlearn-td": ("th1", "th2", "th3", "p1", "p2", "p3", "w"),
+    "qlearn-ml": ("th1", "th2", "th3", "p1", "p2", "p3", "w"),
+    "sarsa": ("s1", "s2", "s3", "s4", "s5", "w"),
+    "pg": ("th1", "th2", "th3", "f1", "f2", "f3", "w"),
+}
 
 
 def power_schedule(exponent: float = 0.51) -> Callable[[float], float]:
@@ -98,16 +115,16 @@ class MvExperimentConfig:
 
 
 def lagrange_update(w, terminal_wealths, alpha_w: float, z: float):
-    """w' = w - alpha_w (mean terminal wealth - z); drives the mean to z."""
+    """w' = w - alpha_w (mean terminal wealth - z); drives the mean to z.
+
+    A 2-D argument holds one lane per row; each lane averages its own
+    contiguous row, so the result does not depend on how many lanes run
+    together.
+    """
     tw = np.asarray(terminal_wealths, float)
     if tw.size < 1:
         raise ValueError("no terminal wealths to average")
-    if tw.ndim == 1:
-        return w - alpha_w * (tw.mean() - z)
-    # average each lane over its own contiguous block so the result does not
-    # depend on how many lanes run together
-    mean = np.ascontiguousarray(tw.T).mean(axis=1)
-    return w - alpha_w * (mean - z)
+    return w - alpha_w * (tw.mean(axis=-1) - z)
 
 
 def metrics_terminal(wealths, x0: float):
@@ -142,276 +159,253 @@ def run_mv(cfg: MvExperimentConfig, algo: str, rng: RngStream) -> RunRecord:
 
 
 def _record(cfg, algo, out, lane, rep_id, master_seed) -> RunRecord:
-    status = "ok" if out["div_step"][lane] < 0 else "NA"
-    final = {k: float(v[lane]) for k, v in out["params"].items()}
-    metrics = {}
-    if status == "ok":
-        mean, var, sharpe = metrics_terminal(out["terminal"][:, lane], cfg.x0)
-        metrics = {"mean": mean, "variance": var, "sharpe": sharpe}
+    names = MV_PARAM_NAMES[algo]
+    div = int(out["div_step"][lane])
+    metrics = {} if div >= 0 else dict(zip(("mean", "variance", "sharpe"),
+                                           metrics_terminal(out["terminal"][lane], cfg.x0)))
+    trace = {"j": out["j"].tolist()}
+    trace.update((k, out["trace"][:, i, lane].tolist()) for i, k in enumerate(names))
     return RunRecord(
         algo=algo, mode="episodic", replication=rep_id, master_seed=master_seed,
-        status=status,
-        divergence_step=None if out["div_step"][lane] < 0 else int(out["div_step"][lane]),
-        final_params=final, metrics=metrics,
-        trace={k: v[:, lane].tolist() for k, v in out["trace"].items()},
+        status="ok" if div < 0 else "NA",
+        divergence_step=None if div < 0 else div,
+        final_params=dict(zip(names, out["params"][:, lane].tolist())),
+        metrics=metrics, trace=trace,
     )
 
 
-def _init_mv_params(cfg: MvExperimentConfig, algo: str, reps: int) -> dict:
-    """Zero-initialized parameters; the multiplier starts at the target z."""
-    z = lambda: np.zeros(reps)
-    w = np.full(reps, float(cfg.z))
+def _init_mv_params(cfg: MvExperimentConfig, algo: str, lanes: int):
+    """(P, lanes) start parameters, all zero but the multiplier w = z, and
+    the (P - 1, 1) signed learning rate of each row but w.
+
+    The value family tracks the cost-to-go (convex in x) while the q and
+    policy families are reward-oriented, so the running term enters the
+    residual with a plus sign and the q and policy rows descend (negative
+    rates).
+    """
     if algo in ("qlearn-td", "qlearn-ml"):
-        return {"th1": z(), "th2": z(), "th3": z(),
-                "p1": z(), "p2": z(), "p3": z(), "w": w}
-    if algo == "sarsa":
-        return {"s1": z(), "s2": z(), "s3": z(), "s4": z(), "s5": z(), "w": w}
-    if algo == "pg":
-        return {"th1": z(), "th2": z(), "th3": z(),
-                "f1": z(), "f2": z(), "f3": z(), "w": w}
-    raise ValueError(f"algo must be one of {MV_ALGOS}")
+        rates = (cfg.alpha_theta,) * 3 + (-cfg.alpha_psi,) * 3
+    elif algo == "sarsa":
+        rates = (cfg.alpha_psi,) * 5
+    elif algo == "pg":
+        rates = (cfg.alpha_theta,) * 3 + (-cfg.alpha_phi,) * 3
+    else:
+        raise ValueError(f"algo must be one of {MV_ALGOS}")
+    P = np.zeros((len(rates) + 1, lanes))
+    P[-1] = cfg.z
+    return P, np.array(rates).reshape(-1, 1)
 
 
-def martingale_residuals(terminal, js, running, dt: float):
-    """G_k = h(x_K) - J(t_k, x_k) + sum_{i>=k} running_i dt along axis 0.
+def martingale_residuals(terminal, js, running, dt: float, axis: int = 0):
+    """G_k = h(x_K) - J(t_k, x_k) + sum_{i>=k} running_i dt along `axis`.
 
     The deviation between the realized payoff and the value at every grid
     point, from one reversed cumulative sum; js holds J at the K left grid
-    points and running the K running terms.
+    points, running the K running terms, and terminal broadcasts against
+    them (the driver's (lanes, K, batch) arrays step along axis 1).
     """
-    return terminal[None] - js + np.flip(np.cumsum(np.flip(running, 0), 0), 0) * dt
+    return terminal - js + np.flip(np.cumsum(np.flip(running, axis), axis), axis) * dt
 
 
 def _contract(tests, resid):
-    """Sum tests[p, k, b, r] * resid[k, b, r] over the step and batch axes.
+    """Sum tests[p, r, k, b] * resid[r, k, b] over the step and batch axes,
+    overwriting tests with the products.
 
-    Each lane reduces its own contiguous block, so lane r gets bit-identical
-    sums no matter how many other lanes run in the same call.
+    Lanes lead, so each lane's K * batch products form one contiguous block,
+    which the sum reduces in order: lane r gets bit-identical sums no matter
+    how many other lanes run in the same call.
     """
-    prod = tests * resid[None]
-    flat = prod.reshape(tests.shape[0], -1, tests.shape[-1])
-    return np.ascontiguousarray(np.moveaxis(flat, -1, 0)).sum(axis=-1).T
+    np.multiply(tests, resid, out=tests)
+    return tests.reshape(tests.shape[:2] + (-1,)).sum(axis=-1)
+
+
+def _policy(algo: str, P, cfg: MvExperimentConfig, t):
+    """Gain g and variance of the lanes' Gaussian policy N(-g (x - w), var)
+    at the times t; the rows of P broadcast against t."""
+    tau = cfg.T - t
+    if algo == "sarsa":
+        s1, s2, s3 = P[:3]
+        return s2 * np.exp(s1), cfg.gamma * cfg.dt * np.exp(s3 * tau + s1)
+    c1, gain, c3 = P[3:6]
+    return gain, cfg.gamma * np.exp(c1 + c3 * tau)
+
+
+def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, xs, acts,
+                gain, var):
+    """One update's (P - 1, lanes) parameter increments before the rates:
+    the algorithm's residual contracted with its test vectors.
+
+    P holds the rows as (lanes, 1, 1) columns, tcol the K + 1 grid times,
+    xs the wealth paths (lanes, K + 1, batch) and acts their actions; gain
+    and var are the policy's, from `_policy`.  Temporaries are released
+    early and test arrays are reused in place, so few (lanes, K, batch)
+    arrays are alive at once: glibc hands a large freed heap top back to
+    the system, and the next update would fault its pages in again.
+    """
+    K, dt, gamma, T, z = cfg.steps, cfg.dt, cfg.gamma, cfg.T, cfg.z
+    w = P[-1]
+    tl, xl = tcol[:, :-1], xs[:, :-1]
+    if algo == "sarsa":
+        grad = qdt_mv_grad(*P[:5], w, z, T, tl, xl, acts[:, :-1])
+        qv = qdt_mv_eval(*P[:5], w, z, T, tcol, xs, acts)
+        dev = acts + gain * (xs - w)
+        logp = -0.5 * dev ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
+        return _contract(grad, qv[:, 1:] - gamma * logp[:, 1:] * dt - qv[:, :-1])
+    th, pol = P[:3], P[3:6]
+    js = mv_value_eval(*th, w, z, T, tcol, xs)
+    if algo == "pg":
+        running = gamma * pg_mv_logp(*pol, w, gamma, T, tl, xl, acts)
+        test_fn = pg_mv_score
+    else:
+        running = mv_q_eval(*pol, w, gamma, T, tl, xl, acts)
+        test_fn = mv_q_grad
+    if algo == "qlearn-ml":
+        term = mv_value_eval(*th, w, z, T, T, xs[:, K:])
+        resid = martingale_residuals(term, js[:, :-1], running, dt, axis=1)
+    else:
+        resid = js[:, 1:] - js[:, :-1] + running * dt
+    del js, running
+    d_value = _contract(mv_value_grad(*th, w, z, T, tl, xl), resid)
+    tests = test_fn(*pol, w, gamma, T, tl, xl, acts)
+    if algo != "qlearn-ml":
+        return np.concatenate((d_value, _contract(tests, resid)))
+    if cfg.ml_inner_sum == "discounted":
+        np.cumsum(np.flip(tests, 2), axis=2, out=np.flip(tests, 2))
+        tests *= dt
+    else:
+        tests *= ((K - np.arange(K)) * dt)[:, None]
+    return np.concatenate((d_value, _contract(tests, resid))) * dt
 
 
 def _drive_mv(cfg: MvExperimentConfig, algo: str,
               streams: Sequence[RngStream]) -> dict:
     if algo not in MV_ALGOS:
         raise ValueError(f"algo must be one of {MV_ALGOS}")
-    reps = len(streams)
+    lanes = len(streams)
     gens = [s.generator() for s in streams]
-    K = cfg.steps
-    B = cfg.batch
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    gamma = cfg.gamma
-    T = cfg.T
-    excess = cfg.mu - cfg.rfree
+    K, B = cfg.steps, cfg.batch
+    n_act = K + 1 if algo == "sarsa" else K
 
     # per-unit-action wealth increments; one fixed pool per replication
-    pool = np.stack([g.standard_normal(cfg.pool_size) for g in gens], axis=-1)
-    pool = excess * dt + cfg.sigma * sqdt * pool
+    pool = np.empty((lanes, cfg.pool_size))
+    for g, row in zip(gens, pool):
+        g.standard_normal(out=row)
+    pool *= cfg.sigma * math.sqrt(cfg.dt)
+    pool += (cfg.mu - cfg.rfree) * cfg.dt
+    # flat offsets of each lane's pool row and of a segment's K steps
+    base = (np.arange(lanes) * cfg.pool_size)[:, None]
+    seg = np.arange(K)[:, None, None]
 
-    params = _init_mv_params(cfg, algo, reps)
-    active = np.ones(reps, bool)
-    div_step = np.full(reps, -1, dtype=np.int64)
-    tw_buffer: List[np.ndarray] = []
+    P, rates = _init_mv_params(cfg, algo, lanes)
+    cols = P[:, :, None, None]  # the rows as (lanes, 1, 1) columns
+    w = P[-1, :, None]
+    active = np.ones(lanes, bool)
+    div_step = np.full(lanes, -1, dtype=np.int64)
+    tw = np.empty((lanes, cfg.multiplier_every, B))
 
     record_every = max(1, cfg.updates // max(1, cfg.trace_points))
     n_rec = cfg.updates // record_every if cfg.updates else 0
-    trace = {k: np.empty((n_rec, reps)) for k in ["j"] + list(params.keys())}
-    rec_i = 0
+    p_trace = np.empty((n_rec, len(P), lanes))
 
-    tgrid = np.arange(K + 1) * dt
-    tcol = tgrid.reshape(K + 1, 1, 1)
+    tcol = (np.arange(K + 1) * cfg.dt).reshape(1, K + 1, 1)
+    starts = np.empty((lanes, B), np.int64)
+    znoise = np.empty((lanes, n_act, B))
+    # the rollout steps through one contiguous (lanes, batch) block per grid
+    # point, which costs less than stepping strided lanes-first slices; the
+    # update reads lanes-first copies
+    xk = np.empty((K + 1, lanes, B))
+    ak = np.empty((n_act, lanes, B))
+    noise = np.empty((n_act, lanes, B))
+    xs = np.empty((lanes, K + 1, B))
+    acts = np.empty((lanes, n_act, B))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(1, cfg.updates + 1):
-            starts = np.stack(
-                [g.integers(0, cfg.pool_size - K + 1, size=B) for g in gens], axis=-1)
-            n_act = K + 1 if algo == "sarsa" else K
-            znoise = np.stack([g.standard_normal((n_act, B)) for g in gens], axis=-1)
-            # segment of increments per lane: rho[k, b, r]
-            idx = starts[None, :, :] + np.arange(K)[:, None, None]
-            rho = np.take_along_axis(
-                np.broadcast_to(pool[:, None, :], (cfg.pool_size, B, reps)), idx, axis=0)
+            for g, s, zn in zip(gens, starts, znoise):
+                s[:] = g.integers(0, cfg.pool_size - K + 1, size=B)
+                g.standard_normal(out=zn)
+            # rho[k, r, b]: increment k of lane r's segment b
+            rho = pool.take(starts + base + seg)
 
-            w = params["w"]
-            prev = {k: v.copy() for k, v in params.items()}
-            xs = np.empty((K + 1, B, reps))
-            xs[0] = cfg.x0
-            acts = np.empty((n_act, B, reps))
-            if algo in ("qlearn-td", "qlearn-ml"):
-                p1, p2, p3 = params["p1"], params["p2"], params["p3"]
-                std = np.sqrt(gamma * np.exp(p1 + p3 * (T - tgrid[:, None, None])))
-                for k in range(K):
-                    a = -p2 * (xs[k] - w) + std[k] * znoise[k]
-                    xs[k + 1] = xs[k] + a * rho[k]
-                    acts[k] = a
-            elif algo == "sarsa":
-                s1, s2, s3 = params["s1"], params["s2"], params["s3"]
-                std = np.sqrt(gamma * dt * np.exp(s3 * (T - tgrid[:, None, None]) + s1))
-                for k in range(K):
-                    a = -s2 * np.exp(s1) * (xs[k] - w) + std[k] * znoise[k]
-                    xs[k + 1] = xs[k] + a * rho[k]
-                    acts[k] = a
-                acts[K] = -s2 * np.exp(s1) * (xs[K] - w) + std[K] * znoise[K]
-            else:  # pg
-                f1, f2, f3 = params["f1"], params["f2"], params["f3"]
-                std = np.sqrt(gamma * np.exp(f1 + f3 * (T - tgrid[:, None, None])))
-                for k in range(K):
-                    a = -f2 * (xs[k] - w) + std[k] * znoise[k]
-                    xs[k + 1] = xs[k] + a * rho[k]
-                    acts[k] = a
+            gain, var = _policy(algo, cols, cfg, tcol[:, :n_act])
+            np.multiply(np.sqrt(var), znoise, out=noise.transpose(1, 0, 2))
+            neg = -gain[:, 0]
+            xk[0] = cfg.x0
+            for k in range(n_act):
+                a = ak[k]
+                np.subtract(xk[k], w, out=a)
+                a *= neg
+                a += noise[k]
+                if k < K:
+                    np.multiply(a, rho[k], out=xk[k + 1])
+                    xk[k + 1] += xk[k]
+            np.copyto(xs, xk.transpose(1, 0, 2))
+            np.copyto(acts, ak.transpose(1, 0, 2))
 
-            bad = ~np.isfinite(xs).all(axis=(0, 1)) | (np.abs(xs).max(axis=(0, 1)) > STATE_GUARD)
+            # NaN fails the comparison
+            bad = ~(np.abs(xs) <= STATE_GUARD).all(axis=(1, 2))
             if algo == "sarsa":
-                bad |= ~np.isfinite(acts).all(axis=(0, 1))
-            xs = np.where(bad, 0.0, xs)
-            acts = np.where(bad, 0.0, acts)
-            lr = cfg.schedule(j)
+                bad |= ~np.isfinite(acts).all(axis=(1, 2))
+            if bad.any():
+                xs[bad] = 0.0
+                acts[bad] = 0.0
+            d = _increments(algo, cfg, cols, tcol, xs, acts, gain, var)
 
-            if algo in ("qlearn-td", "qlearn-ml"):
-                th1, th2, th3 = params["th1"], params["th2"], params["th3"]
-                p1, p2, p3 = params["p1"], params["p2"], params["p3"]
-                js = mv_value_eval(th1, th2, th3, w, cfg.z, T, tcol, xs)
-                qs = mv_q_eval(p1, p2, p3, w, gamma, T, tcol[:-1], xs[:-1], acts)
-                xi = mv_value_grad(th1, th2, th3, w, cfg.z, T, tcol[:-1], xs[:-1])
-                zeta = mv_q_grad(p1, p2, p3, w, gamma, T, tcol[:-1], xs[:-1], acts)
-                # The value family tracks the cost-to-go (convex in x), while
-                # the q family is reward-oriented, so the running term enters
-                # the residual with a plus sign and the q-parameter step
-                # descends rather than ascends.
-                if algo == "qlearn-td":
-                    delta = js[1:] - js[:-1] + qs * dt
-                    d_th = _contract(xi, delta)
-                    d_p = -_contract(zeta, delta)
-                else:
-                    term = mv_value_eval(th1, th2, th3, w, cfg.z, T, T, xs[K])
-                    g = martingale_residuals(term, js[:-1], qs, dt)
-                    if cfg.ml_inner_sum == "discounted":
-                        zacc = np.flip(np.cumsum(np.flip(zeta, 1), 1), 1) * dt
-                    else:
-                        zacc = zeta * ((K - np.arange(K)) * dt)[:, None, None]
-                    d_th = _contract(xi, g) * dt
-                    d_p = -_contract(zacc, g) * dt
-                bad |= ~np.isfinite(d_th).all(axis=0) | ~np.isfinite(d_p).all(axis=0)
-                ok = (~bad & active).astype(float)
-                params["th1"] = th1 + lr * cfg.alpha_theta * d_th[0] * ok
-                params["th2"] = th2 + lr * cfg.alpha_theta * d_th[1] * ok
-                params["th3"] = th3 + lr * cfg.alpha_theta * d_th[2] * ok
-                params["p1"] = p1 + lr * cfg.alpha_psi * d_p[0] * ok
-                params["p2"] = p2 + lr * cfg.alpha_psi * d_p[1] * ok
-                params["p3"] = p3 + lr * cfg.alpha_psi * d_p[2] * ok
-            elif algo == "sarsa":
-                s1, s2, s3 = params["s1"], params["s2"], params["s3"]
-                s4, s5 = params["s4"], params["s5"]
-                qv = qdt_mv_eval(s1, s2, s3, s4, s5, w, cfg.z, T, tcol, xs, acts)
-                var = gamma * dt * np.exp(s3 * (T - tcol) + s1)
-                dev = acts + s2 * np.exp(s1) * (xs - w)
-                logp = -0.5 * dev ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
-                bracket = qv[1:] - gamma * logp[1:] * dt - qv[:-1]
-                grad = qdt_mv_grad(s1, s2, s3, s4, s5, w, cfg.z, T,
-                                   tcol[:-1], xs[:-1], acts[:-1])
-                d_s = _contract(grad, bracket)
-                bad |= ~np.isfinite(d_s).all(axis=0)
-                ok = (~bad & active).astype(float)
-                for i, key in enumerate(("s1", "s2", "s3", "s4", "s5")):
-                    params[key] = params[key] + lr * cfg.alpha_psi * d_s[i] * ok
-            else:  # pg
-                th1, th2, th3 = params["th1"], params["th2"], params["th3"]
-                f1, f2, f3 = params["f1"], params["f2"], params["f3"]
-                js = mv_value_eval(th1, th2, th3, w, cfg.z, T, tcol, xs)
-                logp = pg_mv_logp(f1, f2, f3, w, gamma, T, tcol[:-1], xs[:-1], acts)
-                # cost orientation again: the log-density cost accrues with a
-                # plus sign and the actor descends the scored residual
-                delta = js[1:] - js[:-1] + gamma * logp * dt
-                xi = mv_value_grad(th1, th2, th3, w, cfg.z, T, tcol[:-1], xs[:-1])
-                score = pg_mv_score(f1, f2, f3, w, gamma, T, tcol[:-1], xs[:-1], acts)
-                d_th = _contract(xi, delta)
-                d_f = -_contract(score, delta)
-                bad |= ~np.isfinite(d_th).all(axis=0) | ~np.isfinite(d_f).all(axis=0)
-                ok = (~bad & active).astype(float)
-                params["th1"] = th1 + lr * cfg.alpha_theta * d_th[0] * ok
-                params["th2"] = th2 + lr * cfg.alpha_theta * d_th[1] * ok
-                params["th3"] = th3 + lr * cfg.alpha_theta * d_th[2] * ok
-                params["f1"] = f1 + lr * cfg.alpha_phi * d_f[0] * ok
-                params["f2"] = f2 + lr * cfg.alpha_phi * d_f[1] * ok
-                params["f3"] = f3 + lr * cfg.alpha_phi * d_f[2] * ok
-
-            blown = np.zeros(reps, bool)
-            for key, val in params.items():
-                blown |= ~np.isfinite(val)
-            for key in params:
-                params[key] = np.where(blown, prev[key], params[key])
-            bad |= blown
-            newly = bad & active
-            div_step[newly] = j
+            # one guard, freeze, update and trace block for every algorithm
+            bad |= ~np.isfinite(d).all(axis=0)
+            prev = P.copy()
+            P[:-1] += cfg.schedule(j) * rates * d * (~bad & active)
+            blown = ~np.isfinite(P).all(axis=0)
+            if blown.any():
+                P[:, blown] = prev[:, blown]
+                bad |= blown
+            div_step[bad & active] = j
             active &= ~bad
 
-            tw_buffer.append(np.where(active, xs[K], np.nan))
+            tw[:, (j - 1) % cfg.multiplier_every] = np.where(active[:, None], xk[K], np.nan)
             if j % cfg.multiplier_every == 0:
-                tw = np.concatenate(tw_buffer, axis=0)
-                tw_buffer = []
                 z_eff = 0.0 if cfg.strict_multiplier_box else cfg.z
-                with np.errstate(invalid="ignore"):
-                    w_new = lagrange_update(w, tw, cfg.alpha_w, z_eff)
-                params["w"] = np.where(active & np.isfinite(w_new), w_new, w)
+                w_new = lagrange_update(P[-1], tw.reshape(lanes, -1), cfg.alpha_w, z_eff)
+                P[-1] = np.where(active & np.isfinite(w_new), w_new, P[-1])
+            if j % record_every == 0:
+                p_trace[j // record_every - 1] = P
 
-            if j % record_every == 0 and rec_i < n_rec:
-                trace["j"][rec_i] = j
-                for key in params:
-                    trace[key][rec_i] = params[key]
-                rec_i += 1
-
-    terminal = _evaluate(cfg, algo, params, gens, active)
-    eval_bad = ~np.isfinite(terminal).all(axis=0) & (div_step < 0)
+    terminal = _evaluate(cfg, algo, P, gens, active)
+    eval_bad = ~np.isfinite(terminal).all(axis=1) & (div_step < 0)
     div_step[eval_bad] = cfg.updates + 1
-    return {"params": params, "div_step": div_step, "terminal": terminal,
-            "trace": {k: v[:rec_i] for k, v in trace.items()}}
+    return {"params": P, "div_step": div_step, "terminal": terminal,
+            "j": record_every * np.arange(1.0, n_rec + 1), "trace": p_trace}
 
 
-def _evaluate(cfg: MvExperimentConfig, algo: str, params: dict, gens,
+def _evaluate(cfg: MvExperimentConfig, algo: str, P: np.ndarray, gens,
               active: np.ndarray) -> np.ndarray:
-    """Out-of-sample terminal wealths, shape (eval_runs, reps).
+    """Out-of-sample terminal wealths, shape (lanes, eval_runs).
 
-    Evaluation episodes consume (K, 2) normals each, the same order a scalar
-    episode simulator would use (action draw, then Brownian increment).
+    Each lane draws its (eval_runs, K, 2) normals in one call, the same
+    numbers as one (K, 2) draw per episode in the order a scalar episode
+    simulator would use (action draw, then Brownian increment), and the
+    K-step rollout runs once over every lane and episode.
     """
-    K = cfg.steps
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    T = cfg.T
-    gamma = cfg.gamma
-    excess = cfg.mu - cfg.rfree
-    reps = len(gens)
-    w = params["w"]
-
-    if algo in ("qlearn-td", "qlearn-ml"):
-        p1, p2, p3 = params["p1"], params["p2"], params["p3"]
-        mean = lambda t, x: -p2 * (x - w)
-        std = lambda t: np.sqrt(gamma * np.exp(p1 + p3 * (T - t)))
-    elif algo == "sarsa":
-        s1, s2, s3 = params["s1"], params["s2"], params["s3"]
-        mean = lambda t, x: -s2 * np.exp(s1) * (x - w)
-        std = lambda t: np.sqrt(gamma * dt * np.exp(s3 * (T - t) + s1))
-    else:
-        f1, f2, f3 = params["f1"], params["f2"], params["f3"]
-        mean = lambda t, x: -f2 * (x - w)
-        std = lambda t: np.sqrt(gamma * np.exp(f1 + f3 * (T - t)))
-
-    terminal = np.empty((cfg.eval_runs, reps))
+    K, dt = cfg.steps, cfg.dt
+    # the action normal is drawn either way so both readouts consume the
+    # same stream and stay replayable against each other
+    noise = np.empty((len(gens), cfg.eval_runs, K, 2))
+    for g, buf in zip(gens, noise):
+        g.standard_normal(out=buf)
+    explore = 1.0 if cfg.eval_exploratory else 0.0
+    w = P[-1, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        explore = 1.0 if cfg.eval_exploratory else 0.0
-        for e in range(cfg.eval_runs):
-            # the action normal is drawn either way so both modes consume the
-            # same stream and stay replayable against each other
-            noise = np.stack([g.standard_normal((K, 2)) for g in gens], axis=-1)
-            x = np.full(reps, float(cfg.x0))
-            for k in range(K):
-                t = k * dt
-                a = mean(t, x) + explore * std(t) * noise[k, 0]
-                x = x + a * (excess * dt + cfg.sigma * sqdt * noise[k, 1])
-            x = np.where(np.isfinite(x) & (np.abs(x) <= STATE_GUARD), x, np.nan)
-            terminal[e] = x
+        gain, var = _policy(algo, P[:, :, None, None], cfg, np.arange(K) * dt)
+        neg = -gain[:, 0]
+        eps = explore * np.sqrt(var) * noise[..., 0]
+        dw = (cfg.mu - cfg.rfree) * dt + cfg.sigma * math.sqrt(dt) * noise[..., 1]
+        x = np.full(eps.shape[:2], float(cfg.x0))
+        for k in range(K):
+            a = x - w
+            a *= neg
+            a += eps[..., k]
+            a *= dw[..., k]
+            x += a
+        terminal = np.where(np.abs(x) <= STATE_GUARD, x, np.nan)
     # a lane whose evaluation blew up is reported as diverged by the caller
-    return np.where(active, terminal, np.nan)
+    return np.where(active[:, None], terminal, np.nan)

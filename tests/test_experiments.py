@@ -246,6 +246,32 @@ def test_exploratory_readout_moves_wealth():
     assert rec.metrics["variance"] > 0.0
 
 
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_mv_evaluation_replays_per_episode_draws(lanes):
+    # untrained lanes act with mean 0 and variance gamma (gamma dt for the
+    # step-size policy of sarsa); each lane's episodes are replayed in plain
+    # floats from its stream, one (K, 2) draw per episode after the pool draw
+    cfg = small_mv(updates=0, eval_runs=6, T=0.2, mu=0.3, sigma=0.2, rfree=0.05,
+                   eval_exploratory=True)
+    K, dt = cfg.steps, cfg.dt
+    for algo in MV_ALGOS:
+        std = math.sqrt(cfg.gamma * (dt if algo == "sarsa" else 1.0))
+        for r, rec in enumerate(run_mv_replications(cfg, algo, 5, lanes)):
+            gen = RngStream(5, (r, 0)).generator()
+            gen.standard_normal(cfg.pool_size)
+            wealth = []
+            for _ in range(cfg.eval_runs):
+                noise = gen.standard_normal((K, 2)).tolist()
+                x = cfg.x0
+                for z_act, z_mkt in noise:
+                    a = std * z_act
+                    x = x + a * ((cfg.mu - cfg.rfree) * dt
+                                 + cfg.sigma * math.sqrt(dt) * z_mkt)
+                wealth.append(x)
+            mean, var, _ = metrics_terminal(wealth, cfg.x0)
+            assert (rec.metrics["mean"], rec.metrics["variance"]) == (mean, var), algo
+
+
 @settings(max_examples=12, deadline=None)
 @given(algo=st.sampled_from(MV_ALGOS), lane=_lane_of(3), seed=st.integers(0, 50))
 def test_scalar_and_lane_mv_drivers_agree(algo, lane, seed):
