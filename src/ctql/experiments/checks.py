@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..approx import (lq_q, lq_value, mv_q, mv_q_eval, mv_q_grad,
                       mv_value_eval, mv_value_grad)
@@ -86,6 +85,9 @@ def check_gibbs_consistency(seed: int = 0) -> CheckResult:
 
 def check_gibbs_normalization(seed: int = 0) -> CheckResult:
     """exp(q/gamma) must integrate to one over actions."""
+    # imported here so that importing ctql.experiments does not load scipy
+    from scipy.integrate import quad
+
     rng = np.random.default_rng(seed)
     gamma = 0.1
     worst = 0.0

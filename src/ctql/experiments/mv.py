@@ -309,6 +309,7 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
 
     tcol = (np.arange(K + 1) * cfg.dt).reshape(1, K + 1, 1)
     starts = np.empty((lanes, B), np.int64)
+    n_starts = cfg.pool_size - K + 1  # segments of K steps that fit the pool
     znoise = np.empty((lanes, n_act, B))
     # the rollout steps through one contiguous (lanes, batch) block per grid
     # point, which costs less than stepping strided lanes-first slices; the
@@ -322,7 +323,7 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(1, cfg.updates + 1):
             for g, s, zn in zip(gens, starts, znoise):
-                s[:] = g.integers(0, cfg.pool_size - K + 1, size=B)
+                s[:] = g.integers(0, n_starts, size=B)
                 g.standard_normal(out=zn)
             # rho[k, r, b]: increment k of lane r's segment b
             rho = pool.take(starts + base + seg)

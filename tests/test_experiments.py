@@ -3,13 +3,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctql.envsim import LqCoefficients, RngStream
+import ctql
+from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
+from ctql.experiments.checks import check_gibbs_normalization
 from ctql.experiments.cli import main
 from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
                                       run_ergodic, run_ergodic_replications)
@@ -272,6 +277,26 @@ def test_mv_evaluation_replays_per_episode_draws(lanes):
             assert (rec.metrics["mean"], rec.metrics["variance"]) == (mean, var), algo
 
 
+@pytest.mark.parametrize("updates,seed", [(0, 2), (3, 1)])
+def test_evaluation_only_divergence_is_reported_after_training(updates, seed):
+    # at zero learning rates every lane keeps its start policy; started just
+    # under STATE_GUARD, a lane crosses it in training, only in evaluation
+    # (reported at updates + 1), or never
+    cfg = small_mv(updates=updates, batch=2, eval_runs=10, eval_exploratory=True,
+                   alpha_theta=0.0, alpha_psi=0.0, alpha_phi=0.0, alpha_w=0.0)
+    for algo in MV_ALGOS:
+        # the start policy's standard deviation, sqrt(gamma dt) for sarsa
+        std = math.sqrt(cfg.gamma * (cfg.dt if algo == "sarsa" else 1.0))
+        lane_cfg = dataclasses.replace(cfg, x0=STATE_GUARD - 0.25 * std)
+        recs = run_mv_replications(lane_cfg, algo, seed, 6)
+        late = [r for r in recs if r.divergence_step == updates + 1]
+        assert late and any(r.status == "ok" for r in recs), algo
+        for rec in late:
+            assert (rec.status, rec.metrics) == ("NA", {}), algo
+        for r, rec in enumerate(recs):
+            _same_record(run_mv(lane_cfg, algo, RngStream(seed, (r, 0))), rec)
+
+
 @settings(max_examples=12, deadline=None)
 @given(algo=st.sampled_from(MV_ALGOS), lane=_lane_of(3), seed=st.integers(0, 50))
 def test_scalar_and_lane_mv_drivers_agree(algo, lane, seed):
@@ -380,6 +405,21 @@ def test_cli_check_suite_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+def test_importing_the_package_does_not_load_scipy():
+    # a fresh interpreter: this one has loaded scipy through other tests
+    src = os.path.dirname(os.path.dirname(ctql.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ctql, ctql.experiments, ctql.experiments.cli, "
+            "ctql.experiments.mv_table\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    # the one check that needs scipy imports it when it runs
+    assert check_gibbs_normalization().passed
 
 
 def test_cli_lq_writes_deterministic_summaries(tmp_path, capsys):
