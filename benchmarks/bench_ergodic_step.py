@@ -2,7 +2,10 @@
 
 Each benchmark times one `run_ergodic_replications` call of 2,000 steps
 (dt 0.1, horizon 200) at a fixed seed, and records the steps it ran, so the
-per-step time is the call time over `extra_info["steps"]`.  Run with
+per-step time is the call time over `extra_info["steps"]`.  After the timed
+rounds it runs the call once more at 2,000 and at 40,000 steps under
+`tracemalloc`, which sees numpy's buffers, and records each call's traced
+peak in MB in `extra_info["peak_mb"]`, keyed by the steps.  Run with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ergodic_step.py \\
         --benchmark-json=out.json
@@ -10,7 +13,7 @@ per-step time is the call time over `extra_info["steps"]`.  Run with
 The repository's test run does not collect this file.  To compare two
 checkouts, run it against each (alternating, as often as the host's noise
 asks) and merge the JSON files into median microseconds per step over all
-the rounds of each side:
+the rounds of each side, and the median traced peak of each side's runs:
 
     python benchmarks/bench_ergodic_step.py before1.json,before2.json \
         after1.json,after2.json
@@ -19,6 +22,7 @@ the rounds of each side:
 import json
 import statistics
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -27,6 +31,7 @@ LANES = (1, 20, 200)
 SEED = 3
 HORIZON = 200.0
 DT = 0.1
+PEAK_STEPS = (2000, 40000)
 
 
 @pytest.mark.parametrize("lanes", LANES)
@@ -43,34 +48,53 @@ def test_ergodic_step(benchmark, algo, mode, lanes):
                               args=(cfg, algo, mode, SEED, lanes),
                               rounds=5, warmup_rounds=1)
     assert len(recs) == lanes
+    peaks = {}
+    for steps in PEAK_STEPS:
+        tracemalloc.start()
+        try:
+            run_ergodic_replications(replace(cfg, horizon=steps * DT), algo,
+                                     mode, SEED, lanes)
+            peaks[str(steps)] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    benchmark.extra_info["peak_mb"] = peaks
 
 
-def _per_step_us(paths):
-    """{(algo, mode, lanes): median microseconds per driver step} over the
-    rounds of every file in `paths`."""
-    rounds = {}
+def _side(paths):
+    """{(algo, mode, lanes): (median microseconds per driver step over the
+    rounds of every file in `paths`, {steps: median traced peak MB})}."""
+    rounds, peaks = {}, {}
     for path in paths:
         with open(path) as fh:
             data = json.load(fh)
         for b in data["benchmarks"]:
             p = b["params"]
+            key = (p["algo"], p["mode"], p["lanes"])
             steps = b["extra_info"]["steps"]
-            rounds.setdefault((p["algo"], p["mode"], p["lanes"]), []).extend(
+            rounds.setdefault(key, []).extend(
                 t / steps * 1e6 for t in b["stats"]["data"])
-    return {key: statistics.median(v) for key, v in rounds.items()}
+            for n, mb in b["extra_info"]["peak_mb"].items():
+                peaks.setdefault(key, {}).setdefault(n, []).append(mb)
+    return {key: (statistics.median(v),
+                  {n: statistics.median(mb) for n, mb in peaks[key].items()})
+            for key, v in rounds.items()}
 
 
 def merge(before_paths, after_paths) -> dict:
-    before, after = _per_step_us(before_paths), _per_step_us(after_paths)
+    before, after = _side(before_paths), _side(after_paths)
     rows = []
     for key in sorted(before):
         algo, mode, lanes = key
+        (us0, mb0), (us1, mb1) = before[key], after[key]
         rows.append({"algo": algo, "mode": mode, "lanes": lanes,
-                     "before_us_per_step": round(before[key], 2),
-                     "after_us_per_step": round(after[key], 2),
-                     "ratio": round(after[key] / before[key], 3)})
+                     "before_us_per_step": round(us0, 2),
+                     "after_us_per_step": round(us1, 2),
+                     "ratio": round(us1 / us0, 3),
+                     "before_peak_mb": {n: round(v, 2) for n, v in mb0.items()},
+                     "after_peak_mb": {n: round(v, 2) for n, v in mb1.items()}})
     return {"layer": "ergodic step", "seed": SEED, "dt": DT, "steps":
-            int(round(HORIZON / DT)), "rows": rows}
+            int(round(HORIZON / DT)), "peak_steps": list(PEAK_STEPS),
+            "rows": rows}
 
 
 if __name__ == "__main__":

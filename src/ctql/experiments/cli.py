@@ -9,7 +9,6 @@ key=value lines overrides any flag of the chosen subcommand.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
@@ -33,11 +32,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_config_file(path: str, parser: argparse.ArgumentParser, args) -> None:
-    """Apply FILE overrides onto the parsed namespace, coercing by flag type."""
-    types = {}
-    for action in parser._actions:
-        if action.dest not in ("help",):
-            types[action.dest] = action.type
+    """Apply FILE overrides onto the parsed namespace, each value converted by
+    its flag's type and checked against its flag's choices."""
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -46,17 +43,21 @@ def _parse_config_file(path: str, parser: argparse.ArgumentParser, args) -> None
             if "=" not in line:
                 raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in types:
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
                 raise SystemExit(f"{path}:{lineno}: unknown option {key!r}")
-            conv = types[dest]
-            if conv is not None:
-                setattr(args, dest, conv(val))
-            else:
+            value = val
+            if action.type is not None:
                 try:
-                    setattr(args, dest, ast.literal_eval(val))
-                except (ValueError, SyntaxError):
-                    setattr(args, dest, val)
+                    value = action.type(val)
+                except (TypeError, ValueError):
+                    raise SystemExit(f"{path}:{lineno}: {key}: invalid "
+                                     f"{action.type.__name__} value {val!r}") from None
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise SystemExit(f"{path}:{lineno}: {key}: invalid choice "
+                                 f"{value!r} (choose from {choices})")
+            setattr(args, action.dest, value)
 
 
 def _finish(out_dir, cfg_dict, records, extra=None) -> int:

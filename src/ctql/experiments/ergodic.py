@@ -22,10 +22,13 @@ for this normalized Gaussian family makes the update identical to the
 q-learner's up to a 1/gamma rescaling of the actor rate.
 
 Replications are advanced in lockstep as numpy vectors, one lane per
-replication.  Each replication owns a counter-based noise stream; noise is
-drawn in (chunk, 2) blocks per replication, column 0 for the action draw of
-the step and column 1 for the Brownian increment, so a single replication
-consumes exactly the same numbers regardless of how many lanes run beside it.
+replication.  Each replication owns a counter-based noise stream; the driver
+runs in blocks of `_BLOCK` steps and draws each block's noise as an (n, 2)
+array per replication, column 0 for the action draw of the step and column 1
+for the Brownian increment.  A stream gives the same numbers however many it
+is asked for at a time, so a single replication consumes exactly the same
+numbers regardless of the block length or of how many lanes run beside it,
+and a run's working memory depends on its lanes, not on its horizon.
 SARSA draws its action at the *next* state (column 0 of the step belongs to
 that draw, after one extra draw for the initial action); off-policy SARSA
 samples the bracket action from its own stream so the observed data stay
@@ -34,10 +37,9 @@ diverges, and the driver stops once every lane has diverged, so a lane's
 record does not depend on the lanes beside it either.
 
 Off-policy, the observed actions, states and rewards do not depend on the
-learner, so the driver computes them a block of `_BLOCK` steps at a time
-from the noise already drawn; the per-step loop then runs only the kernel,
-the guard, the update and the trace.  The noise contract above is
-unchanged, and the block uses the same state and reward expressions as the
+learner, so the driver computes them for the whole block from its noise;
+the per-step loop then runs only the kernel, the guard, the update and the
+trace.  The block uses the same state and reward expressions as the
 on-policy step (`_euler`, `_reward`), so a lane's numbers do not depend on
 the block length.
 """
@@ -54,11 +56,13 @@ from ..envsim import LqCoefficients, RngStream, STATE_GUARD
 from .records import RunRecord
 
 LOG_2PI = math.log(2.0 * math.pi)
-_CHUNK = 32768
-# Off-policy steps whose behaviour data are computed at once.  A block's
-# arrays hold about ten doubles per lane-step, so 512 steps stay well below
-# the (_CHUNK, 2) noise block held beside them.
+# Steps whose noise, learning rates and, off-policy, behaviour data are
+# computed at once.  A block's arrays hold about a dozen doubles per
+# lane-step, so a run's working memory depends on its lanes, not on its
+# horizon.
 _BLOCK = 512
+# A sum of squared states at most this bounds every state by STATE_GUARD.
+_STATE_GUARD2 = STATE_GUARD ** 2
 
 # Runaway parameters can freeze at huge finite values once the actor score
 # underflows, so divergence cannot be detected from non-finiteness alone.
@@ -142,7 +146,8 @@ def _init_params(cfg: ErgodicExperimentConfig, algo: str, lanes: int):
 # Update kernels
 
 
-def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
+def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
+                mean=None):
     """Ergodic residual dJ + (r + running term) dt - V dt of the rate learners.
 
     P rows are (theta1, theta2, psi1, psi2, psi3, V): the value is
@@ -156,14 +161,18 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
         policy's entropy bonus, or -gamma log pi(a|x) at the taken action,
         tested against the score d log pi / dpsi, which is dq/dpsi / gamma.
 
-    Writes the test vectors (dJ/dtheta, dq/dpsi or score, 1) into the
-    (6, lanes) buffer `tests` and returns the residual.
+    `mean` is the policy mean psi1 x + psi2; a caller that drew the action
+    from it passes it in, otherwise it is computed here by the same
+    expression.  Writes the test vectors (dJ/dtheta, dq/dpsi or score, 1)
+    into the (6, lanes) buffer `tests` and returns the residual.
     """
-    th1, th2, p1, p2, p3, V = P
+    p3 = P[4]
     prec = np.exp(-p3)
     if running != "q":
         prec /= gamma
-    dev = a - (p1 * x + p2)
+    if mean is None:
+        mean = P[2] * x + P[3]
+    dev = a - mean
     np.multiply(x, x, out=tests[0])
     tests[1] = x
     pdev = np.multiply(prec, dev, out=tests[3])
@@ -178,8 +187,9 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
         gain = r + 0.5 * gamma * (LOG_2PI + 1.0 + log_gamma + p3)
     else:
         gain = r - gamma * (-0.5 * pdd - 0.5 * (LOG_2PI + log_gamma + p3))
+    th1, th2 = P[0], P[1]
     return ((th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x)
-            + gain * dt - V * dt)
+            + gain * dt - P[5] * dt)
 
 
 def sarsa_kernel(P, x, a, r, x2, a2, gamma: float, dt: float, tests):
@@ -343,66 +353,74 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     k = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while k < steps and active.any():
-            chunk = min(_CHUNK, steps - k)
-            # filled a lane at a time: one lane's draw is held beside it
-            noise = np.empty((chunk, 2, lanes))
+            n = min(_BLOCK, steps - k)
+            # filled a lane at a time from each lane's own stream
+            noise = np.empty((n, 2, lanes))
             for lane, g in enumerate(gens):
-                noise[:, :, lane] = g.standard_normal((chunk, 2))
-            lnoise = None
-            if lgens is not None:
-                lnoise = np.empty((chunk, lanes))
-                for lane, g in enumerate(lgens):
-                    lnoise[:, lane] = g.standard_normal(chunk)
-            lr = (np.array([cfg.schedule((k + i) * dt) for i in range(chunk)])
-                  .reshape(chunk, 1, 1) * rates)
-            for i in range(chunk):
+                noise[:, :, lane] = g.standard_normal((n, 2))
+            lr = (np.array([cfg.schedule((k + i) * dt) for i in range(n)])
+                  .reshape(n, 1, 1) * rates)
+            if off_policy:
+                if sarsa:
+                    # a step's action is the previous step's a2
+                    A2 = np.empty((n, lanes))
+                    for lane, g in enumerate(lgens):
+                        A2[:, lane] = g.standard_normal(n)
+                    A2 = b_mean + b_std * A2
+                    A = np.concatenate((a_cur[None], A2[:-1]))
+                else:
+                    A = b_mean + b_std * noise[:, 0]
+                X, R = _behaviour_path(x, A, noise[:, 1], cx, ca, h)
+                RDT = R * dt
+                OK = np.abs(X[1:]) <= STATE_GUARD
+                block_ok = OK.all(1)
+            for i in range(n):
+                mean = None
                 if off_policy:
-                    j = i % _BLOCK
-                    if j == 0:
-                        n = min(_BLOCK, chunk - i)
-                        if sarsa:
-                            # a step's action is the previous step's a2
-                            A2 = b_mean + b_std * lnoise[i:i + n]
-                            A = np.concatenate((a_cur[None], A2[:-1]))
-                        else:
-                            A = b_mean + b_std * noise[i:i + n, 0]
-                        X, R = _behaviour_path(x, A, noise[i:i + n, 1], cx, ca, h)
-                        RDT = R * dt
-                        OK = np.abs(X[1:]) <= STATE_GUARD
-                    a, x2, r, rdt, state_ok = A[j], X[j + 1], R[j], RDT[j], OK[j]
+                    a, x2, r, rdt = A[i], X[i + 1], R[i], RDT[i]
                     if sarsa:
-                        a2 = A2[j]
+                        a2 = A2[i]
                 else:
                     z0 = noise[i, 0]
                     if sarsa:
                         a = a_cur
                     else:
-                        a = P[2] * x + P[3] + np.sqrt(gamma * np.exp(P[4])) * z0
+                        mean = P[2] * x + P[3]
+                        a = mean + np.sqrt(gamma * np.exp(P[4])) * z0
                     px = cx * x
                     pa = ca * a
                     x2 = _euler(x, px[:2], pa[:2], noise[i, 1], h)
                     r = _reward(px[2:], pa[2:], x, a)
                     rdt = r * dt
-                    state_ok = np.abs(x2) <= STATE_GUARD
                     if sarsa:
                         a2 = (P[0] * x2 + P[1]
                               + np.sqrt(gamma * dt * np.exp(P[2])) * z0)
                 if sarsa:
                     resid = sarsa_kernel(P, x, a, r, x2, a2, gamma, dt, tests)
                 else:
-                    resid = rate_kernel(P, x, a, r, x2, gamma, dt, running, tests)
+                    resid = rate_kernel(P, x, a, r, x2, gamma, dt, running,
+                                        tests, mean)
 
                 # one guard, freeze, update and trace block for every learner;
-                # the comparisons are written so that NaN fails them
-                healthy = (state_ok & np.isfinite(resid)
-                           & (np.abs(P) <= PARAM_GUARD).all(0))
-                newly = active & ~healthy
-                if np.count_nonzero(newly):
-                    div_step[newly] = k + i
-                    active &= ~newly
-                    if not active.any():
-                        break
-                    all_alive = False
+                # the comparisons are written so that NaN fails them.  While
+                # every lane is alive, one test over all lanes that implies
+                # the per-lane one stands in for it; when it fails, the
+                # per-lane test decides
+                if not (all_alive
+                        and (block_ok[i] if off_policy
+                             else x2.dot(x2) <= _STATE_GUARD2)
+                        and np.abs(P).max() <= PARAM_GUARD
+                        and math.isfinite(resid.dot(resid))):
+                    state_ok = OK[i] if off_policy else np.abs(x2) <= STATE_GUARD
+                    healthy = (state_ok & np.isfinite(resid)
+                               & (np.abs(P) <= PARAM_GUARD).all(0))
+                    newly = active & ~healthy
+                    if np.count_nonzero(newly):
+                        div_step[newly] = k + i
+                        active &= ~newly
+                        if not active.any():
+                            break
+                        all_alive = False
                 # dead lanes run on, and can produce non-finite updates here;
                 # they keep their frozen parameters and reward sums exactly
                 np.multiply(lr[i], resid, out=upd)
@@ -423,7 +441,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                     p_trace[rec_i] = P
                     r_trace[rec_i] = np.where(active, reward_sum / t_now, np.nan)
                     rec_i += 1
-            k += chunk
+            k += n
 
     if not active.any() and rec_i < n_rec:
         # the record the run would have written next: frozen parameters and

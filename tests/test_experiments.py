@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,8 +107,10 @@ def test_all_dead_run_stops_at_its_last_divergence():
 @pytest.mark.parametrize("algo", ["qlearn-online", "sarsa"])
 def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
     # at zero rates the running reward average of an off-policy run depends
-    # on the behaviour data alone; replay them in plain floats over several
-    # blocks of steps and across one (32,768, 2) noise chunk
+    # on the behaviour data alone; replay them in plain floats.  The driver
+    # draws its noise 512 steps at a time, so the run crosses 66 draw
+    # boundaries; the replay draws the same streams in two pieces of 32,768
+    # and 1,300 steps
     chunk, dt, seed = 32768, 0.1, 9
     steps = chunk + 1300
     b_mean, b_var = 0.3, 0.5
@@ -144,6 +148,62 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
     assert len(rec.trace["reward_avg"]) == steps
     assert rec.trace["reward_avg"] == want
     assert rec.metrics["avg_reward"] == total / (steps * dt)
+
+
+# While every lane is alive the driver tests all lanes' guards at once, and
+# lane by lane from the first death on, so a lane run solo and the same lane
+# in a batch can reach their steps through different guard paths.  Hot rates
+# make lanes die at different steps; the pinned lanes die at the first or
+# the last step of a 512-step block.
+@pytest.mark.parametrize("mode, seed, lane, div", [
+    ("off-policy", 2, 19, 512),
+    ("off-policy", 11, 6, 511),
+    ("on-policy", 10, 5, 1536),
+    ("on-policy", 24, 18, 2047),
+])
+def test_guard_paths_agree_on_divergence_at_block_edges(mode, seed, lane, div):
+    rate = 0.2
+    cfg = ErgodicExperimentConfig(horizon=300.0, alpha_theta=rate,
+                                  alpha_psi=rate, alpha_v=rate, alpha_phi=rate)
+    recs = run_ergodic_replications(cfg, "qlearn-online", mode, seed, 20)
+    assert recs[lane].divergence_step == div
+    for r in {0, lane, 19}:
+        _same_record(run_ergodic(cfg, "qlearn-online", mode,
+                                 RngStream(seed, (r, 0))), recs[r])
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.001])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_guard_paths_agree_just_under_the_state_guard(algo, mode, rate):
+    # eight states just under STATE_GUARD square to more than its square in
+    # sum, so the batch tests them lane by lane and a solo lane all at once;
+    # at zero rates the lanes live, at 0.001 they die at step 1
+    cfg = ErgodicExperimentConfig(horizon=5.0, x0=0.999999 * STATE_GUARD,
+                                  alpha_theta=rate, alpha_psi=rate,
+                                  alpha_v=rate, alpha_phi=rate)
+    recs = run_ergodic_replications(cfg, algo, mode, 4, 8)
+    assert [r.divergence_step for r in recs] == [1 if rate else None] * 8
+    for r in (0, 7):
+        _same_record(run_ergodic(cfg, algo, mode, RngStream(4, (r, 0))), recs[r])
+
+
+@pytest.mark.parametrize("algo, mode", [("qlearn-online", "on-policy"),
+                                        ("sarsa", "off-policy"),
+                                        ("pg", "off-policy")])
+def test_driver_working_memory_does_not_grow_with_the_horizon(algo, mode):
+    # tracemalloc counts numpy's buffers and none of pytest's own memory
+    def traced_peak(steps):
+        cfg = ErgodicExperimentConfig(dt=0.1, horizon=steps * 0.1)
+        assert cfg.steps == steps
+        tracemalloc.start()
+        try:
+            run_ergodic_replications(cfg, algo, mode, 0, 50)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(40_000) <= traced_peak(1_000) + 2 * 2 ** 20
 
 
 def test_lane_count_does_not_change_a_replication():
@@ -437,20 +497,33 @@ def test_cli_lq_writes_deterministic_summaries(tmp_path, capsys):
     assert (d1 / "rewards_1.csv").exists()
 
 
-def test_cli_config_file_overrides_flags(tmp_path, capsys):
+def test_cli_config_file_overrides_flags(tmp_path, capsys, monkeypatch):
+    # values of flags without a type stay the strings argparse would give
+    monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("horizon = 50  # short\nreps=1\n")
-    out = tmp_path / "out"
-    assert main(["lq", "--horizon", "900", "--out", str(out),
+    cfgfile.write_text("horizon = 50  # short\nreps=1\nalgo = sarsa\nout = 2024\n")
+    assert main(["lq", "--horizon", "900", "--out", "elsewhere",
                  "--config", str(cfgfile)]) == 0
     capsys.readouterr()
-    payload = json.loads((out / "summary.json").read_text())
+    payload = json.loads((tmp_path / "2024" / "summary.json").read_text())
     assert payload["config"]["horizon"] == 50
+    assert payload["config"]["algo"] == "sarsa"
     assert len(payload["replications"]) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus=1\n")
     with pytest.raises(SystemExit):
-        main(["lq", "--out", str(out), "--config", str(bad)])
+        main(["lq", "--out", str(tmp_path / "out"), "--config", str(bad)])
+
+
+@pytest.mark.parametrize("text, lineno", [("horizon = 50\nreps = 1e3\n", 2),
+                                          ("algo = qlearn\n", 1)])
+def test_cli_config_file_values_are_checked_like_flags(tmp_path, text, lineno):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    prefix = re.escape(f"{cfgfile}:{lineno}: ")
+    with pytest.raises(SystemExit, match=f"^{prefix}"):
+        main(["lq", "--out", str(tmp_path / "out"), "--config", str(cfgfile)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_mv_smoke(tmp_path, capsys):
