@@ -2,30 +2,41 @@
 
 Each benchmark times one `run_ergodic_replications` call of 2,000 steps
 (dt 0.1, horizon 200) at a fixed seed, and records the steps it ran, so the
-per-step time is the call time over `extra_info["steps"]`.  After the timed
-rounds it runs the call once more at 2,000 and at 40,000 steps under
-`tracemalloc`, which sees numpy's buffers, and records each call's traced
-peak in MB in `extra_info["peak_mb"]`, keyed by the steps.  Run with
+per-step time is the call time over `extra_info["steps"]`.  Every timed call
+sits between two runs of perfbench's host-speed kernel
+(`perfbench/hostspeed.py`), and its wall time is rescaled to the reference
+speed (`extra_info["rescaled_s"]`; pytest-benchmark's own statistics include
+the kernel runs).  After the timed rounds it runs the call once more at
+2,000 and at 40,000 steps under `tracemalloc`, which sees numpy's buffers,
+and records each call's traced peak in MB in `extra_info["peak_mb"]`, keyed
+by the steps.  Run with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ergodic_step.py \\
         --benchmark-json=out.json
 
 The repository's test run does not collect this file.  To compare two
 checkouts, run it against each (alternating, as often as the host's noise
-asks) and merge the JSON files into median microseconds per step over all
-the rounds of each side, and the median traced peak of each side's runs:
+asks) and merge the JSON files into median rescaled microseconds per step
+over all the rounds of each side, and the median traced peak of each side's
+runs:
 
     python benchmarks/bench_ergodic_step.py before1.json,before2.json \
         after1.json,after2.json
 """
 
 import json
+import os
 import statistics
 import sys
 import tracemalloc
 from dataclasses import replace
+from time import perf_counter
 
 import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import hostspeed  # noqa: E402
 
 LANES = (1, 20, 200)
 SEED = 3
@@ -44,10 +55,20 @@ def test_ergodic_step(benchmark, algo, mode, lanes):
 
     cfg = replace(ErgodicExperimentConfig(), dt=DT, horizon=HORIZON)
     benchmark.extra_info["steps"] = cfg.steps
-    recs = benchmark.pedantic(run_ergodic_replications,
-                              args=(cfg, algo, mode, SEED, lanes),
-                              rounds=5, warmup_rounds=1)
+    rescaled = []
+
+    def timed_call():
+        kernel_s = hostspeed.kernel_seconds()
+        start = perf_counter()
+        recs = run_ergodic_replications(cfg, algo, mode, SEED, lanes)
+        seconds = perf_counter() - start
+        kernel_s = (kernel_s + hostspeed.kernel_seconds()) / 2.0
+        rescaled.append(hostspeed.normalized(seconds, kernel_s))
+        return recs
+
+    recs = benchmark.pedantic(timed_call, rounds=5, warmup_rounds=1)
     assert len(recs) == lanes
+    benchmark.extra_info["rescaled_s"] = rescaled[1:]  # after the warm-up
     peaks = {}
     for steps in PEAK_STEPS:
         tracemalloc.start()
@@ -61,8 +82,9 @@ def test_ergodic_step(benchmark, algo, mode, lanes):
 
 
 def _side(paths):
-    """{(algo, mode, lanes): (median microseconds per driver step over the
-    rounds of every file in `paths`, {steps: median traced peak MB})}."""
+    """{(algo, mode, lanes): (median rescaled microseconds per driver step
+    over the rounds of every file in `paths`, {steps: median traced peak
+    MB})}."""
     rounds, peaks = {}, {}
     for path in paths:
         with open(path) as fh:
@@ -72,7 +94,7 @@ def _side(paths):
             key = (p["algo"], p["mode"], p["lanes"])
             steps = b["extra_info"]["steps"]
             rounds.setdefault(key, []).extend(
-                t / steps * 1e6 for t in b["stats"]["data"])
+                t / steps * 1e6 for t in b["extra_info"]["rescaled_s"])
             for n, mb in b["extra_info"]["peak_mb"].items():
                 peaks.setdefault(key, {}).setdefault(n, []).append(mb)
     return {key: (statistics.median(v),

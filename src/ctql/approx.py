@@ -1,12 +1,12 @@
 """Parametric value functions, q-functions and Gaussian policies.
 
-Every family is a plain closed-form expression.  The module-level
-*_eval / *_grad helpers take parameters as positional scalars (or equally
-shaped arrays) and broadcast over (t, x, a); they are the single source of
-the formulas, which the mean-variance driver calls directly and the family
-objects wrap for the oracle and the property suite.  The ergodic LQ
-families carry values only: their gradients are the test vectors of the
-ergodic driver's update kernels.
+Every family is a plain closed-form expression.  Each mean-variance family
+is one fused *_eval_grad helper, the single source of its formulas: it
+broadcasts over (t, x, a), returns the value with the parameter-gradient
+rows from one copy of each shared term, and writes them into an optional
+`out` tuple of buffers.  The *_eval / *_grad names and the family objects
+call it.  The ergodic LQ families carry values only: their gradients are
+the test vectors of the ergodic driver's update kernels.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
 one, so gamma * log pi equals q for the induced policy.
@@ -21,12 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _stack(*parts):
-    """Stack gradient components along a leading axis, broadcasting shapes."""
-    parts = np.broadcast_arrays(*[np.asarray(p, float) for p in parts])
-    return np.stack(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +66,17 @@ def policy_entropy(policy: GaussianPolicy, t, x):
 class ValueApprox:
     """Value function J(t, x; theta) with analytic derivatives.
 
-    value/grad_theta broadcast over t and x.  The space and time derivative
-    callables exist so oracle routines can form Hamiltonians without finite
-    differences; terminal_pinned marks families whose t = horizon slice equals
-    the terminal payoff for every theta.  The ergodic LQ family carries no
-    grad_theta: its gradient is a test vector of the experiment kernels.
+    value broadcasts over t and x.  The space and time derivative callables
+    exist so oracle routines can form Hamiltonians without finite
+    differences.  The only family, the ergodic LQ one, carries no parameter
+    gradient: its gradient is a test vector of the experiment kernels.
     """
 
     theta: np.ndarray
     value: Callable
-    grad_theta: Optional[Callable]
     d_t: Optional[Callable] = None
     d_x: Optional[Callable] = None
     d_xx: Optional[Callable] = None
-    terminal_pinned: bool = False
 
 
 @dataclass(frozen=True)
@@ -116,57 +107,47 @@ class GaussianQApprox:
 # ---------------------------------------------------------------------------
 # Mean-variance family (episodic, horizon T, moving target w)
 
-def mv_value_eval(th1, th2, th3, w, z, T, t, x):
-    return ((x - w) ** 2 * np.exp(-th3 * (T - t))
-            + th2 * (t ** 2 - T ** 2) + th1 * (t - T) - (w - z) ** 2)
+def split_fused(fused):
+    """The value and the gradient rows of a fused helper as two callables."""
+    return (lambda *args: fused(*args)[0]), (lambda *args: fused(*args)[1])
 
 
-def mv_value_grad(th1, th2, th3, w, z, T, t, x):
+def mv_value_eval_grad(th1, th2, th3, w, z, T, t, x, out=(None, None)):
+    """Wealth value J = (x-w)^2 e^{-theta3 (T-t)} + theta2 (t^2-T^2) +
+    theta1 (t-T) - (w-z)^2, pinned at t = T for every theta, and its rows
+    (t-T, t^2-T^2, -(T-t) (x-w)^2 e^{-theta3 (T-t)}); out buffers the value
+    and the last row; the time-only rows are returned as they broadcast."""
+    val, row = out
     e = np.exp(-th3 * (T - t))
-    return _stack(t - T, t ** 2 - T ** 2, -(T - t) * (x - w) ** 2 * e)
+    t2 = t ** 2 - T ** 2
+    sq = np.subtract(x, w, out=row)
+    sq **= 2  # in place; a scalar squares through pow, as x ** 2 does
+    v = np.add(np.multiply(sq, e, out=val), th2 * t2, out=val)
+    v = np.subtract(np.add(v, th1 * (t - T), out=val), (w - z) ** 2, out=val)
+    g = np.multiply(sq, -(T - t), out=row)
+    return v, (t - T, t2, np.multiply(g, e, out=row))
 
 
-def mv_value_dt(th1, th2, th3, w, z, T, t, x):
-    return th3 * (x - w) ** 2 * np.exp(-th3 * (T - t)) + 2.0 * th2 * t + th1
+mv_value_eval, mv_value_grad = split_fused(mv_value_eval_grad)
 
 
-def mv_value_dx(th1, th2, th3, w, z, T, t, x):
-    return 2.0 * (x - w) * np.exp(-th3 * (T - t))
-
-
-def mv_value_dxx(th1, th2, th3, w, z, T, t, x):
-    return 2.0 * np.exp(-th3 * (T - t)) + 0.0 * np.asarray(x, float)
-
-
-def mv_value(theta, w: float, z: float, T: float) -> ValueApprox:
-    """Wealth value family: (x-w)^2 e^{-theta3 (T-t)} + theta2 (t^2-T^2)
-    + theta1 (t-T) - (w-z)^2.  Terminal slice is pinned for every theta."""
-    theta = np.asarray(theta, float)
-    if theta.shape != (3,):
-        raise ValueError("theta must have three components")
-    t1, t2, t3 = theta
-    return ValueApprox(
-        theta=theta,
-        value=lambda t, x: mv_value_eval(t1, t2, t3, w, z, T, t, x),
-        grad_theta=lambda t, x: mv_value_grad(t1, t2, t3, w, z, T, t, x),
-        d_t=lambda t, x: mv_value_dt(t1, t2, t3, w, z, T, t, x),
-        d_x=lambda t, x: mv_value_dx(t1, t2, t3, w, z, T, t, x),
-        d_xx=lambda t, x: mv_value_dxx(t1, t2, t3, w, z, T, t, x),
-        terminal_pinned=True,
-    )
-
-
-def mv_q_eval(p1, p2, p3, w, gamma, T, t, x, a):
+def mv_q_eval_grad(p1, p2, p3, w, gamma, T, t, x, a, out=(None,) * 4):
+    """q(t, x, a) of `mv_q` and its rows (g1, -prec dev (x-w), (T-t) g1),
+    g1 = (prec dev^2 - gamma) / 2, dev = a + psi2 (x-w); out buffers the
+    value and the three rows."""
+    val, b0, b1, b2 = out
     prec = np.exp(-p1 - p3 * (T - t))
-    dev = a + p2 * (x - w)
-    return -0.5 * prec * dev ** 2 - 0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * (T - t))
+    xw = np.subtract(x, w, out=b1)
+    dev = np.add(a, np.multiply(p2, xw, out=b2), out=b2)
+    r1 = np.multiply(np.multiply(-prec, dev, out=b0), xw, out=b1)
+    dev **= 2
+    v = np.subtract(np.multiply(-0.5 * prec, dev, out=val),
+                    0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * (T - t)), out=val)
+    g1 = np.subtract(np.multiply(0.5 * prec, dev, out=b0), 0.5 * gamma, out=b0)
+    return v, (g1, r1, np.multiply(T - t, g1, out=b2))
 
 
-def mv_q_grad(p1, p2, p3, w, gamma, T, t, x, a):
-    prec = np.exp(-p1 - p3 * (T - t))
-    dev = a + p2 * (x - w)
-    g1 = 0.5 * prec * dev ** 2 - 0.5 * gamma
-    return _stack(g1, -prec * dev * (x - w), (T - t) * g1)
+mv_q_eval, mv_q_grad = split_fused(mv_q_eval_grad)
 
 
 def mv_q(psi, w: float, gamma: float, T: float) -> GaussianQApprox:
@@ -204,11 +185,9 @@ def lq_value(theta) -> ValueApprox:
     return ValueApprox(
         theta=theta,
         value=lambda t, x: lq_value_eval(t1, t2, x),
-        grad_theta=None,
         d_t=lambda t, x: 0.0 * np.asarray(x, float),
         d_x=lambda t, x: 2.0 * t1 * np.asarray(x, float) + t2,
         d_xx=lambda t, x: 2.0 * t1 + 0.0 * np.asarray(x, float),
-        terminal_pinned=False,
     )
 
 

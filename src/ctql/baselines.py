@@ -5,60 +5,62 @@ The Q-function family parameterizes Q directly at a fixed step size dt; its
 induced Boltzmann policy has variance proportional to gamma * dt, which is
 the step-size sensitivity the rate-based learner avoids.  The policy gradient
 family shares the parameterization of the corresponding q-induced policy so
-comparisons run at matched coordinates.  The ergodic regulator's versions of
-both rules are the lane kernels of `experiments.ergodic`.
+comparisons run at matched coordinates.  As in `approx`, each family is one
+fused helper of its value and gradient rows.  The ergodic regulator's
+versions of both rules are the lane kernels of `experiments.ergodic`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .approx import _stack
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .approx import LOG_2PI, split_fused
 
 
-def qdt_mv_eval(p1, p2, p3, p4, p5, w, z, T, t, x, a):
-    """Wealth-targeting Q-function for the terminal-variance problem.
-
-    Q = -e^{-p3 (T-t)} ((x-w)^2 + p2 a (x-w) + e^{-p1} a^2 / 2)
-    + p4 (t^2 - T^2) + p5 (t - T) + (w - z)^2, whose policy is
-    N(-p2 e^{p1} (x - w), gamma dt e^{p3 (T-t) + p1}).
-    """
+def qdt_mv_eval_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a, out=(None,) * 4):
+    """Wealth-targeting Q-function for the terminal-variance problem,
+    Q = -e^{-p3 (T-t)} quad + p4 (t^2 - T^2) + p5 (t - T) + (w - z)^2 with
+    quad = (x-w)^2 + p2 a (x-w) + e^{-p1} a^2 / 2, whose policy is
+    N(-p2 e^{p1} (x - w), gamma dt e^{p3 (T-t) + p1}), and its exact gradient
+    rows (one published component carries a stray e^{-p1} factor); out
+    buffers the value and the rows in a^2, a (x-w) and quad."""
+    val, b0, b1, b2 = out
     e = np.exp(-p3 * (T - t))
-    quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
-    return -e * quad + p4 * (t ** 2 - T ** 2) + p5 * (t - T) + (w - z) ** 2
+    t2 = t ** 2 - T ** 2
+    xw = np.subtract(x, w, out=b1)
+    r1 = np.multiply(np.multiply(-e, a, out=b0), xw, out=b0)
+    v = np.multiply(np.multiply(p2, a, out=val), xw, out=val)
+    xw **= 2  # in place; a scalar squares through pow, as x ** 2 does
+    quad = np.add(xw, v, out=b1)
+    a2 = np.positive(a, out=b2)
+    a2 **= 2
+    quad = np.add(quad, np.multiply(0.5 * np.exp(-p1), a2, out=val), out=b1)
+    v = np.add(np.multiply(-e, quad, out=val), p4 * t2, out=val)
+    v = np.add(np.add(v, p5 * (t - T), out=val), (w - z) ** 2, out=val)
+    r0 = np.multiply(0.5 * e * np.exp(-p1), a2, out=b2)
+    return v, (r0, r1, np.multiply((T - t) * e, quad, out=b1), t2, t - T)
 
 
-def qdt_mv_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
-    """Exact parameter gradient of qdt_mv_eval (one published gradient
-    component differs by a stray e^{-p1} factor from the function it is
-    supposed to differentiate; the exact derivative is used here)."""
-    e = np.exp(-p3 * (T - t))
-    quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
-    return _stack(
-        0.5 * e * np.exp(-p1) * a ** 2,
-        -e * a * (x - w),
-        (T - t) * e * quad,
-        t ** 2 - T ** 2,
-        t - T,
-    )
+qdt_mv_eval, qdt_mv_grad = split_fused(qdt_mv_eval_grad)
 
 
-def pg_mv_logp(f1, f2, f3, w, gamma, T, t, x, a):
-    """Log-density of the wealth-tracking policy
-    N(-f2 (x - w), gamma e^{f1 + f3 (T-t)})."""
-    ex = f1 + f3 * (T - np.asarray(t, float))
-    dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
-    return -0.5 * dev ** 2 * np.exp(-ex) / gamma - 0.5 * (LOG_2PI + np.log(gamma) + ex)
-
-
-def pg_mv_score(f1, f2, f3, w, gamma, T, t, x, a):
-    """Score d log pi / df of pg_mv_logp."""
-    t = np.asarray(t, float)
+def pg_mv_logp_score(f1, f2, f3, w, gamma, T, t, x, a, out=(None,) * 4):
+    """Log-density of the wealth-tracking policy N(-f2 (x - w),
+    gamma e^{f1 + f3 (T-t)}) and its score rows d log pi / df; out buffers
+    the log-density and the three rows."""
+    val, b0, b1, b2 = out
     ex = f1 + f3 * (T - t)
-    dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
-    g1 = 0.5 * (dev ** 2 * np.exp(-ex) / gamma - 1.0)
-    return _stack(g1, -np.exp(-ex) / gamma * dev * (np.asarray(x, float) - w), (T - t) * g1)
+    pe = np.exp(-ex)
+    xw = np.subtract(x, w, out=b1)
+    dev = np.add(a, np.multiply(f2, xw, out=b2), out=b2)
+    r1 = np.multiply(np.multiply(-pe / gamma, dev, out=b0), xw, out=b1)
+    dev **= 2
+    v = np.multiply(np.multiply(-0.5, dev, out=val), pe, out=val)
+    v = np.subtract(np.divide(v, gamma, out=val),
+                    0.5 * (LOG_2PI + np.log(gamma) + ex), out=val)
+    g1 = np.divide(np.multiply(dev, pe, out=b0), gamma, out=b0)
+    g1 = np.multiply(0.5, np.subtract(g1, 1.0, out=b0), out=b0)
+    return v, (g1, r1, np.multiply(T - t, g1, out=b2))
+
+
+pg_mv_logp, pg_mv_score = split_fused(pg_mv_logp_score)

@@ -20,9 +20,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from ..approx import (lq_q, lq_value, mv_q, mv_q_eval, mv_q_grad,
-                      mv_value_eval, mv_value_grad)
-from ..baselines import pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad
+from ..approx import lq_q, lq_value, mv_q, mv_q_eval_grad, mv_value_eval_grad
+from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
 from ..envsim import LqCoefficients, RngStream, builtin_lq_env
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
                       policy_improvement_map, q_from_value, qdt_expansion_check)
@@ -132,8 +131,8 @@ def check_gradients(seed: int = 0) -> CheckResult:
     also carries the s3-derivative gamma dt / 2 of Q(x', a') - gamma
     log pi(a'|x') dt, which is free of the action.  The policy-gradient
     score rows are also checked against the log-density of the policy,
-    which does not go through the kernel.  The mean-variance helpers are
-    checked against their own values.
+    which does not go through the kernel.  The mean-variance fused helpers'
+    rows are checked against their own values.
     """
     rng = np.random.default_rng(seed)
     gamma, T, dt = 0.1, 1.0, 0.04
@@ -160,22 +159,14 @@ def check_gradients(seed: int = 0) -> CheckResult:
                       lambda p, kernel=kernel, args=args: float(
                           kernel(p.reshape(6, 1), *args, np.ones((6, 1)))[0]),
                       lambda p, want=want: want, P))
-    cases.append(("mv_value",
-                  lambda p: float(mv_value_eval(*p, w, z, T, t, x)),
-                  lambda p: np.asarray(mv_value_grad(*p, w, z, T, t, x), float),
-                  rng.normal(scale=0.5, size=3)))
-    cases.append(("mv_q",
-                  lambda p: float(mv_q_eval(*p, w, gamma, T, t, x, a)),
-                  lambda p: np.asarray(mv_q_grad(*p, w, gamma, T, t, x, a), float),
-                  rng.normal(scale=0.5, size=3)))
-    cases.append(("qdt_mv",
-                  lambda p: float(qdt_mv_eval(*p, w, z, T, t, x, a)),
-                  lambda p: np.asarray(qdt_mv_grad(*p, w, z, T, t, x, a), float),
-                  rng.normal(scale=0.5, size=5)))
-    cases.append(("pg_mv_score",
-                  lambda p: float(pg_mv_logp(*p, w, gamma, T, t, x, a)),
-                  lambda p: np.asarray(pg_mv_score(*p, w, gamma, T, t, x, a), float),
-                  rng.normal(scale=0.5, size=3)))
+    for name, fused, n, args in (
+            ("mv_value", mv_value_eval_grad, 3, (w, z, T, t, x)),
+            ("mv_q", mv_q_eval_grad, 3, (w, gamma, T, t, x, a)),
+            ("qdt_mv", qdt_mv_eval_grad, 5, (w, z, T, t, x, a)),
+            ("pg_mv_score", pg_mv_logp_score, 3, (w, gamma, T, t, x, a))):
+        cases.append((name, lambda p, f=fused, args=args: float(f(*p, *args)[0]),
+                      lambda p, f=fused, args=args: np.asarray(f(*p, *args)[1], float),
+                      rng.normal(scale=0.5, size=n)))
 
     # the policy-gradient kernel's score rows against the policy's own
     # log-density log N(a; psi1 x + psi2, gamma e^{psi3}), written out here

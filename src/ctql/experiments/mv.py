@@ -13,8 +13,10 @@ The driver holds every lane's parameters in one (P, lanes) array whose last
 row is w (`MV_PARAM_NAMES`), and lanes lead every per-update array: wealth
 paths, actions and residuals are (lanes, K + 1, batch), so each lane's
 contraction sums its own contiguous block.  Each algorithm turns its residual
-and test vectors into parameter increments (`_increments`), and one block
-guards, freezes, updates and traces the array for all four.
+and test vectors into parameter increments (`_increments`) with the fused
+value-and-gradient helpers of `approx` and `baselines`, which write every
+full-shape array into one workspace allocated per call; one block guards,
+freezes, updates and traces the array for all four.
 
 Noise consumption per replication stream, in order: pool draws
 (standard_normal(pool_size)), then per update the segment starts
@@ -34,12 +36,13 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..approx import (mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad)
-from ..baselines import (pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad)
+from ..approx import mv_q_eval_grad, mv_value_eval_grad
+from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
+# perfbench's traced pass wraps these thin names on this module
+from ..approx import mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad  # noqa: F401
+from ..baselines import pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad  # noqa: F401
 from ..envsim import RngStream, STATE_GUARD
 from .records import RunRecord
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 MV_ALGOS = ("qlearn-td", "qlearn-ml", "sarsa", "pg")
 
@@ -196,27 +199,32 @@ def _init_mv_params(cfg: MvExperimentConfig, algo: str, lanes: int):
     return P, np.array(rates).reshape(-1, 1)
 
 
-def martingale_residuals(terminal, js, running, dt: float, axis: int = 0):
+def martingale_residuals(terminal, js, running, dt: float, axis: int = 0, out=None):
     """G_k = h(x_K) - J(t_k, x_k) + sum_{i>=k} running_i dt along `axis`.
 
     The deviation between the realized payoff and the value at every grid
     point, from one reversed cumulative sum; js holds J at the K left grid
     points, running the K running terms, and terminal broadcasts against
-    them (the driver's (lanes, K, batch) arrays step along axis 1).
+    them (the driver's (lanes, K, batch) arrays step along axis 1).  Given
+    `out`, G is written there and the tail sums overwrite `running`.
     """
-    return terminal - js + np.flip(np.cumsum(np.flip(running, axis), axis), axis) * dt
+    tail = np.flip(running, axis)
+    tail = np.cumsum(tail, axis, out=None if out is None else tail)
+    tail = np.multiply(np.flip(tail, axis), dt, out=None if out is None else running)
+    return np.add(np.subtract(terminal, js, out=out), tail, out=out)
 
 
-def _contract(tests, resid):
-    """Sum tests[p, r, k, b] * resid[r, k, b] over the step and batch axes,
-    overwriting tests with the products.
+def _contract(rows, resid, out):
+    """Sum rows[p][r, k, b] * resid[r, k, b] over the step and batch axes.
 
-    Lanes lead, so each lane's K * batch products form one contiguous block,
-    which the sum reduces in order: lane r gets bit-identical sums no matter
-    how many other lanes run in the same call.
+    Each row is multiplied into out[p], (rows, lanes, K, batch), last to
+    first so that resid may be out[0].  Lanes lead, so each lane's K * batch
+    products form one contiguous block, which the sum reduces in order: lane
+    r gets bit-identical sums no matter how many other lanes run with it.
     """
-    np.multiply(tests, resid, out=tests)
-    return tests.reshape(tests.shape[:2] + (-1,)).sum(axis=-1)
+    for p in range(len(out) - 1, -1, -1):
+        np.multiply(rows[p], resid, out=out[p])
+    return out.reshape(out.shape[:2] + (-1,)).sum(axis=-1)
 
 
 def _policy(algo: str, P, cfg: MvExperimentConfig, t):
@@ -231,58 +239,77 @@ def _policy(algo: str, P, cfg: MvExperimentConfig, t):
 
 
 def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, xs, acts,
-                gain, var):
+                gain, var, full, tests):
     """One update's (P - 1, lanes) parameter increments before the rates:
     the algorithm's residual contracted with its test vectors.
 
     P holds the rows as (lanes, 1, 1) columns, tcol the K + 1 grid times,
     xs the wealth paths (lanes, K + 1, batch) and acts their actions; gain
-    and var are the policy's, from `_policy`.  Temporaries are released
-    early and test arrays are reused in place, so few (lanes, K, batch)
-    arrays are alive at once: glibc hands a large freed heap top back to
-    the system, and the next update would fault its pages in again.
+    and var are the policy's, from `_policy`.  The value family and Q(dt)
+    write their values and rows on the K + 1 grid points to the workspace
+    `full`; the running term and the residual go to the first two product
+    rows `tests`, and the q-function or score rows straight into the rest.
     """
     K, dt, gamma, T, z = cfg.steps, cfg.dt, cfg.gamma, cfg.T, cfg.z
     w = P[-1]
-    tl, xl = tcol[:, :-1], xs[:, :-1]
+    resid, run = tests[0], tests[1]
     if algo == "sarsa":
-        grad = qdt_mv_grad(*P[:5], w, z, T, tl, xl, acts[:, :-1])
-        qv = qdt_mv_eval(*P[:5], w, z, T, tcol, xs, acts)
-        dev = acts + gain * (xs - w)
-        logp = -0.5 * dev ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
-        return _contract(grad, qv[:, 1:] - gamma * logp[:, 1:] * dt - qv[:, :-1])
+        qv, rows = qdt_mv_eval_grad(*P[:5], w, z, T, tcol, xs, acts, out=full)
+        # gamma dt log pi of the next actions (k >= 1), pi = N(-gain (x - w), var)
+        lp = np.subtract(xs[:, 1:], w, out=run)
+        lp *= gain
+        lp += acts[:, 1:]
+        lp **= 2
+        lp *= -0.5
+        lp /= var[:, 1:]
+        lp -= (0.5 * np.log(2.0 * np.pi * var))[:, 1:]
+        lp *= gamma
+        lp *= dt
+        np.subtract(qv[:, 1:], lp, out=resid)
+        resid -= qv[:, :-1]
+        return _contract([r[:, :-1] for r in rows], resid, tests)
     th, pol = P[:3], P[3:6]
-    js = mv_value_eval(*th, w, z, T, tcol, xs)
+    js, rows = mv_value_eval_grad(*th, w, z, T, tcol, xs, out=full)
+    family = pg_mv_logp_score if algo == "pg" else mv_q_eval_grad
+    tl, xl = tcol[:, :-1], xs[:, :-1]
+    running, q_rows = family(*pol, w, gamma, T, tl, xl, acts, out=(run, *tests[3:]))
     if algo == "pg":
-        running = gamma * pg_mv_logp(*pol, w, gamma, T, tl, xl, acts)
-        test_fn = pg_mv_score
-    else:
-        running = mv_q_eval(*pol, w, gamma, T, tl, xl, acts)
-        test_fn = mv_q_grad
+        running *= gamma
     if algo == "qlearn-ml":
         term = mv_value_eval(*th, w, z, T, T, xs[:, K:])
-        resid = martingale_residuals(term, js[:, :-1], running, dt, axis=1)
+        martingale_residuals(term, js[:, :-1], running, dt, axis=1, out=resid)
+        q_tests = tests[3:]
+        if cfg.ml_inner_sum == "discounted":
+            np.cumsum(np.flip(q_tests, 2), axis=2, out=np.flip(q_tests, 2))
+            q_tests *= dt
+        else:
+            q_tests *= ((K - np.arange(K)) * dt)[:, None]
     else:
-        resid = js[:, 1:] - js[:, :-1] + running * dt
-    del js, running
-    d_value = _contract(mv_value_grad(*th, w, z, T, tl, xl), resid)
-    tests = test_fn(*pol, w, gamma, T, tl, xl, acts)
-    if algo != "qlearn-ml":
-        return np.concatenate((d_value, _contract(tests, resid)))
-    if cfg.ml_inner_sum == "discounted":
-        np.cumsum(np.flip(tests, 2), axis=2, out=np.flip(tests, 2))
-        tests *= dt
-    else:
-        tests *= ((K - np.arange(K)) * dt)[:, None]
-    return np.concatenate((d_value, _contract(tests, resid))) * dt
+        np.subtract(js[:, 1:], js[:, :-1], out=resid)
+        running *= dt
+        resid += running
+    d = _contract([r[:, :-1] for r in rows] + list(q_rows), resid, tests)
+    return d * dt if algo == "qlearn-ml" else d
 
 
 def _drive_mv(cfg: MvExperimentConfig, algo: str,
               streams: Sequence[RngStream]) -> dict:
-    if algo not in MV_ALGOS:
-        raise ValueError(f"algo must be one of {MV_ALGOS}")
-    lanes = len(streams)
+    P, rates = _init_mv_params(cfg, algo, len(streams))  # checks algo
     gens = [s.generator() for s in streams]
+    active = np.ones(len(gens), bool)
+    div_step = np.full(len(gens), -1, dtype=np.int64)
+    # the training's buffers are freed on return, for the evaluation to reuse
+    j, p_trace = _train(cfg, algo, gens, P, rates, active, div_step)
+    terminal = _evaluate(cfg, algo, P, gens, active)
+    eval_bad = ~np.isfinite(terminal).all(axis=1) & (div_step < 0)
+    div_step[eval_bad] = cfg.updates + 1
+    return {"params": P, "div_step": div_step, "terminal": terminal,
+            "j": j, "trace": p_trace}
+
+
+def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step):
+    """The updates, in place on P, active and div_step; returns the trace."""
+    lanes = len(gens)
     K, B = cfg.steps, cfg.batch
     n_act = K + 1 if algo == "sarsa" else K
 
@@ -296,11 +323,8 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
     base = (np.arange(lanes) * cfg.pool_size)[:, None]
     seg = np.arange(K)[:, None, None]
 
-    P, rates = _init_mv_params(cfg, algo, lanes)
     cols = P[:, :, None, None]  # the rows as (lanes, 1, 1) columns
     w = P[-1, :, None]
-    active = np.ones(lanes, bool)
-    div_step = np.full(lanes, -1, dtype=np.int64)
     tw = np.empty((lanes, cfg.multiplier_every, B))
 
     record_every = max(1, cfg.updates // max(1, cfg.trace_points))
@@ -310,13 +334,21 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
     tcol = (np.arange(K + 1) * cfg.dt).reshape(1, K + 1, 1)
     starts = np.empty((lanes, B), np.int64)
     n_starts = cfg.pool_size - K + 1  # segments of K steps that fit the pool
-    znoise = np.empty((lanes, n_act, B))
+    # One workspace per call holds every full-shape array of an update:
+    # `_increments` writes the value family's or Q(dt)'s value and rows to
+    # `full` and the rest to the test rows `tests`; until it runs, the rollout
+    # keeps its offsets, increments, normals, noise, actions and |x| there.
+    full = np.empty((4 if algo == "sarsa" else 2, lanes, K + 1, B))
+    tests = np.empty((len(P) - 1, lanes, K, B))
+    idx = tests[0].view(np.int64).reshape(K, lanes, B)
+    rho = tests[1].reshape(K, lanes, B)
+    scratch = full[1:] if algo == "sarsa" else tests[3:]
+    znoise = scratch[0].reshape(lanes, n_act, B)
     # the rollout steps through one contiguous (lanes, batch) block per grid
     # point, which costs less than stepping strided lanes-first slices; the
     # update reads lanes-first copies
+    noise, ak = scratch[1:].reshape(2, n_act, lanes, B)
     xk = np.empty((K + 1, lanes, B))
-    ak = np.empty((n_act, lanes, B))
-    noise = np.empty((n_act, lanes, B))
     xs = np.empty((lanes, K + 1, B))
     acts = np.empty((lanes, n_act, B))
 
@@ -325,8 +357,9 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
             for g, s, zn in zip(gens, starts, znoise):
                 s[:] = g.integers(0, n_starts, size=B)
                 g.standard_normal(out=zn)
-            # rho[k, r, b]: increment k of lane r's segment b
-            rho = pool.take(starts + base + seg)
+            # rho[k, r, b]: increment k of lane r's segment b; every offset
+            # is in range, and "clip" takes without an intermediate copy
+            pool.take(np.add(starts + base, seg, out=idx), out=rho, mode="clip")
 
             gain, var = _policy(algo, cols, cfg, tcol[:, :n_act])
             np.multiply(np.sqrt(var), znoise, out=noise.transpose(1, 0, 2))
@@ -344,13 +377,13 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
             np.copyto(acts, ak.transpose(1, 0, 2))
 
             # NaN fails the comparison
-            bad = ~(np.abs(xs) <= STATE_GUARD).all(axis=(1, 2))
+            bad = ~(np.abs(xs, out=full[0]) <= STATE_GUARD).all(axis=(1, 2))
             if algo == "sarsa":
                 bad |= ~np.isfinite(acts).all(axis=(1, 2))
             if bad.any():
                 xs[bad] = 0.0
                 acts[bad] = 0.0
-            d = _increments(algo, cfg, cols, tcol, xs, acts, gain, var)
+            d = _increments(algo, cfg, cols, tcol, xs, acts, gain, var, full, tests)
 
             # one guard, freeze, update and trace block for every algorithm
             bad |= ~np.isfinite(d).all(axis=0)
@@ -370,12 +403,7 @@ def _drive_mv(cfg: MvExperimentConfig, algo: str,
                 P[-1] = np.where(active & np.isfinite(w_new), w_new, P[-1])
             if j % record_every == 0:
                 p_trace[j // record_every - 1] = P
-
-    terminal = _evaluate(cfg, algo, P, gens, active)
-    eval_bad = ~np.isfinite(terminal).all(axis=1) & (div_step < 0)
-    div_step[eval_bad] = cfg.updates + 1
-    return {"params": P, "div_step": div_step, "terminal": terminal,
-            "j": record_every * np.arange(1.0, n_rec + 1), "trace": p_trace}
+    return record_every * np.arange(1.0, n_rec + 1), p_trace
 
 
 def _evaluate(cfg: MvExperimentConfig, algo: str, P: np.ndarray, gens,

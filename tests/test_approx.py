@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ctql.approx import (LOG_2PI, GaussianPolicy, lq_q, lq_q_eval, lq_value,
-                         mv_q, mv_value, policy_entropy, policy_log_density)
+                         mv_q, mv_q_eval_grad, mv_value_eval_grad, policy_entropy,
+                         policy_log_density)
 
 params = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -71,16 +72,14 @@ def test_scaled_policy_log_density_recovers_q_wealth_family(p1, p3, w, x, a):
 @given(params, params, params, params)
 def test_terminal_value_is_pinned_for_all_parameters(t1, t2, t3, x):
     w, z, T = 1.3, 1.4, 1.0
-    J = mv_value(np.array([t1, t2, t3]), w, z, T)
-    assert J.terminal_pinned
-    assert J.value(T, x) == pytest.approx((x - w) ** 2 - (w - z) ** 2, abs=1e-12)
+    value, _ = mv_value_eval_grad(t1, t2, t3, w, z, T, T, x)
+    assert value == pytest.approx((x - w) ** 2 - (w - z) ** 2, abs=1e-12)
 
 
 def test_value_frozen_values():
-    J = mv_value(np.array([0.3, -0.2, 0.7]), w=1.3, z=1.4, T=1.0)
-    assert J.value(0.25, 0.9) == pytest.approx(0.047148858298690456, abs=1e-15)
+    value, _ = mv_value_eval_grad(0.3, -0.2, 0.7, 1.3, 1.4, 1.0, 0.25, 0.9)
+    assert value == pytest.approx(0.047148858298690456, abs=1e-15)
     Jl = lq_value(np.array([0.5, -0.3]))
-    assert not Jl.terminal_pinned
     assert Jl.value(0.0, 2.0) == pytest.approx(1.4, abs=1e-15)
     assert Jl.d_x(0.0, 2.0) == pytest.approx(1.7, abs=1e-15)
     assert Jl.d_xx(0.0, 2.0) == pytest.approx(1.0, abs=1e-15)
@@ -90,21 +89,11 @@ def test_value_frozen_values():
 def test_value_gradients_match_finite_differences():
     w, z, T = 1.3, 1.4, 1.0
     theta = np.array([0.4, -0.6, 0.8])
-    J = mv_value(theta, w, z, T)
     for (t, x) in [(0.0, 1.1), (0.5, 0.7), (0.99, 1.6)]:
-        got = np.asarray(J.grad_theta(t, x), float)
-        want = [_fd(lambda p: mv_value(p, w, z, T).value(t, x), theta, i)
+        got = np.asarray(mv_value_eval_grad(*theta, w, z, T, t, x)[1], float)
+        want = [_fd(lambda p: mv_value_eval_grad(*p, w, z, T, t, x)[0], theta, i)
                 for i in range(3)]
         assert np.allclose(got, want, atol=1e-7)
-        # time and space derivatives against the same stencil
-        h = 1e-6
-        assert J.d_t(t, x) == pytest.approx(
-            (J.value(t + h, x) - J.value(t - h, x)) / (2 * h), abs=1e-6)
-        assert J.d_x(t, x) == pytest.approx(
-            (J.value(t, x + h) - J.value(t, x - h)) / (2 * h), abs=1e-6)
-        assert J.d_xx(t, x) == pytest.approx(
-            (J.value(t, x + h) - 2 * J.value(t, x) + J.value(t, x - h)) / h ** 2,
-            abs=1e-3)
 
 
 def test_q_gradients_match_finite_differences():
@@ -112,10 +101,13 @@ def test_q_gradients_match_finite_differences():
     psi = np.array([0.2, 0.9, -0.4])
     q = mv_q(psi, w, gamma, T)
     for (t, x, a) in [(0.0, 1.1, -0.5), (0.6, 0.8, 0.3)]:
-        got = np.asarray(q.grad_psi(t, x, a), float)
-        want = [_fd(lambda p: mv_q(p, w, gamma, T).value(t, x, a), psi, i)
+        value, rows = mv_q_eval_grad(*psi, w, gamma, T, t, x, a)
+        want = [_fd(lambda p: mv_q_eval_grad(*p, w, gamma, T, t, x, a)[0], psi, i)
                 for i in range(3)]
-        assert np.allclose(got, want, atol=1e-6)
+        assert np.allclose(np.asarray(rows, float), want, atol=1e-6)
+        # the family object is the same helper
+        assert q.value(t, x, a) == value
+        assert np.array_equal(np.asarray(q.grad_psi(t, x, a), float), rows)
 
 
 def test_policy_log_density_matches_reference():
@@ -134,8 +126,110 @@ def test_family_constructors_validate():
         mv_q(np.zeros(2), 1.3, 0.1, 1.0)
     with pytest.raises(ValueError):
         lq_value(np.zeros(3))
-    with pytest.raises(ValueError):
-        mv_value(np.zeros(2), 1.3, 1.4, 1.0)
     pol = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: -1.0)
     with pytest.raises(ValueError):
         policy_log_density(pol, 0.0, 0.0, 0.0)
+
+
+# The separate value and gradient expressions the fused helpers replaced,
+# kept as the reference for their arithmetic: each fused helper must give
+# the same bytes, in the layout the mean-variance driver calls it with.
+def _ref_value(th1, th2, th3, w, z, T, t, x):
+    return ((x - w) ** 2 * np.exp(-th3 * (T - t))
+            + th2 * (t ** 2 - T ** 2) + th1 * (t - T) - (w - z) ** 2)
+
+
+def _ref_value_grad(th1, th2, th3, w, z, T, t, x):
+    e = np.exp(-th3 * (T - t))
+    return (t - T, t ** 2 - T ** 2, -(T - t) * (x - w) ** 2 * e)
+
+
+def _ref_q(p1, p2, p3, w, gamma, T, t, x, a):
+    prec = np.exp(-p1 - p3 * (T - t))
+    dev = a + p2 * (x - w)
+    return -0.5 * prec * dev ** 2 - 0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * (T - t))
+
+
+def _ref_q_grad(p1, p2, p3, w, gamma, T, t, x, a):
+    prec = np.exp(-p1 - p3 * (T - t))
+    dev = a + p2 * (x - w)
+    g1 = 0.5 * prec * dev ** 2 - 0.5 * gamma
+    return (g1, -prec * dev * (x - w), (T - t) * g1)
+
+
+def _ref_qdt(p1, p2, p3, p4, p5, w, z, T, t, x, a):
+    e = np.exp(-p3 * (T - t))
+    quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
+    return -e * quad + p4 * (t ** 2 - T ** 2) + p5 * (t - T) + (w - z) ** 2
+
+
+def _ref_qdt_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
+    e = np.exp(-p3 * (T - t))
+    quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
+    return (0.5 * e * np.exp(-p1) * a ** 2, -e * a * (x - w), (T - t) * e * quad,
+            t ** 2 - T ** 2, t - T)
+
+
+def _ref_pg_logp(f1, f2, f3, w, gamma, T, t, x, a):
+    ex = f1 + f3 * (T - np.asarray(t, float))
+    dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
+    return -0.5 * dev ** 2 * np.exp(-ex) / gamma - 0.5 * (LOG_2PI + np.log(gamma) + ex)
+
+
+def _ref_pg_score(f1, f2, f3, w, gamma, T, t, x, a):
+    t = np.asarray(t, float)
+    ex = f1 + f3 * (T - t)
+    dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
+    g1 = 0.5 * (dev ** 2 * np.exp(-ex) / gamma - 1.0)
+    return (g1, -np.exp(-ex) / gamma * dev * (np.asarray(x, float) - w), (T - t) * g1)
+
+
+def _same_bytes(got, want, shape):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        g = np.broadcast_to(np.asarray(g, float), shape)
+        assert g.tobytes() == np.broadcast_to(np.asarray(r, float), shape).tobytes()
+
+
+@pytest.mark.parametrize("lanes", (1, 3))
+def test_fused_helpers_keep_the_reference_arithmetic(lanes):
+    from ctql.baselines import pg_mv_logp_score, qdt_mv_eval_grad
+
+    rng = np.random.default_rng(lanes)
+    K, B, gamma, T, z, dt = 7, 5, 0.1, 1.0, 1.4, 1.0 / 7
+    tcol = (np.arange(K + 1) * dt).reshape(1, K + 1, 1)
+    P = rng.normal(scale=0.6, size=(6, lanes, 1, 1))
+    w = 1.4 + 0.1 * rng.normal(size=(lanes, 1, 1))
+    xs = rng.normal(loc=1.0, scale=0.3, size=(lanes, K + 1, B))
+    acts = rng.normal(scale=0.5, size=(lanes, K + 1, B))
+    tl, xl, al = tcol[:, :-1], xs[:, :-1], acts[:, :-1]
+    full, left = (lanes, K + 1, B), (lanes, K, B)
+
+    # the value family and Q(dt) run on the K + 1 grid points into buffers,
+    # and the driver reads their rows at the K left points
+    value, rows = mv_value_eval_grad(*P[:3], w, z, T, tcol, xs,
+                                     out=tuple(np.empty((2,) + full)))
+    _same_bytes([value], [_ref_value(*P[:3], w, z, T, tcol, xs)], full)
+    _same_bytes([r[:, :-1] for r in rows], _ref_value_grad(*P[:3], w, z, T, tl, xl), left)
+    value, rows = qdt_mv_eval_grad(*P[:5], w, z, T, tcol, xs, acts,
+                                   out=tuple(np.empty((4,) + full)))
+    _same_bytes([value], [_ref_qdt(*P[:5], w, z, T, tcol, xs, acts)], full)
+    _same_bytes([r[:, :-1] for r in rows], _ref_qdt_grad(*P[:5], w, z, T, tl, xl, al), left)
+    # the q-function and the log-density run on the left points
+    for fused, ref, ref_grad in ((mv_q_eval_grad, _ref_q, _ref_q_grad),
+                                 (pg_mv_logp_score, _ref_pg_logp, _ref_pg_score)):
+        value, rows = fused(*P[3:6], w, gamma, T, tl, xl, al,
+                            out=tuple(np.empty((4,) + left)))
+        _same_bytes([value], [ref(*P[3:6], w, gamma, T, tl, xl, al)], left)
+        _same_bytes(rows, ref_grad(*P[3:6], w, gamma, T, tl, xl, al), left)
+    # without buffers, at scalar points as the property suite calls them
+    p = [float(v) for v in P[:, 0, 0, 0]]
+    t, x, a = 0.3, float(xs[0, 1, 0]), float(acts[0, 1, 0])
+    for fused, ref, ref_grad, n, args in (
+            (mv_value_eval_grad, _ref_value, _ref_value_grad, 3, (1.35, z, T, t, x)),
+            (qdt_mv_eval_grad, _ref_qdt, _ref_qdt_grad, 5, (1.35, z, T, t, x, a)),
+            (mv_q_eval_grad, _ref_q, _ref_q_grad, 3, (1.35, gamma, T, t, x, a)),
+            (pg_mv_logp_score, _ref_pg_logp, _ref_pg_score, 3, (1.35, gamma, T, t, x, a))):
+        value, rows = fused(*p[:n], *args)
+        _same_bytes([value], [ref(*p[:n], *args)], ())
+        _same_bytes(rows, ref_grad(*p[:n], *args), ())

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ctql.approx import (GaussianPolicy, mv_q_eval, mv_q_grad, policy_entropy,
+from ctql.approx import (GaussianPolicy, mv_q_eval_grad, policy_entropy,
                          policy_log_density)
-from ctql.baselines import (pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad)
+from ctql.baselines import (pg_mv_logp, pg_mv_logp_score, qdt_mv_eval,
+                            qdt_mv_eval_grad)
 from ctql.envsim import RngStream
 from ctql.experiments.ergodic import (ErgodicExperimentConfig, rate_kernel,
                                       run_ergodic, sarsa_kernel)
@@ -76,8 +77,8 @@ def test_qdt_gradients_match_finite_differences():
     x, a = 1.2, -0.7
     psi = np.array([0.2, -0.4, 0.3, 0.1, -0.6])
     w, z, T, t = 1.3, 1.4, 1.0, 0.4
-    got = np.asarray(qdt_mv_grad(*psi, w, z, T, t, x, a), float)
-    want = [_fd(lambda p: qdt_mv_eval(*p, w, z, T, t, x, a), psi, i)
+    got = np.asarray(qdt_mv_eval_grad(*psi, w, z, T, t, x, a)[1], float)
+    want = [_fd(lambda p: qdt_mv_eval_grad(*p, w, z, T, t, x, a)[0], psi, i)
             for i in range(5)]
     assert np.allclose(got, want, atol=1e-7)
 
@@ -183,11 +184,10 @@ def test_pg_log_density_is_scaled_q_for_wealth_family():
         f = rng.uniform(-1.0, 1.0, 3)
         t = float(rng.uniform(0.0, T))
         x, a = rng.uniform(-1, 3, 2)
-        assert 0.1 * pg_mv_logp(*f, w, 0.1, T, t, x, a) == pytest.approx(
-            mv_q_eval(*f, w, 0.1, T, t, x, a), abs=1e-12)
-        got = 0.1 * np.asarray(pg_mv_score(*f, w, 0.1, T, t, x, a), float)
-        want = np.asarray(mv_q_grad(*f, w, 0.1, T, t, x, a), float)
-        assert np.allclose(got, want, atol=1e-12)
+        logp, score = pg_mv_logp_score(*f, w, 0.1, T, t, x, a)
+        q, q_rows = mv_q_eval_grad(*f, w, 0.1, T, t, x, a)
+        assert 0.1 * logp == pytest.approx(q, abs=1e-12)
+        assert np.allclose(0.1 * np.asarray(score, float), q_rows, atol=1e-12)
 
 
 def test_family_policy_object_matches_fields():

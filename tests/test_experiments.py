@@ -1,5 +1,6 @@
 """Experiment drivers, run records and the command line front end."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -467,19 +468,64 @@ def test_cli_check_suite_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def _fresh_python(code, **env_vars):
+    """stdout of `code` run in a fresh interpreter that imports this ctql."""
+    src = os.path.dirname(os.path.dirname(ctql.__file__))
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_importing_the_package_does_not_load_scipy():
     # a fresh interpreter: this one has loaded scipy through other tests
-    src = os.path.dirname(os.path.dirname(ctql.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, ctql, ctql.experiments, ctql.experiments.cli, "
             "ctql.experiments.mv_table\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
     # the one check that needs scipy imports it when it runs
     assert check_gibbs_normalization().passed
+
+
+@pytest.mark.parametrize("env", ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}),
+                         ids=("default-malloc", "fixed-mmap-threshold"))
+@pytest.mark.parametrize("algo", MV_ALGOS)
+def test_mv_update_faults_few_pages_in(algo, env):
+    # an update writes its full-shape arrays into a workspace allocated once
+    # per call, so a 200-update call faults in about as many pages as an
+    # evaluation-only one.  Whether glibc hands a freed block back to the
+    # system depends on its adaptive mmap threshold; frozen at its 128 KiB
+    # default, every per-update allocation of a (20, K, batch) array faults
+    # its pages in again.
+    code = (
+        "import resource\n"
+        "from dataclasses import replace\n"
+        "from ctql.experiments.mv import MvExperimentConfig, run_mv_replications\n"
+        "def faults(updates):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    cfg = replace(MvExperimentConfig(), updates=updates)\n"
+        f"    run_mv_replications(cfg, '{algo}', 3, 20)\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "evaluation = faults(0)\n"
+        "print((faults(200) - evaluation) / 200)\n")
+    assert float(_fresh_python(code, **env)) <= 20
+
+
+def test_traced_names_resolve_on_the_mv_driver():
+    # perfbench's traced pass rebinds these names on experiments.mv; read
+    # them from its source, which is not imported here
+    import ctql.experiments.mv as mv
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = [n for node in tree.body if isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) in ("APPROX_NAMES", "BASELINES_NAMES")
+             for n in ast.literal_eval(node.value)]
+    assert len(names) == 8
+    for name in names:
+        assert callable(getattr(mv, name)), name
 
 
 def test_cli_lq_writes_deterministic_summaries(tmp_path, capsys):
