@@ -9,7 +9,8 @@ the mean-variance driver's episode updates.
 """
 
 from .approx import (GaussianPolicy, GaussianQApprox, ValueApprox, lq_q,
-                     lq_value, mv_q, policy_entropy, policy_log_density)
+                     lq_value, mv_q, mv_value, policy_entropy,
+                     policy_log_density)
 from .envsim import EnvModel, LqCoefficients, RngStream, builtin_lq_env
 from .errors import ImprovementUndefined, InfeasibleProblem
 from .oracle import (LqErgodicSolution, ergodic_identity_residual, hamiltonian,

@@ -1,12 +1,14 @@
 """Parametric value functions, q-functions and Gaussian policies.
 
 Every family is a plain closed-form expression.  Each mean-variance family
-is one fused *_eval_grad helper, the single source of its formulas: it
-broadcasts over (t, x, a), returns the value with the parameter-gradient
-rows from one copy of each shared term, and writes them into an optional
-`out` tuple of buffers.  The *_eval / *_grad names and the family objects
-call it.  The ergodic LQ families carry values only: their gradients are
-the test vectors of the ergodic driver's update kernels.
+is one fused *_eval_grad helper, the single source of its value and
+parameter-gradient formulas: it broadcasts over (t, x, a), returns the
+value with the gradient rows from one copy of each shared term, and writes
+them into an optional `out` tuple of buffers.  The *_eval / *_grad names
+and the family objects call it; the value family's time and space
+derivatives are separate helpers for the oracle.  The ergodic LQ families
+carry values only: their gradients are the test vectors of the ergodic
+driver's update kernels.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
 one, so gamma * log pi equals q for the induced policy.
@@ -66,17 +68,20 @@ def policy_entropy(policy: GaussianPolicy, t, x):
 class ValueApprox:
     """Value function J(t, x; theta) with analytic derivatives.
 
-    value broadcasts over t and x.  The space and time derivative callables
-    exist so oracle routines can form Hamiltonians without finite
-    differences.  The only family, the ergodic LQ one, carries no parameter
-    gradient: its gradient is a test vector of the experiment kernels.
+    value/grad_theta broadcast over t and x.  The space and time derivative
+    callables exist so oracle routines can form Hamiltonians without finite
+    differences; terminal_pinned marks families whose t = horizon slice equals
+    the terminal payoff for every theta.  The ergodic LQ family carries no
+    grad_theta: its gradient is a test vector of the experiment kernels.
     """
 
     theta: np.ndarray
     value: Callable
+    grad_theta: Optional[Callable]
     d_t: Optional[Callable] = None
     d_x: Optional[Callable] = None
     d_xx: Optional[Callable] = None
+    terminal_pinned: bool = False
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,36 @@ def mv_value_eval_grad(th1, th2, th3, w, z, T, t, x, out=(None, None)):
 
 
 mv_value_eval, mv_value_grad = split_fused(mv_value_eval_grad)
+
+
+def mv_value_dt(th1, th2, th3, w, z, T, t, x):
+    return th3 * (x - w) ** 2 * np.exp(-th3 * (T - t)) + 2.0 * th2 * t + th1
+
+
+def mv_value_dx(th1, th2, th3, w, z, T, t, x):
+    return 2.0 * (x - w) * np.exp(-th3 * (T - t))
+
+
+def mv_value_dxx(th1, th2, th3, w, z, T, t, x):
+    return 2.0 * np.exp(-th3 * (T - t)) + 0.0 * np.asarray(x, float)
+
+
+def mv_value(theta, w: float, z: float, T: float) -> ValueApprox:
+    """Wealth value family: (x-w)^2 e^{-theta3 (T-t)} + theta2 (t^2-T^2)
+    + theta1 (t-T) - (w-z)^2.  Terminal slice is pinned for every theta."""
+    theta = np.asarray(theta, float)
+    if theta.shape != (3,):
+        raise ValueError("theta must have three components")
+    t1, t2, t3 = theta
+    return ValueApprox(
+        theta=theta,
+        value=lambda t, x: mv_value_eval(t1, t2, t3, w, z, T, t, x),
+        grad_theta=lambda t, x: mv_value_grad(t1, t2, t3, w, z, T, t, x),
+        d_t=lambda t, x: mv_value_dt(t1, t2, t3, w, z, T, t, x),
+        d_x=lambda t, x: mv_value_dx(t1, t2, t3, w, z, T, t, x),
+        d_xx=lambda t, x: mv_value_dxx(t1, t2, t3, w, z, T, t, x),
+        terminal_pinned=True,
+    )
 
 
 def mv_q_eval_grad(p1, p2, p3, w, gamma, T, t, x, a, out=(None,) * 4):
@@ -185,9 +220,11 @@ def lq_value(theta) -> ValueApprox:
     return ValueApprox(
         theta=theta,
         value=lambda t, x: lq_value_eval(t1, t2, x),
+        grad_theta=None,
         d_t=lambda t, x: 0.0 * np.asarray(x, float),
         d_x=lambda t, x: 2.0 * t1 * np.asarray(x, float) + t2,
         d_xx=lambda t, x: 2.0 * t1 + 0.0 * np.asarray(x, float),
+        terminal_pinned=False,
     )
 
 

@@ -205,13 +205,19 @@ def martingale_residuals(terminal, js, running, dt: float, axis: int = 0, out=No
     The deviation between the realized payoff and the value at every grid
     point, from one reversed cumulative sum; js holds J at the K left grid
     points, running the K running terms, and terminal broadcasts against
-    them (the driver's (lanes, K, batch) arrays step along axis 1).  Given
-    `out`, G is written there and the tail sums overwrite `running`.
+    them (the driver's (lanes, K, batch) arrays step along axis 1).  G is
+    written to `out` and the tail sums overwrite `running`; without `out`
+    both are fresh arrays and the caller's `running` is left as it was.
     """
+    if out is None:
+        running = np.array(running, float)
+        out = np.empty(np.broadcast_shapes(np.shape(terminal), np.shape(js), running.shape))
     tail = np.flip(running, axis)
-    tail = np.cumsum(tail, axis, out=None if out is None else tail)
-    tail = np.multiply(np.flip(tail, axis), dt, out=None if out is None else running)
-    return np.add(np.subtract(terminal, js, out=out), tail, out=out)
+    np.cumsum(tail, axis, out=tail)
+    running *= dt
+    np.subtract(terminal, js, out=out)
+    out += running
+    return out
 
 
 def _contract(rows, resid, out):
@@ -334,21 +340,21 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
     tcol = (np.arange(K + 1) * cfg.dt).reshape(1, K + 1, 1)
     starts = np.empty((lanes, B), np.int64)
     n_starts = cfg.pool_size - K + 1  # segments of K steps that fit the pool
-    # One workspace per call holds every full-shape array of an update:
-    # `_increments` writes the value family's or Q(dt)'s value and rows to
-    # `full` and the rest to the test rows `tests`; until it runs, the rollout
-    # keeps its offsets, increments, normals, noise, actions and |x| there.
+    # Every full-shape array of an update is allocated once per call: an
+    # array allocated per update can land in mmap and fault its pages in
+    # again every time.  `_increments` writes the value family's or Q(dt)'s
+    # value and rows to `full` and the rest to the test rows `tests`.
     full = np.empty((4 if algo == "sarsa" else 2, lanes, K + 1, B))
     tests = np.empty((len(P) - 1, lanes, K, B))
-    idx = tests[0].view(np.int64).reshape(K, lanes, B)
-    rho = tests[1].reshape(K, lanes, B)
-    scratch = full[1:] if algo == "sarsa" else tests[3:]
-    znoise = scratch[0].reshape(lanes, n_act, B)
+    idx = np.empty((K, lanes, B), np.int64)
+    rho = np.empty((K, lanes, B))
+    znoise = np.empty((lanes, n_act, B))
     # the rollout steps through one contiguous (lanes, batch) block per grid
     # point, which costs less than stepping strided lanes-first slices; the
     # update reads lanes-first copies
-    noise, ak = scratch[1:].reshape(2, n_act, lanes, B)
     xk = np.empty((K + 1, lanes, B))
+    ak = np.empty((n_act, lanes, B))
+    noise = np.empty((n_act, lanes, B))
     xs = np.empty((lanes, K + 1, B))
     acts = np.empty((lanes, n_act, B))
 
@@ -376,7 +382,8 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
             np.copyto(xs, xk.transpose(1, 0, 2))
             np.copyto(acts, ak.transpose(1, 0, 2))
 
-            # NaN fails the comparison
+            # NaN fails the comparison; |x| goes to the value buffer, which
+            # `_increments` overwrites
             bad = ~(np.abs(xs, out=full[0]) <= STATE_GUARD).all(axis=(1, 2))
             if algo == "sarsa":
                 bad |= ~np.isfinite(acts).all(axis=(1, 2))

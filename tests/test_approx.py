@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ctql.approx import (LOG_2PI, GaussianPolicy, lq_q, lq_q_eval, lq_value,
-                         mv_q, mv_q_eval_grad, mv_value_eval_grad, policy_entropy,
-                         policy_log_density)
+                         mv_q, mv_q_eval_grad, mv_value, mv_value_eval_grad,
+                         policy_entropy, policy_log_density)
 
 params = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -72,14 +72,16 @@ def test_scaled_policy_log_density_recovers_q_wealth_family(p1, p3, w, x, a):
 @given(params, params, params, params)
 def test_terminal_value_is_pinned_for_all_parameters(t1, t2, t3, x):
     w, z, T = 1.3, 1.4, 1.0
-    value, _ = mv_value_eval_grad(t1, t2, t3, w, z, T, T, x)
-    assert value == pytest.approx((x - w) ** 2 - (w - z) ** 2, abs=1e-12)
+    J = mv_value(np.array([t1, t2, t3]), w, z, T)
+    assert J.terminal_pinned
+    assert J.value(T, x) == pytest.approx((x - w) ** 2 - (w - z) ** 2, abs=1e-12)
 
 
 def test_value_frozen_values():
-    value, _ = mv_value_eval_grad(0.3, -0.2, 0.7, 1.3, 1.4, 1.0, 0.25, 0.9)
-    assert value == pytest.approx(0.047148858298690456, abs=1e-15)
+    J = mv_value(np.array([0.3, -0.2, 0.7]), w=1.3, z=1.4, T=1.0)
+    assert J.value(0.25, 0.9) == pytest.approx(0.047148858298690456, abs=1e-15)
     Jl = lq_value(np.array([0.5, -0.3]))
+    assert not Jl.terminal_pinned
     assert Jl.value(0.0, 2.0) == pytest.approx(1.4, abs=1e-15)
     assert Jl.d_x(0.0, 2.0) == pytest.approx(1.7, abs=1e-15)
     assert Jl.d_xx(0.0, 2.0) == pytest.approx(1.0, abs=1e-15)
@@ -89,11 +91,24 @@ def test_value_frozen_values():
 def test_value_gradients_match_finite_differences():
     w, z, T = 1.3, 1.4, 1.0
     theta = np.array([0.4, -0.6, 0.8])
+    J = mv_value(theta, w, z, T)
     for (t, x) in [(0.0, 1.1), (0.5, 0.7), (0.99, 1.6)]:
-        got = np.asarray(mv_value_eval_grad(*theta, w, z, T, t, x)[1], float)
+        value, rows = mv_value_eval_grad(*theta, w, z, T, t, x)
         want = [_fd(lambda p: mv_value_eval_grad(*p, w, z, T, t, x)[0], theta, i)
                 for i in range(3)]
-        assert np.allclose(got, want, atol=1e-7)
+        assert np.allclose(np.asarray(rows, float), want, atol=1e-7)
+        # the family object is the same helper
+        assert J.value(t, x) == value
+        assert np.array_equal(np.asarray(J.grad_theta(t, x), float), rows)
+        # time and space derivatives against the same stencil
+        h = 1e-6
+        assert J.d_t(t, x) == pytest.approx(
+            (J.value(t + h, x) - J.value(t - h, x)) / (2 * h), abs=1e-6)
+        assert J.d_x(t, x) == pytest.approx(
+            (J.value(t, x + h) - J.value(t, x - h)) / (2 * h), abs=1e-6)
+        assert J.d_xx(t, x) == pytest.approx(
+            (J.value(t, x + h) - 2 * J.value(t, x) + J.value(t, x - h)) / h ** 2,
+            abs=1e-3)
 
 
 def test_q_gradients_match_finite_differences():
@@ -126,6 +141,8 @@ def test_family_constructors_validate():
         mv_q(np.zeros(2), 1.3, 0.1, 1.0)
     with pytest.raises(ValueError):
         lq_value(np.zeros(3))
+    with pytest.raises(ValueError):
+        mv_value(np.zeros(2), 1.3, 1.4, 1.0)
     pol = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: -1.0)
     with pytest.raises(ValueError):
         policy_log_density(pol, 0.0, 0.0, 0.0)

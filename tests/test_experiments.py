@@ -487,16 +487,14 @@ def test_importing_the_package_does_not_load_scipy():
     assert check_gibbs_normalization().passed
 
 
-@pytest.mark.parametrize("env", ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}),
-                         ids=("default-malloc", "fixed-mmap-threshold"))
 @pytest.mark.parametrize("algo", MV_ALGOS)
-def test_mv_update_faults_few_pages_in(algo, env):
-    # an update writes its full-shape arrays into a workspace allocated once
-    # per call, so a 200-update call faults in about as many pages as an
-    # evaluation-only one.  Whether glibc hands a freed block back to the
-    # system depends on its adaptive mmap threshold; frozen at its 128 KiB
-    # default, every per-update allocation of a (20, K, batch) array faults
-    # its pages in again.
+def test_mv_update_faults_few_pages_in(algo):
+    # an update writes its full-shape arrays into buffers allocated once per
+    # call, so a 200-update call faults in about as many pages as an
+    # evaluation-only one.  glibc's mmap threshold is frozen at its 128 KiB
+    # default: left adaptive, it decides from the allocation history whether
+    # a freed block goes back to the system, and a per-update allocation of
+    # a (20, K, batch) array may or may not fault its pages in again.
     code = (
         "import resource\n"
         "from dataclasses import replace\n"
@@ -508,7 +506,7 @@ def test_mv_update_faults_few_pages_in(algo, env):
         "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
         "evaluation = faults(0)\n"
         "print((faults(200) - evaluation) / 200)\n")
-    assert float(_fresh_python(code, **env)) <= 20
+    assert float(_fresh_python(code, MALLOC_MMAP_THRESHOLD_="131072")) <= 20
 
 
 def test_traced_names_resolve_on_the_mv_driver():

@@ -118,9 +118,17 @@ def test_ergodic_update_learns_rate():
 
 
 def test_martingale_residuals_hand_values():
-    g = martingale_residuals(np.array(9.0), np.array([1.0, 4.0]),
-                             R - (-0.5 + C0), 0.1)
+    running = R - (-0.5 + C0)
+    kept = running.copy()
+    g = martingale_residuals(np.array(9.0), np.array([1.0, 4.0]), running, 0.1)
     assert np.allclose(g, [G0, G1], atol=1e-13)
+    assert np.array_equal(running, kept)
+    # into a buffer, as the driver calls it: the tail sums overwrite running
+    out = np.empty(2)
+    got = martingale_residuals(np.array(9.0), np.array([1.0, 4.0]), running, 0.1,
+                               out=out)
+    assert got is out and out.tobytes() == g.tobytes()
+    assert np.array_equal(running, [(kept[0] + kept[1]) * 0.1, kept[1] * 0.1])
 
 
 def test_episode_and_step_routes_agree_on_simulated_data():
