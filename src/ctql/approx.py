@@ -5,10 +5,9 @@ is one fused *_eval_grad helper, the single source of its value and
 parameter-gradient formulas: it broadcasts over (t, x, a), returns the
 value with the gradient rows from one copy of each shared term, and writes
 them into an optional `out` tuple of buffers.  The *_eval / *_grad names
-and the family objects call it; the value family's time and space
-derivatives are separate helpers for the oracle.  The ergodic LQ families
-carry values only: their gradients are the test vectors of the ergodic
-driver's update kernels.
+and the `mv_q` family object call it.  The ergodic LQ families carry values
+and the value's space derivatives only: their parameter gradients are the
+test vectors of the ergodic driver's update kernels.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
 one, so gamma * log pi equals q for the induced policy.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +37,6 @@ class GaussianPolicy:
 
     def log_density(self, t, x, a):
         return policy_log_density(self, t, x, a)
-
-    def entropy(self, t, x):
-        return policy_entropy(self, t, x)
 
 
 def _variance(policy: GaussianPolicy, t, x):
@@ -66,22 +62,15 @@ def policy_entropy(policy: GaussianPolicy, t, x):
 
 @dataclass(frozen=True)
 class ValueApprox:
-    """Value function J(t, x; theta) with analytic derivatives.
+    """Value function J(t, x; theta) with analytic space derivatives.
 
-    value/grad_theta broadcast over t and x.  The space and time derivative
-    callables exist so oracle routines can form Hamiltonians without finite
-    differences; terminal_pinned marks families whose t = horizon slice equals
-    the terminal payoff for every theta.  The ergodic LQ family carries no
-    grad_theta: its gradient is a test vector of the experiment kernels.
+    value broadcasts over t and x; d_x and d_xx let the oracle form
+    Hamiltonians without finite differences.
     """
 
-    theta: np.ndarray
     value: Callable
-    grad_theta: Optional[Callable]
-    d_t: Optional[Callable] = None
-    d_x: Optional[Callable] = None
-    d_xx: Optional[Callable] = None
-    terminal_pinned: bool = False
+    d_x: Callable
+    d_xx: Callable
 
 
 @dataclass(frozen=True)
@@ -91,14 +80,10 @@ class GaussianQApprox:
     mean/precision_scale give the Gibbs parameters (the induced policy is
     Gaussian with variance gamma / precision_scale); value includes the
     normalizing constant so exp(q/gamma) integrates to one over actions.
-    The ergodic LQ family carries no grad_psi: its gradient is a test vector
-    of the experiment kernels.
     """
 
-    psi: np.ndarray
     gamma: float
     value: Callable
-    grad_psi: Optional[Callable]
     mean: Callable
     precision_scale: Callable
 
@@ -136,36 +121,6 @@ def mv_value_eval_grad(th1, th2, th3, w, z, T, t, x, out=(None, None)):
 mv_value_eval, mv_value_grad = split_fused(mv_value_eval_grad)
 
 
-def mv_value_dt(th1, th2, th3, w, z, T, t, x):
-    return th3 * (x - w) ** 2 * np.exp(-th3 * (T - t)) + 2.0 * th2 * t + th1
-
-
-def mv_value_dx(th1, th2, th3, w, z, T, t, x):
-    return 2.0 * (x - w) * np.exp(-th3 * (T - t))
-
-
-def mv_value_dxx(th1, th2, th3, w, z, T, t, x):
-    return 2.0 * np.exp(-th3 * (T - t)) + 0.0 * np.asarray(x, float)
-
-
-def mv_value(theta, w: float, z: float, T: float) -> ValueApprox:
-    """Wealth value family: (x-w)^2 e^{-theta3 (T-t)} + theta2 (t^2-T^2)
-    + theta1 (t-T) - (w-z)^2.  Terminal slice is pinned for every theta."""
-    theta = np.asarray(theta, float)
-    if theta.shape != (3,):
-        raise ValueError("theta must have three components")
-    t1, t2, t3 = theta
-    return ValueApprox(
-        theta=theta,
-        value=lambda t, x: mv_value_eval(t1, t2, t3, w, z, T, t, x),
-        grad_theta=lambda t, x: mv_value_grad(t1, t2, t3, w, z, T, t, x),
-        d_t=lambda t, x: mv_value_dt(t1, t2, t3, w, z, T, t, x),
-        d_x=lambda t, x: mv_value_dx(t1, t2, t3, w, z, T, t, x),
-        d_xx=lambda t, x: mv_value_dxx(t1, t2, t3, w, z, T, t, x),
-        terminal_pinned=True,
-    )
-
-
 def mv_q_eval_grad(p1, p2, p3, w, gamma, T, t, x, a, out=(None,) * 4):
     """q(t, x, a) of `mv_q` and its rows (g1, -prec dev (x-w), (T-t) g1),
     g1 = (prec dev^2 - gamma) / 2, dev = a + psi2 (x-w); out buffers the
@@ -195,10 +150,8 @@ def mv_q(psi, w: float, gamma: float, T: float) -> GaussianQApprox:
         raise ValueError("gamma must be positive")
     p1, p2, p3 = psi
     return GaussianQApprox(
-        psi=psi,
         gamma=gamma,
         value=lambda t, x, a: mv_q_eval(p1, p2, p3, w, gamma, T, t, x, a),
-        grad_psi=lambda t, x, a: mv_q_grad(p1, p2, p3, w, gamma, T, t, x, a),
         mean=lambda t, x: -p2 * (x - w),
         precision_scale=lambda t, x: np.exp(-p1 - p3 * (T - t)) + 0.0 * np.asarray(x, float),
     )
@@ -218,13 +171,9 @@ def lq_value(theta) -> ValueApprox:
         raise ValueError("theta must have two components")
     t1, t2 = theta
     return ValueApprox(
-        theta=theta,
         value=lambda t, x: lq_value_eval(t1, t2, x),
-        grad_theta=None,
-        d_t=lambda t, x: 0.0 * np.asarray(x, float),
         d_x=lambda t, x: 2.0 * t1 * np.asarray(x, float) + t2,
         d_xx=lambda t, x: 2.0 * t1 + 0.0 * np.asarray(x, float),
-        terminal_pinned=False,
     )
 
 
@@ -242,10 +191,8 @@ def lq_q(psi, gamma: float) -> GaussianQApprox:
         raise ValueError("gamma must be positive")
     p1, p2, p3 = psi
     return GaussianQApprox(
-        psi=psi,
         gamma=gamma,
         value=lambda t, x, a: lq_q_eval(p1, p2, p3, gamma, x, a),
-        grad_psi=None,
         mean=lambda t, x: p1 * np.asarray(x, float) + p2,
         precision_scale=lambda t, x: np.exp(-p3) + 0.0 * np.asarray(x, float),
     )

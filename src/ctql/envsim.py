@@ -11,7 +11,7 @@ reproduced bit-for-bit from its key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -21,31 +21,17 @@ STATE_GUARD = 1.0e8
 
 @dataclass(frozen=True)
 class EnvModel:
-    """Diffusion control model dX = b dt + sigma dW with running reward rate.
+    """Scalar ergodic diffusion model dX = b dt + sigma dW with running reward.
 
-    drift(t, x, a) -> (d,), diffusion(t, x, a) -> (d, n), reward_rate(t, x, a)
-    -> scalar rate (callers multiply by dt themselves).  The builtin one
-    dimensional models also accept plain floats or batched arrays and
-    broadcast, which the vectorized experiment drivers rely on.
+    drift(t, x, a) -> b, diffusion(t, x, a) -> sigma, reward_rate(t, x, a)
+    -> reward rate (callers multiply by dt themselves).  The builtin model's
+    callables also broadcast over batched arrays, which the oracle's Monte
+    Carlo expansion relies on.
     """
 
     drift: Callable
     diffusion: Callable
     reward_rate: Callable
-    terminal_reward: Optional[Callable] = None
-    discount_beta: float = 0.0
-    state_dim: int = 1
-    action_dim: int = 1
-    noise_dim: int = 1
-    ergodic: bool = False
-
-    def __post_init__(self):
-        if self.state_dim < 1 or self.action_dim < 1 or self.noise_dim < 1:
-            raise ValueError("dimensions must be positive")
-        if self.discount_beta < 0:
-            raise ValueError("discount_beta must be nonnegative")
-        if self.ergodic and (self.terminal_reward is not None or self.discount_beta != 0.0):
-            raise ValueError("ergodic models have no terminal reward and zero discounting")
 
 
 @dataclass(frozen=True)
@@ -103,8 +89,4 @@ def builtin_lq_env(A: float = -1.0, B: float = 0.0, C: float = 0.0, D: float = 1
         drift=lambda t, x, a: coef.A * x + coef.B * a,
         diffusion=lambda t, x, a: coef.C * x + coef.D * a,
         reward_rate=lambda t, x, a: coef.reward(x, a),
-        terminal_reward=None,
-        discount_beta=0.0,
-        state_dim=1, action_dim=1, noise_dim=1,
-        ergodic=True,
     )

@@ -285,7 +285,7 @@ def _mc_regularized_value(coef: LqCoefficients, gamma: float, k: float,
                           m: float, s2: float, rng, lanes: int = 100,
                           horizon: float = 100.0, dt: float = 0.01):
     """Lane-averaged long-run reward plus entropy bonus, with standard error."""
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = rng.generator()
     steps = int(round(horizon / dt))
     burn = steps // 10
     sq = math.sqrt(dt)
@@ -377,9 +377,9 @@ def check_qdt_intercept(seed: int = 0) -> CheckResult:
     details = []
     for i, (x, a) in enumerate([(1.0, 0.0), (1.0, 0.5)]):
         _slope, intercept = qdt_expansion_check(
-            model, J, 0.0, x, a, [0.1, 0.05, 0.025], beta=0.0, V=sol.V_star,
+            model, J, 0.0, x, a, [0.1, 0.05, 0.025], V=sol.V_star,
             n_paths=100_000, rng=RngStream(seed, (703, i)))
-        q_true = float(q_from_value(model, J, 0.0, 0.0, x, a, V=sol.V_star))
+        q_true = q_from_value(model, J, sol.V_star, x, a)
         err = abs(intercept - q_true)
         worst = max(worst, err)
         details.append(f"q({x:g},{a:g}) err {err:.3f}")

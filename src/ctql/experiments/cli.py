@@ -23,9 +23,16 @@ from .records import aggregate_metrics, config_dict, write_summary
 LQ_FIELDS = ("A", "B", "C", "D", "M", "N", "R", "P", "Q")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least one."""
+    if int(text) < 1:
+        raise ValueError(f"{text} is not positive")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--reps", type=int, default=100, help="independent replications")
+    p.add_argument("--reps", type=positive_int, default=100, help="independent replications")
     p.add_argument("--out", default=None, help="output directory (default results/<cmd>)")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value lines overriding the flags above")
@@ -131,23 +138,28 @@ def main(argv=None) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     out_dir = args.out or os.path.join("results", args.cmd)
-    if args.cmd == "mv":
-        cfg = MvExperimentConfig(mu=args.mu, sigma=args.sigma, dt=args.dt,
-                                 gamma=args.gamma, updates=args.episodes,
-                                 batch=args.batch, eval_runs=args.eval_runs)
-        records = run_mv_replications(cfg, args.algo, args.seed, args.reps)
-        info = {"algo": args.algo, "master_seed": args.seed}
-        return _finish(out_dir, {**config_dict(cfg), **info}, records)
-
     mode = "off-policy" if args.cmd == "lq-off" else "on-policy"
     kwargs = {}
     if mode == "off-policy":
         kwargs = {"behavior_mean": args.behavior_mean,
                   "behavior_var": args.behavior_var}
-    cfg = ErgodicExperimentConfig(dt=args.dt, horizon=args.horizon,
-                                  gamma=args.gamma, **kwargs)
-    records = run_ergodic_replications(cfg, args.algo, mode, args.seed, args.reps)
-    info = {"algo": args.algo, "mode": mode, "master_seed": args.seed}
+    try:
+        if args.cmd == "mv":
+            cfg = MvExperimentConfig(mu=args.mu, sigma=args.sigma, dt=args.dt,
+                                     gamma=args.gamma, updates=args.episodes,
+                                     batch=args.batch, eval_runs=args.eval_runs)
+        else:
+            cfg = ErgodicExperimentConfig(dt=args.dt, horizon=args.horizon,
+                                          gamma=args.gamma, **kwargs)
+    except ValueError as exc:
+        subparsers[args.cmd].error(str(exc))
+
+    if args.cmd == "mv":
+        records = run_mv_replications(cfg, args.algo, args.seed, args.reps)
+        info = {"algo": args.algo, "master_seed": args.seed}
+    else:
+        records = run_ergodic_replications(cfg, args.algo, mode, args.seed, args.reps)
+        info = {"algo": args.algo, "mode": mode, "master_seed": args.seed}
     return _finish(out_dir, {**config_dict(cfg), **info}, records)
 
 

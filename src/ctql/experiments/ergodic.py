@@ -52,10 +52,10 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from ..approx import LOG_2PI
 from ..envsim import LqCoefficients, RngStream, STATE_GUARD
 from .records import RunRecord
 
-LOG_2PI = math.log(2.0 * math.pi)
 # Steps whose noise, learning rates and, off-policy, behaviour data are
 # computed at once.  A block's arrays hold about a dozen doubles per
 # lane-step, so a run's working memory depends on its lanes, not on its

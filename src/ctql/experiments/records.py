@@ -77,11 +77,11 @@ def aggregate_metrics(records: Sequence[RunRecord]) -> dict:
 
 
 def write_trace_csv(path, trace: dict) -> None:
-    """Columns in sorted key order except a leading step/time column."""
+    """Columns in sorted key order except a leading update/time column."""
     if not trace:
         return
     keys = list(trace.keys())
-    lead = [k for k in ("step", "j", "t") if k in keys]
+    lead = [k for k in ("j", "t") if k in keys]
     rest = sorted(k for k in keys if k not in lead)
     cols = lead + rest
     # the rows csv.writer would write: no formatted float needs quoting
@@ -111,7 +111,7 @@ def write_summary(out_dir, config: dict, records: Sequence[RunRecord],
         if rec.trace:
             reward_keys = [k for k in rec.trace if k.startswith("reward")]
             param_keys = [k for k in rec.trace if not k.startswith("reward")]
-            lead = [k for k in ("step", "j", "t") if k in rec.trace]
+            lead = [k for k in ("j", "t") if k in rec.trace]
             write_trace_csv(os.path.join(out_dir, f"trace_{rec.replication}.csv"),
                             {k: rec.trace[k] for k in param_keys})
             if reward_keys:

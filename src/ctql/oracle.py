@@ -10,47 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .approx import GaussianPolicy, ValueApprox, lq_value
-from .envsim import EnvModel, LqCoefficients
+from .envsim import EnvModel, LqCoefficients, RngStream
 from .errors import ImprovementUndefined, InfeasibleProblem
 
-LOG_2PI = math.log(2.0 * math.pi)
+
+def hamiltonian(model: EnvModel, t, x, a, p, q_hess) -> float:
+    """H = b p + 1/2 sigma^2 q_hess + r for the given scalar model callables."""
+    # arrays square x ** 2 as x * x; a Python float's pow can round apart
+    x = np.asarray(x, float)
+    a = np.asarray(a, float)
+    sig = model.diffusion(t, x, a)
+    return float(model.drift(t, x, a) * p + 0.5 * (sig * sig * q_hess)
+                 + model.reward_rate(t, x, a))
 
 
-def hamiltonian(model: EnvModel, t, x, a, p, q_hess):
-    """H = b . p + 1/2 (sigma sigma^T) . q + r for the given model callables."""
-    d, n = model.state_dim, model.noise_dim
-    x = np.asarray(x, float).reshape(d)
-    a = np.atleast_1d(np.asarray(a, float))
-    b = np.asarray(model.drift(t, x, a), float).reshape(d)
-    sig = np.asarray(model.diffusion(t, x, a), float).reshape(d, n)
-    p = np.asarray(p, float).reshape(d)
-    q_hess = np.asarray(q_hess, float).reshape(d, d)
-    r = float(np.asarray(model.reward_rate(t, x, a), float).reshape(()))
-    return float(b @ p + 0.5 * np.sum((sig @ sig.T) * q_hess) + r)
-
-
-def q_from_value(model: EnvModel, J: ValueApprox, beta: float, t, x, a,
-                 V: Optional[float] = None) -> float:
-    """Rate function of the value J.
-
-    Episodic convention: dJ/dt + H - beta J.  Passing V switches to the
-    ergodic convention H - V, which ignores the time slot of J entirely.
-    """
-    if J.d_x is None or J.d_xx is None:
-        raise ValueError("J must provide analytic space derivatives")
-    p = J.d_x(t, x)
-    hess = J.d_xx(t, x)
-    h = hamiltonian(model, t, x, a, p, hess)
-    if V is not None:
-        return h - float(V)
-    if J.d_t is None:
-        raise ValueError("episodic convention needs dJ/dt")
-    return float(J.d_t(t, x)) + h - beta * float(np.asarray(J.value(t, x), float))
+def q_from_value(model: EnvModel, J: ValueApprox, V: float, x, a) -> float:
+    """Ergodic rate function H(x, a, J', J'') - V of the value J."""
+    return hamiltonian(model, 0.0, x, a, J.d_x(0.0, x), J.d_xx(0.0, x)) - float(V)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +194,9 @@ def ergodic_identity_residual(model: EnvModel, J: ValueApprox,
     for zi, wi in zip(nodes, weights):
         a = mu + math.sqrt(2.0 * s2) * zi
         h = hamiltonian(model, 0.0, x, a, J.d_x(0.0, x), J.d_xx(0.0, x))
-        logp = float(policy_logpdf_scalar(mu, s2, a))
+        logp = float(policy.log_density(0.0, x, a))
         total += wi * (h - gamma * logp)
     return total / math.sqrt(math.pi) - V
-
-
-def policy_logpdf_scalar(mu: float, s2: float, a: float) -> float:
-    return -0.5 * (a - mu) ** 2 / s2 - 0.5 * math.log(2.0 * math.pi * s2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +210,8 @@ def policy_improvement_map(model: EnvModel, J: ValueApprox, gamma: float) -> Gau
     the quadratic and returns N(argmax, gamma / curvature).  Raises
     ImprovementUndefined when H is not a concave quadratic in the action.
     """
-    if J.d_x is None or J.d_xx is None:
-        raise ValueError("J must provide analytic space derivatives")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if model.action_dim != 1:
-        raise NotImplementedError("probe-based improvement is scalar-action only")
 
     def fit(t, x):
         p = J.d_x(t, x)
@@ -263,18 +236,16 @@ def policy_improvement_map(model: EnvModel, J: ValueApprox, gamma: float) -> Gau
 
 
 def qdt_expansion_check(model: EnvModel, J: ValueApprox, t, x, a,
-                        dt_list: Sequence[float], *, beta: float = 0.0,
-                        V: Optional[float] = None, n_paths: int = 100_000,
-                        substeps: int = 16, rng=None):
+                        dt_list: Sequence[float], *, V: float, rng: RngStream,
+                        n_paths: int = 100_000, substeps: int = 16):
     """Monte Carlo first-order expansion of the action value in the step size.
 
     For each window dt the perturbed policy plays the constant action a and
-    then reverts, so the window value is E[int r] (+ discount) plus J at the
-    window end; with the ergodic convention the running V is subtracted.  The
-    function regresses (window value - J)/dt on dt and returns (slope,
-    intercept); the intercept estimates the rate q(t, x, a).
+    then reverts, so the window value is E[int (r - V)] plus J at the window
+    end.  The function regresses (window value - J)/dt on dt and returns
+    (slope, intercept); the intercept estimates the rate q(x, a).
     """
-    gen = rng.generator() if hasattr(rng, "generator") else (rng or np.random.default_rng(0))
+    gen = rng.generator()
     x0 = float(np.asarray(x, float).reshape(-1)[0])
     a0 = float(np.asarray(a, float).reshape(-1)[0])
     j0 = float(np.asarray(J.value(t, x0), float))
@@ -286,16 +257,12 @@ def qdt_expansion_check(model: EnvModel, J: ValueApprox, t, x, a,
         acc = np.zeros(n_paths)
         for i in range(substeps):
             ti = t + i * h
-            disc = math.exp(-beta * (ti - t))
-            r = np.asarray(model.reward_rate(ti, xs, a0), float)
-            if V is not None:
-                r = r - V
-            acc += disc * r * h
+            r = np.asarray(model.reward_rate(ti, xs, a0), float) - V
+            acc += r * h
             b = np.asarray(model.drift(ti, xs, a0), float)
             sig = np.asarray(model.diffusion(ti, xs, a0), float)
             xs = xs + b * h + sig * sq * gen.standard_normal(n_paths)
-        tail = math.exp(-beta * dt) * np.asarray(J.value(t + dt, xs), float)
-        q_dt = float(np.mean(acc + tail))
+        q_dt = float(np.mean(acc + np.asarray(J.value(t + dt, xs), float)))
         ys.append((q_dt - j0) / dt)
     dts = np.asarray(dt_list, float)
     ys = np.asarray(ys)

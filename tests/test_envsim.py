@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctql.envsim import EnvModel, LqCoefficients, RngStream, builtin_lq_env
+from ctql.envsim import LqCoefficients, RngStream, builtin_lq_env
 from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
                                       run_ergodic, run_ergodic_replications)
 from ctql.experiments.mv import (MvExperimentConfig, metrics_terminal,
@@ -116,16 +116,6 @@ def test_lq_reward_helper_matches_model():
     for x, a in [(0.0, 0.0), (1.5, -2.0), (-0.3, 0.7)]:
         got = np.asarray(model.reward_rate(0.0, np.array([x]), np.array([a])))
         assert got.reshape(()) == pytest.approx(coef.reward(x, a), abs=1e-14)
-
-
-def test_model_validation():
-    with pytest.raises(ValueError):
-        EnvModel(drift=lambda t, x, a: 0.0, diffusion=lambda t, x, a: 1.0,
-                 reward_rate=lambda t, x, a: 0.0, state_dim=0)
-    with pytest.raises(ValueError):
-        EnvModel(drift=lambda t, x, a: 0.0, diffusion=lambda t, x, a: 1.0,
-                 reward_rate=lambda t, x, a: 0.0, ergodic=True,
-                 terminal_reward=lambda x: x)
 
 
 def test_distinct_stream_children_decorrelate():

@@ -560,7 +560,8 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text, lineno", [("horizon = 50\nreps = 1e3\n", 2),
-                                          ("algo = qlearn\n", 1)])
+                                          ("algo = qlearn\n", 1),
+                                          ("horizon = 50\nreps = 0\n", 2)])
 def test_cli_config_file_values_are_checked_like_flags(tmp_path, text, lineno):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)
@@ -568,6 +569,29 @@ def test_cli_config_file_values_are_checked_like_flags(tmp_path, text, lineno):
     with pytest.raises(SystemExit, match=f"^{prefix}"):
         main(["lq", "--out", str(tmp_path / "out"), "--config", str(cfgfile)])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mv", "--reps", "0"], "argument --reps: invalid positive_int value: '0'"),
+    (["lq", "--reps", "-2"], "argument --reps: invalid positive_int value: '-2'"),
+    (["lq-off", "--reps", "0"], "argument --reps: invalid positive_int value: '0'"),
+    (["lq", "--dt", "0"], "dt, horizon and gamma must be positive"),
+    (["mv", "--batch", "0"], "bad updates/batch/multiplier_every")])
+def test_cli_rejects_invalid_values_with_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"ctql {argv[0]}: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_mv_table_rejects_nonpositive_reps(capsys):
+    from ctql.experiments import mv_table
+
+    with pytest.raises(SystemExit) as exc:
+        mv_table.main(["--reps", "0"])
+    assert exc.value.code == 2
+    assert "invalid positive_int value: '0'" in capsys.readouterr().err
 
 
 def test_cli_mv_smoke(tmp_path, capsys):

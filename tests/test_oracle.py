@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ctql.approx import lq_value
+from ctql.approx import GaussianPolicy, lq_value
 from ctql.envsim import EnvModel, LqCoefficients, RngStream, builtin_lq_env
 from ctql.errors import ImprovementUndefined, InfeasibleProblem
 from ctql.oracle import (ergodic_identity_residual, hamiltonian,
@@ -71,6 +73,21 @@ def test_identity_residual_vanishes_only_at_solution():
     assert abs(ergodic_identity_residual(model, J_bad, pol, 0.1, sol.V_star, 1.0)) > 1e-3
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-1.4, 1.4), st.floats(-2.0, 2.0), st.floats(0.01, 3.0),
+       st.floats(-3.0, 3.0))
+def test_identity_residual_vanishes_for_every_stable_policy(k, m, s2, x):
+    # the evaluation identity holds at each policy's own (theta, V), not
+    # only at the optimum
+    coef = LqCoefficients()
+    assume(2.0 * (coef.A + coef.B * k) + (coef.C + coef.D * k) ** 2 < -1e-3)
+    theta, V = lq_policy_value(coef, 0.1, k, m, s2)
+    pol = GaussianPolicy(mean=lambda t, y: k * np.asarray(y, float) + m,
+                         variance=lambda t, y: s2 + 0.0 * np.asarray(y, float))
+    resid = ergodic_identity_residual(builtin_lq_env(), lq_value(theta), pol, 0.1, V, x)
+    assert abs(resid) < 1e-10
+
+
 def test_improvement_of_optimal_value_is_the_optimal_policy():
     model = builtin_lq_env()
     sol = lq_ergodic_fixed_point()
@@ -93,7 +110,7 @@ def test_improvement_rejects_flat_or_convex_targets():
 def test_improvement_rejects_nonquadratic_hamiltonian():
     model = EnvModel(drift=lambda t, x, a: 0.0 * x,
                      diffusion=lambda t, x, a: a ** 2,
-                     reward_rate=lambda t, x, a: 0.0 * x, ergodic=True)
+                     reward_rate=lambda t, x, a: 0.0 * x)
     with pytest.raises(ImprovementUndefined):
         policy_improvement_map(model, lq_value(np.array([1.0, 0.0])), 0.1).mean(0.0, 1.0)
 
@@ -122,10 +139,8 @@ def test_rate_function_conventions():
     J = sol.value()
     for x, a in [(0.5, 0.3), (-1.0, 0.0), (2.0, -0.7)]:
         h = hamiltonian(model, 0.0, x, a, J.d_x(0.0, x), J.d_xx(0.0, x))
-        assert q_from_value(model, J, 0.0, 0.0, x, a, V=sol.V_star) \
+        assert q_from_value(model, J, sol.V_star, x, a) \
             == pytest.approx(h - sol.V_star, abs=1e-13)
-        assert q_from_value(model, J, 0.3, 0.0, x, a) \
-            == pytest.approx(h - 0.3 * J.value(0.0, x), abs=1e-13)
 
 
 def test_optimal_rate_is_scaled_log_density():
@@ -134,13 +149,15 @@ def test_optimal_rate_is_scaled_log_density():
     J = sol.value()
     pol = sol.policy()
     for x, a in [(0.0, 0.0), (1.0, -0.5), (-2.0, 1.0)]:
-        q = q_from_value(model, J, 0.0, 0.0, x, a, V=sol.V_star)
+        q = q_from_value(model, J, sol.V_star, x, a)
         assert q == pytest.approx(0.1 * pol.log_density(0.0, x, a), abs=1e-10)
 
 
 def test_solution_accessors_are_consistent():
     sol = lq_ergodic_fixed_point()
-    assert np.array_equal(sol.value().theta, sol.theta_star)
+    th1, th2 = sol.theta_star
+    assert sol.value().d_x(0.0, 0.0) == th2
+    assert sol.value().d_xx(0.0, 0.0) == 2.0 * th1
     d = sol.to_dict()
     assert d["avg_reward"] == pytest.approx(sol.avg_reward(), abs=0.0)
     assert d["psi"] == [float(v) for v in sol.psi_star]
@@ -150,7 +167,7 @@ def test_solution_accessors_are_consistent():
 def test_small_step_expansion_recovers_the_rate():
     model = builtin_lq_env()
     sol = lq_ergodic_fixed_point()
-    q_true = q_from_value(model, sol.value(), 0.0, 0.0, 0.5, 0.3, V=sol.V_star)
+    q_true = q_from_value(model, sol.value(), sol.V_star, 0.5, 0.3)
     slope, intercept = qdt_expansion_check(
         model, sol.value(), 0.0, 0.5, 0.3, (0.05, 0.1), V=sol.V_star,
         n_paths=40_000, substeps=8, rng=RngStream(7))
