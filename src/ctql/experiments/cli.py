@@ -127,7 +127,10 @@ def main(argv=None) -> int:
 
     if args.cmd == "oracle":
         coef = LqCoefficients(**{k: getattr(args, k) for k in LQ_FIELDS})
-        sol = lq_ergodic_fixed_point(coef, args.gamma)
+        try:
+            sol = lq_ergodic_fixed_point(coef, args.gamma)
+        except ValueError as exc:  # InfeasibleProblem included
+            or_p.error(str(exc))
         print(json.dumps(sol.to_dict(), indent=2, sort_keys=True))
         return 0
 

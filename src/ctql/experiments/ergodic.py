@@ -54,7 +54,7 @@ import numpy as np
 
 from ..approx import LOG_2PI
 from ..envsim import LqCoefficients, RngStream, STATE_GUARD
-from .records import RunRecord
+from .records import RunRecord, packed
 
 # Steps whose noise, learning rates and, off-policy, behaviour data are
 # computed at once.  A block's arrays hold about a dozen doubles per
@@ -255,10 +255,10 @@ def _record(algo, mode, out, lane, rep_id, master_seed) -> RunRecord:
         metrics = dict(final)
         metrics["avg_reward"] = float(out["avg_reward"][lane])
     n = out["rows"][lane]
-    trace = {"t": out["t"][:n].tolist()}
-    trace.update((k, out["trace"][:n, i, lane].tolist())
+    trace = {"t": packed(out["t"][:n])}
+    trace.update((k, packed(out["trace"][:n, i, lane]))
                  for i, k in enumerate(out["names"]))
-    trace["reward_avg"] = out["reward_avg"][:n, lane].tolist()
+    trace["reward_avg"] = packed(out["reward_avg"][:n, lane])
     return RunRecord(
         algo=algo, mode=mode, replication=rep_id, master_seed=master_seed,
         status=status,

@@ -42,7 +42,7 @@ from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
 from ..approx import mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad  # noqa: F401
 from ..baselines import pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad  # noqa: F401
 from ..envsim import RngStream, STATE_GUARD
-from .records import RunRecord
+from .records import RunRecord, packed
 
 MV_ALGOS = ("qlearn-td", "qlearn-ml", "sarsa", "pg")
 
@@ -166,8 +166,8 @@ def _record(cfg, algo, out, lane, rep_id, master_seed) -> RunRecord:
     div = int(out["div_step"][lane])
     metrics = {} if div >= 0 else dict(zip(("mean", "variance", "sharpe"),
                                            metrics_terminal(out["terminal"][lane], cfg.x0)))
-    trace = {"j": out["j"].tolist()}
-    trace.update((k, out["trace"][:, i, lane].tolist()) for i, k in enumerate(names))
+    trace = {"j": packed(out["j"])}
+    trace.update((k, packed(out["trace"][:, i, lane])) for i, k in enumerate(names))
     return RunRecord(
         algo=algo, mode="episodic", replication=rep_id, master_seed=master_seed,
         status="ok" if div < 0 else "NA",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .cli import positive_int
 from .mv import MvExperimentConfig, MV_ALGOS, run_mv_replications
@@ -36,13 +37,16 @@ def main(argv=None) -> int:
                     choices=MV_ALGOS)
     ap.add_argument("--out", default=None, help="optional JSON dump path")
     args = ap.parse_args(argv)
+    try:
+        base = MvExperimentConfig(dt=args.dt, updates=args.episodes)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     table = {}
     for algo in args.algos:
         for mu in MUS:
             for sigma in SIGMAS:
-                cfg = MvExperimentConfig(mu=mu, sigma=sigma, dt=args.dt,
-                                         updates=args.episodes)
+                cfg = replace(base, mu=mu, sigma=sigma)
                 records = run_mv_replications(cfg, algo, args.seed, args.reps)
                 agg = aggregate_metrics(records)
                 means = agg.get("metric_means", {})

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -17,7 +18,11 @@ _CSV_FLOAT = "%.17g"
 
 @dataclass
 class RunRecord:
-    """Outcome of one replication of an experiment."""
+    """Outcome of one replication of an experiment.
+
+    `trace` maps each column name to a packed float64 `array('d')` (see
+    `packed`); `final_params` and `metrics` map names to Python floats.
+    """
 
     algo: str
     mode: str
@@ -40,6 +45,12 @@ class RunRecord:
             "final_params": {k: _json_float(v) for k, v in sorted(self.final_params.items())},
             "metrics": {k: _json_float(v) for k, v in sorted(self.metrics.items())},
         }
+
+
+def packed(column) -> array:
+    """A trace column as packed float64, bit for bit: 8 bytes a value,
+    where a list of Python floats takes 32."""
+    return array("d", np.asarray(column, dtype=np.float64).tobytes())
 
 
 def _json_float(v):

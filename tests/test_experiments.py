@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import ctql
 from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
+from ctql.experiments import ergodic, mv
 from ctql.experiments.checks import check_gibbs_normalization
 from ctql.experiments.cli import main
 from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
@@ -24,7 +26,8 @@ from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
 from ctql.experiments.mv import (MV_ALGOS, MvExperimentConfig, lagrange_update,
                                  metrics_terminal, run_mv, run_mv_replications)
 from ctql.experiments.records import (RunRecord, aggregate_metrics,
-                                      config_dict, write_summary)
+                                      config_dict, packed, write_summary,
+                                      write_trace_csv)
 
 SHORT = ErgodicExperimentConfig(horizon=200.0)
 
@@ -60,13 +63,13 @@ def test_running_average_reward_hand_values():
     cfg = ErgodicExperimentConfig(coef=co, dt=0.5, horizon=2.0, x0=1.0,
                                   trace_points=2)
     rec = run_ergodic_replications(cfg, "qlearn-online", "on-policy", 0, 1)[0]
-    assert rec.trace["t"] == [1.0, 2.0]
-    assert rec.trace["reward_avg"] == [0.625, 0.33203125]
+    assert rec.trace["t"].tolist() == [1.0, 2.0]
+    assert rec.trace["reward_avg"].tolist() == [0.625, 0.33203125]
     assert rec.metrics["avg_reward"] == 0.33203125
     every = run_ergodic_replications(dataclasses.replace(cfg, trace_points=4),
                                      "qlearn-online", "on-policy", 0, 1)[0]
-    assert every.trace["t"] == [0.5, 1.0, 1.5, 2.0]
-    assert every.trace["reward_avg"] == [1.0, 0.625, 0.4375, 0.33203125]
+    assert every.trace["t"].tolist() == [0.5, 1.0, 1.5, 2.0]
+    assert every.trace["reward_avg"].tolist() == [1.0, 0.625, 0.4375, 0.33203125]
 
 
 # High learning rates make some lanes diverge within the short horizon, so
@@ -147,7 +150,7 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
         x = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
     assert rec.status == "ok"
     assert len(rec.trace["reward_avg"]) == steps
-    assert rec.trace["reward_avg"] == want
+    assert rec.trace["reward_avg"].tolist() == want
     assert rec.metrics["avg_reward"] == total / (steps * dt)
 
 
@@ -445,6 +448,76 @@ def test_summary_output_is_byte_deterministic(tmp_path):
         == (tmp_path / "one" / "trace_0.csv").read_bytes()
 
 
+def test_ergodic_records_hold_packed_trace_columns():
+    # lq-wide's shape: 400 lanes of 200 trace rows in 8 columns.  A list of
+    # Python floats holds 32 bytes a value, a packed float64 column 8
+    run_ergodic_replications(SHORT, "qlearn-online", "on-policy", 17, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = run_ergodic_replications(SHORT, "qlearn-online", "on-policy", 17, 400)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    values = sum(len(column) for rec in recs for column in rec.trace.values())
+    assert values == 400 * 200 * 8
+    assert held <= 12 * values
+
+
+def _assert_packed(trace, blocks):
+    assert list(trace) == list(blocks)
+    for key, column in trace.items():
+        assert type(column) is array and column.typecode == "d", key
+        assert column.tobytes() == np.ascontiguousarray(blocks[key]).tobytes(), key
+
+
+def test_trace_columns_are_the_drivers_trace_blocks_packed():
+    # at horizon 2000 the off-policy PG lanes die, and their traces end
+    # early in a NaN reward average
+    cfg, lanes = ErgodicExperimentConfig(horizon=2000.0), 3
+    for algo in ALGOS:
+        for mode in MODES:
+            out = ergodic._drive(cfg, algo, mode,
+                                 [RngStream(0, (r, 0)) for r in range(lanes)],
+                                 [RngStream(0, (r, 1)) for r in range(lanes)])
+            if (algo, mode) == ("pg", "off-policy"):
+                assert (out["rows"] < len(out["t"])).all()
+            for lane in range(lanes):
+                n = out["rows"][lane]
+                blocks = {"t": out["t"][:n]}
+                blocks.update((k, out["trace"][:n, i, lane])
+                              for i, k in enumerate(out["names"]))
+                blocks["reward_avg"] = out["reward_avg"][:n, lane]
+                _assert_packed(ergodic._record(algo, mode, out, lane, lane, 0).trace,
+                               blocks)
+    cfg = small_mv()
+    for algo in MV_ALGOS:
+        out = mv._drive_mv(cfg, algo, [RngStream(0, (r, 0)) for r in range(lanes)])
+        for lane in range(lanes):
+            blocks = {"j": out["j"]}
+            blocks.update((k, out["trace"][:, i, lane])
+                          for i, k in enumerate(mv.MV_PARAM_NAMES[algo]))
+            _assert_packed(mv._record(cfg, algo, out, lane, lane, 0).trace, blocks)
+
+
+def test_trace_csv_bytes_do_not_depend_on_the_column_type(tmp_path):
+    dead = run_ergodic_replications(ErgodicExperimentConfig(horizon=2000.0),
+                                    "pg", "off-policy", 0, 1)[0]
+    assert dead.status == "NA"
+    hand = {"j": packed([0.0, 10.0, 20.0, 30.0, 40.0]),
+            "b": packed([-0.0, math.inf, -math.inf, 5e-324, 0.1])}
+    traces = [dead.trace, run_mv_replications(small_mv(), "qlearn-ml", 0, 1)[0].trace,
+              hand]
+    for i, trace in enumerate(traces):
+        write_trace_csv(tmp_path / f"array_{i}.csv", trace)
+        write_trace_csv(tmp_path / f"list_{i}.csv",
+                        {k: column.tolist() for k, column in trace.items()})
+        assert (tmp_path / f"array_{i}.csv").read_bytes() \
+            == (tmp_path / f"list_{i}.csv").read_bytes()
+    assert (tmp_path / "array_2.csv").read_text().splitlines()[1:3] == \
+        ["0,-0", "10,inf"]
+
+
 def test_config_dict_flattens_callables_and_nested_coefficients():
     d = config_dict(MvExperimentConfig())
     assert d["schedule"] == "power_schedule_0.51"
@@ -459,6 +532,16 @@ def test_cli_oracle_prints_fixed_point(capsys):
     sol = json.loads(capsys.readouterr().out)
     assert sol["psi"][0] == pytest.approx(-0.35424868893540927, abs=1e-12)
     assert sol["oracle"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--gamma", "0"], "gamma must be positive"),
+    (["--A", "1"], "no stabilizing solution")])
+def test_cli_oracle_rejects_ill_posed_models_with_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle"] + argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"ctql oracle: error: {message}"
 
 
 def test_cli_check_suite_passes(capsys):
@@ -592,6 +675,19 @@ def test_mv_table_rejects_nonpositive_reps(capsys):
         mv_table.main(["--reps", "0"])
     assert exc.value.code == 2
     assert "invalid positive_int value: '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dt", "0"], "T and dt must be positive"),
+    (["--dt", "0.3"], "T must be a whole number of steps"),
+    (["--episodes", "-1"], "bad updates/batch/multiplier_every")])
+def test_mv_table_rejects_invalid_config_with_a_usage_error(capsys, argv, message):
+    from ctql.experiments import mv_table
+
+    with pytest.raises(SystemExit) as exc:
+        mv_table.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f" error: {message}")
 
 
 def test_cli_mv_smoke(tmp_path, capsys):
