@@ -2,7 +2,10 @@
 
 Each benchmark times one `run_ergodic_replications` call of 2,000 steps
 (dt 0.1, horizon 200) at a fixed seed, and records the steps it ran, so the
-per-step time is the call time over `extra_info["steps"]`.  Every timed call
+per-step time is the call time over `extra_info["steps"]`.  One more row,
+the dead-lane row, runs off-policy policy gradient at 20 lanes for 12,000
+steps (horizon 1,200), over which 19 of its 20 lanes diverge, between steps
+6,786 and 8,348 at the seed used here.  Every timed call
 sits between two runs of perfbench's host-speed kernel
 (`perfbench/hostspeed.py`), and its wall time is rescaled to the reference
 speed (`extra_info["rescaled_s"]`; pytest-benchmark's own statistics include
@@ -41,6 +44,7 @@ import hostspeed  # noqa: E402
 LANES = (1, 20, 200)
 SEED = 3
 HORIZON = 200.0
+DEAD_HORIZON = 1200.0
 DT = 0.1
 PEAK_STEPS = (2000, 40000)
 
@@ -49,12 +53,21 @@ PEAK_STEPS = (2000, 40000)
 @pytest.mark.parametrize("mode", ("on-policy", "off-policy"))
 @pytest.mark.parametrize("algo", ("qlearn-online", "sarsa", "pg"))
 def test_ergodic_step(benchmark, algo, mode, lanes):
+    _time_call(benchmark, algo, mode, lanes, HORIZON)
+
+
+def test_ergodic_step_dead_lanes(benchmark):
+    _time_call(benchmark, "pg", "off-policy", 20, DEAD_HORIZON)
+
+
+def _time_call(benchmark, algo, mode, lanes, horizon):
     # imported here, so that merging results needs no ctql on the path
     from ctql.experiments.ergodic import (ErgodicExperimentConfig,
                                           run_ergodic_replications)
 
-    cfg = replace(ErgodicExperimentConfig(), dt=DT, horizon=HORIZON)
-    benchmark.extra_info["steps"] = cfg.steps
+    cfg = replace(ErgodicExperimentConfig(), dt=DT, horizon=horizon)
+    benchmark.extra_info.update(algo=algo, mode=mode, lanes=lanes,
+                                steps=cfg.steps)
     rescaled = []
 
     def timed_call():
@@ -82,7 +95,7 @@ def test_ergodic_step(benchmark, algo, mode, lanes):
 
 
 def _side(paths):
-    """{(algo, mode, lanes): (median rescaled microseconds per driver step
+    """{(algo, mode, lanes, steps): (median rescaled microseconds per step
     over the rounds of every file in `paths`, {steps: median traced peak
     MB})}."""
     rounds, peaks = {}, {}
@@ -90,12 +103,12 @@ def _side(paths):
         with open(path) as fh:
             data = json.load(fh)
         for b in data["benchmarks"]:
-            p = b["params"]
-            key = (p["algo"], p["mode"], p["lanes"])
-            steps = b["extra_info"]["steps"]
+            info = b["extra_info"]
+            steps = info["steps"]
+            key = (info["algo"], info["mode"], info["lanes"], steps)
             rounds.setdefault(key, []).extend(
-                t / steps * 1e6 for t in b["extra_info"]["rescaled_s"])
-            for n, mb in b["extra_info"]["peak_mb"].items():
+                t / steps * 1e6 for t in info["rescaled_s"])
+            for n, mb in info["peak_mb"].items():
                 peaks.setdefault(key, {}).setdefault(n, []).append(mb)
     return {key: (statistics.median(v),
                   {n: statistics.median(mb) for n, mb in peaks[key].items()})
@@ -106,17 +119,16 @@ def merge(before_paths, after_paths) -> dict:
     before, after = _side(before_paths), _side(after_paths)
     rows = []
     for key in sorted(before):
-        algo, mode, lanes = key
+        algo, mode, lanes, steps = key
         (us0, mb0), (us1, mb1) = before[key], after[key]
-        rows.append({"algo": algo, "mode": mode, "lanes": lanes,
+        rows.append({"algo": algo, "mode": mode, "lanes": lanes, "steps": steps,
                      "before_us_per_step": round(us0, 2),
                      "after_us_per_step": round(us1, 2),
                      "ratio": round(us1 / us0, 3),
                      "before_peak_mb": {n: round(v, 2) for n, v in mb0.items()},
                      "after_peak_mb": {n: round(v, 2) for n, v in mb1.items()}})
-    return {"layer": "ergodic step", "seed": SEED, "dt": DT, "steps":
-            int(round(HORIZON / DT)), "peak_steps": list(PEAK_STEPS),
-            "rows": rows}
+    return {"layer": "ergodic step", "seed": SEED, "dt": DT,
+            "peak_steps": list(PEAK_STEPS), "rows": rows}
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 _CSV_FLOAT = "%.17g"
+# repeated to a column's length, which allocates the array at its exact size
+_ONE_VALUE = array("d", [0.0])
 
 
 @dataclass
@@ -49,8 +51,12 @@ class RunRecord:
 
 def packed(column) -> array:
     """A trace column as packed float64, bit for bit: 8 bytes a value,
-    where a list of Python floats takes 32."""
-    return array("d", np.asarray(column, dtype=np.float64).tobytes())
+    where a list of Python floats takes 32, and no spare capacity
+    (`array('d', bytes)` over-allocates by about n/16)."""
+    values = np.asarray(column, dtype=np.float64).ravel()
+    out = _ONE_VALUE * values.size
+    memoryview(out)[:] = values
+    return out
 
 
 def _json_float(v):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from array import array
 
 import numpy as np
@@ -30,6 +31,9 @@ from ctql.experiments.records import (RunRecord, aggregate_metrics,
                                       write_trace_csv)
 
 SHORT = ErgodicExperimentConfig(horizon=200.0)
+# hot learning rates make lanes diverge at different steps
+HOT = ErgodicExperimentConfig(horizon=300.0, alpha_theta=0.2, alpha_psi=0.2,
+                              alpha_v=0.2, alpha_phi=0.2)
 
 
 def small_mv(**kw):
@@ -154,26 +158,62 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
     assert rec.metrics["avg_reward"] == total / (steps * dt)
 
 
-# While every lane is alive the driver tests all lanes' guards at once, and
-# lane by lane from the first death on, so a lane run solo and the same lane
-# in a batch can reach their steps through different guard paths.  Hot rates
-# make lanes die at different steps; the pinned lanes die at the first or
-# the last step of a 512-step block.
+# The driver tests all live lanes' guards at once, and lane by lane when that
+# test fails; a lane that dies leaves the working arrays.  So a lane run solo
+# and the same lane in a batch can reach their steps through different guard
+# paths and beside different lanes.  Hot rates make lanes die at different
+# steps; the pinned lanes die at the first or the last step of a 512-step
+# block, or, at seed 57, lanes 1 and 15 die in the same step while the rest
+# live on.
 @pytest.mark.parametrize("mode, seed, lane, div", [
     ("off-policy", 2, 19, 512),
     ("off-policy", 11, 6, 511),
     ("on-policy", 10, 5, 1536),
     ("on-policy", 24, 18, 2047),
+    ("off-policy", 57, 15, 369),
 ])
 def test_guard_paths_agree_on_divergence_at_block_edges(mode, seed, lane, div):
-    rate = 0.2
-    cfg = ErgodicExperimentConfig(horizon=300.0, alpha_theta=rate,
-                                  alpha_psi=rate, alpha_v=rate, alpha_phi=rate)
-    recs = run_ergodic_replications(cfg, "qlearn-online", mode, seed, 20)
+    recs = run_ergodic_replications(HOT, "qlearn-online", mode, seed, 20)
     assert recs[lane].divergence_step == div
-    for r in {0, lane, 19}:
-        _same_record(run_ergodic(cfg, "qlearn-online", mode,
+    together = {r for r, rec in enumerate(recs) if rec.divergence_step == div}
+    for r in {0, lane, 19} | together:
+        _same_record(run_ergodic(HOT, "qlearn-online", mode,
                                  RngStream(seed, (r, 0))), recs[r])
+
+
+class _CountingStream:
+    """A noise stream whose generators count their `standard_normal` calls."""
+
+    def __init__(self, stream):
+        self.stream, self.draws = stream, 0
+
+    def generator(self):
+        gen = self.stream.generator()
+
+        def standard_normal(*size):
+            self.draws += 1
+            return gen.standard_normal(*size)
+
+        return types.SimpleNamespace(standard_normal=standard_normal)
+
+
+@pytest.mark.parametrize("algo, mode", [("qlearn-online", "on-policy"),
+                                        ("sarsa", "off-policy")])
+def test_driver_stops_drawing_the_streams_of_a_dead_lane(algo, mode):
+    # a lane draws each 512-step block's data (and off-policy SARSA's learner
+    # draws) up to the block it dies in, and nothing after
+    lanes, seed = 20, 10
+    data = [_CountingStream(RngStream(seed, (r, 0))) for r in range(lanes)]
+    learner = [_CountingStream(RngStream(seed, (r, 1))) for r in range(lanes)]
+    out = ergodic._drive(HOT, algo, mode, data, learner)
+    blocks = -(-HOT.steps // ergodic._BLOCK)
+    drawn = np.where(out["div_step"] < 0, blocks,
+                     out["div_step"] // ergodic._BLOCK + 1)
+    assert drawn.min() < blocks == drawn.max()  # some lanes die, some live
+    sarsa = algo == "sarsa"
+    # SARSA's first action takes one more draw from the data stream
+    assert [s.draws for s in data] == (drawn + sarsa).tolist()
+    assert [s.draws for s in learner] == (drawn.tolist() if sarsa else [0] * lanes)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.001])
@@ -462,6 +502,11 @@ def test_ergodic_records_hold_packed_trace_columns():
     values = sum(len(column) for rec in recs for column in rec.trace.values())
     assert values == 400 * 200 * 8
     assert held <= 12 * values
+
+
+def test_packed_columns_hold_no_spare_capacity():
+    assert sys.getsizeof(packed(np.zeros(200))) == \
+        sys.getsizeof(array("d", [0.0]) * 200)
 
 
 def _assert_packed(trace, blocks):
