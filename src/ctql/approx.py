@@ -5,9 +5,10 @@ is one fused *_eval_grad helper, the single source of its value and
 parameter-gradient formulas: it broadcasts over (t, x, a), returns the
 value with the gradient rows from one copy of each shared term, and writes
 them into an optional `out` tuple of buffers.  The *_eval / *_grad names
-and the `mv_q` family object call it.  The ergodic LQ families carry values
-and the value's space derivatives only: their parameter gradients are the
-test vectors of the ergodic driver's update kernels.
+and the `mv_q` family object call it.  The ergodic LQ q-family carries its
+value only: its parameter gradients are the test vectors of the ergodic
+driver's update kernels, which also hold the regulator's quadratic value
+theta1 x^2 + theta2 x, as does the oracle.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
 one, so gamma * log pi equals q for the induced policy.
@@ -57,20 +58,7 @@ def policy_entropy(policy: GaussianPolicy, t, x):
 
 
 # ---------------------------------------------------------------------------
-# Value function families
-
-
-@dataclass(frozen=True)
-class ValueApprox:
-    """Value function J(t, x; theta) with analytic space derivatives.
-
-    value broadcasts over t and x; d_x and d_xx let the oracle form
-    Hamiltonians without finite differences.
-    """
-
-    value: Callable
-    d_x: Callable
-    d_xx: Callable
+# Normalized q-function families
 
 
 @dataclass(frozen=True)
@@ -159,23 +147,6 @@ def mv_q(psi, w: float, gamma: float, T: float) -> GaussianQApprox:
 
 # ---------------------------------------------------------------------------
 # Ergodic linear-quadratic family
-
-def lq_value_eval(th1, th2, x):
-    return th1 * x ** 2 + th2 * x
-
-
-def lq_value(theta) -> ValueApprox:
-    """Time-independent quadratic value theta1 x^2 + theta2 x (ergodic use)."""
-    theta = np.asarray(theta, float)
-    if theta.shape != (2,):
-        raise ValueError("theta must have two components")
-    t1, t2 = theta
-    return ValueApprox(
-        value=lambda t, x: lq_value_eval(t1, t2, x),
-        d_x=lambda t, x: 2.0 * t1 * np.asarray(x, float) + t2,
-        d_xx=lambda t, x: 2.0 * t1 + 0.0 * np.asarray(x, float),
-    )
-
 
 def lq_q_eval(p1, p2, p3, gamma, x, a):
     dev = a - p1 * x - p2

@@ -1,37 +1,21 @@
-"""Controlled-diffusion models and counter-based noise streams.
+"""The regulator's coefficients and counter-based noise streams.
 
-A model is a bundle of drift/diffusion/reward callables on (t, x, a); the
-oracle forms Hamiltonians from them.  The experiment drivers step their
-models with Euler-Maruyama on a uniform grid, actions sampled at the left
-endpoint and held over the step.  All randomness flows through counter-based
-streams keyed by (master_seed, replication, ...) so any run can be
-reproduced bit-for-bit from its key.
+`LqCoefficients` is the one model of the ergodic regulator: the drivers
+step it with Euler-Maruyama on a uniform grid, actions sampled at the left
+endpoint and held over the step, and the oracle forms its Hamiltonian from
+the same fields.  All randomness flows through counter-based streams keyed
+by (master_seed, replication, ...) so any run can be reproduced bit-for-bit
+from its key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 # A lane is marked diverged once its state passes this bound.
 STATE_GUARD = 1.0e8
-
-
-@dataclass(frozen=True)
-class EnvModel:
-    """Scalar ergodic diffusion model dX = b dt + sigma dW with running reward.
-
-    drift(t, x, a) -> b, diffusion(t, x, a) -> sigma, reward_rate(t, x, a)
-    -> reward rate (callers multiply by dt themselves).  The builtin model's
-    callables also broadcast over batched arrays, which the oracle's Monte
-    Carlo expansion relies on.
-    """
-
-    drift: Callable
-    diffusion: Callable
-    reward_rate: Callable
 
 
 @dataclass(frozen=True)
@@ -78,15 +62,3 @@ class LqCoefficients:
     def reward(self, x, a):
         return -(self.M / 2 * x ** 2 + self.R * x * a + self.N / 2 * a ** 2
                  + self.P * x + self.Q * a)
-
-
-def builtin_lq_env(A: float = -1.0, B: float = 0.0, C: float = 0.0, D: float = 1.0,
-                   M: float = 2.0, N: float = 2.0, R: float = 1.0, P: float = 1.0,
-                   Q: float = 2.0) -> EnvModel:
-    """Ergodic linear-quadratic model (no terminal payoff, no discounting)."""
-    coef = LqCoefficients(A, B, C, D, M, N, R, P, Q)
-    return EnvModel(
-        drift=lambda t, x, a: coef.A * x + coef.B * a,
-        diffusion=lambda t, x, a: coef.C * x + coef.D * a,
-        reward_rate=lambda t, x, a: coef.reward(x, a),
-    )

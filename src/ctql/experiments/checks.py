@@ -20,9 +20,9 @@ from typing import Callable, List
 
 import numpy as np
 
-from ..approx import lq_q, lq_value, mv_q, mv_q_eval_grad, mv_value_eval_grad
+from ..approx import lq_q, mv_q, mv_q_eval_grad, mv_value_eval_grad
 from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
-from ..envsim import LqCoefficients, RngStream, builtin_lq_env
+from ..envsim import LqCoefficients, RngStream
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
                       policy_improvement_map, q_from_value, qdt_expansion_check)
 from .ergodic import (ALGOS, MODES, PARAM_NAMES, ErgodicExperimentConfig,
@@ -250,13 +250,7 @@ def _improved_policy(coef: LqCoefficients, gamma: float, k: float, m: float,
                      s2: float):
     """One improvement step: evaluate, then take the Gibbs policy of H."""
     theta, _v = lq_policy_value(coef, gamma, k, m, s2)
-    model = builtin_lq_env(coef.A, coef.B, coef.C, coef.D, coef.M, coef.N,
-                           coef.R, coef.P, coef.Q)
-    pol = policy_improvement_map(model, lq_value(theta), gamma)
-    m1 = float(np.asarray(pol.mean(0.0, 0.0)))
-    k1 = float(np.asarray(pol.mean(0.0, 1.0))) - m1
-    s1 = float(np.asarray(pol.variance(0.0, 0.0)))
-    return k1, m1, s1
+    return policy_improvement_map(coef, theta, gamma)
 
 
 def check_improvement_exact(seed: int = 0) -> CheckResult:
@@ -371,15 +365,14 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
 def check_qdt_intercept(seed: int = 0) -> CheckResult:
     """First-order expansion of the window value: the rate term must match q."""
     sol = lq_ergodic_fixed_point()
-    model = builtin_lq_env()
-    J = sol.value()
+    coef = LqCoefficients()
     worst = 0.0
     details = []
     for i, (x, a) in enumerate([(1.0, 0.0), (1.0, 0.5)]):
         _slope, intercept = qdt_expansion_check(
-            model, J, 0.0, x, a, [0.1, 0.05, 0.025], V=sol.V_star,
+            coef, sol.theta_star, x, a, [0.1, 0.05, 0.025], V=sol.V_star,
             n_paths=100_000, rng=RngStream(seed, (703, i)))
-        q_true = q_from_value(model, J, sol.V_star, x, a)
+        q_true = q_from_value(coef, sol.theta_star, sol.V_star, x, a)
         err = abs(intercept - q_true)
         worst = max(worst, err)
         details.append(f"q({x:g},{a:g}) err {err:.3f}")

@@ -357,7 +357,8 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     # The working arrays hold the live lanes only: `live` maps their columns
     # to the caller's lanes, and a lane that dies leaves every working array
     # and stream list, and its frozen parameters go into `params`.  `prows`
-    # holds P's row views for the kernels and is rebuilt when P is
+    # holds P's row views for the kernels and is rebuilt when P is replaced
+    # by its live columns, since the old views would still read the old P
     live = np.arange(lanes)
     gens = [s.generator() for s in data_streams]
     lgens = [s.generator() for s in learner_streams] if sarsa and off_policy else None

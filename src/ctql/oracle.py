@@ -1,9 +1,10 @@
 """Independent closed-form and Monte Carlo reference computations.
 
 Everything here is meant to check the learning code from the outside: exact
-fixed points by coefficient matching, Hamiltonians assembled from model
-callables, quadrature identities, and a brute-force small-step expansion of
-the action-value function.  Nothing imports from the learner modules.
+fixed points by coefficient matching, the Hamiltonian formed from the
+regulator's `LqCoefficients` and a quadratic value theta1 x^2 + theta2 x,
+quadrature identities, and a brute-force small-step expansion of the
+action-value function.  Nothing imports from the learner modules.
 """
 
 from __future__ import annotations
@@ -14,24 +15,31 @@ from typing import Sequence
 
 import numpy as np
 
-from .approx import GaussianPolicy, ValueApprox, lq_value
-from .envsim import EnvModel, LqCoefficients, RngStream
+from .envsim import LqCoefficients, RngStream
 from .errors import ImprovementUndefined, InfeasibleProblem
 
 
-def hamiltonian(model: EnvModel, t, x, a, p, q_hess) -> float:
-    """H = b p + 1/2 sigma^2 q_hess + r for the given scalar model callables."""
+def _value_derivs(theta, x):
+    """J' = 2 theta1 x + theta2 and J'' = 2 theta1 of J = theta1 x^2 + theta2 x."""
+    th1, th2 = np.asarray(theta, float)
+    return 2.0 * th1 * np.asarray(x, float) + th2, 2.0 * th1
+
+
+def hamiltonian(coef: LqCoefficients, x, a, p, q_hess) -> float:
+    """H = b p + 1/2 sigma^2 q_hess + r with b = A x + B a, sigma = C x + D a
+    and r the running reward."""
     # arrays square x ** 2 as x * x; a Python float's pow can round apart
     x = np.asarray(x, float)
     a = np.asarray(a, float)
-    sig = model.diffusion(t, x, a)
-    return float(model.drift(t, x, a) * p + 0.5 * (sig * sig * q_hess)
-                 + model.reward_rate(t, x, a))
+    sig = coef.C * x + coef.D * a
+    return float((coef.A * x + coef.B * a) * p + 0.5 * (sig * sig * q_hess)
+                 + coef.reward(x, a))
 
 
-def q_from_value(model: EnvModel, J: ValueApprox, V: float, x, a) -> float:
-    """Ergodic rate function H(x, a, J', J'') - V of the value J."""
-    return hamiltonian(model, 0.0, x, a, J.d_x(0.0, x), J.d_xx(0.0, x)) - float(V)
+def q_from_value(coef: LqCoefficients, theta, V: float, x, a) -> float:
+    """Ergodic rate function H(x, a, J', J'') - V of the value with parameters
+    theta."""
+    return hamiltonian(coef, x, a, *_value_derivs(theta, x)) - float(V)
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +61,6 @@ class LqErgodicSolution:
     V_noexplore: float
     gamma: float
     variance: float
-
-    def policy(self) -> GaussianPolicy:
-        k, m, _ = self.psi_star
-        var = self.variance
-        return GaussianPolicy(mean=lambda t, x: k * np.asarray(x, float) + m,
-                              variance=lambda t, x: var + 0.0 * np.asarray(x, float))
-
-    def value(self) -> ValueApprox:
-        return lq_value(self.theta_star)
 
     def avg_reward(self) -> float:
         """Long-run average of the raw reward under the optimal policy."""
@@ -178,24 +177,25 @@ def lq_policy_value(coef: LqCoefficients, gamma: float, k: float, m: float,
     return np.array([th1, th2]), V
 
 
-def ergodic_identity_residual(model: EnvModel, J: ValueApprox,
-                              policy: GaussianPolicy, gamma: float, V: float,
-                              x, n_nodes: int = 24) -> float:
+def ergodic_identity_residual(coef: LqCoefficients, theta, k: float, m: float,
+                              s2: float, gamma: float, V: float, x,
+                              n_nodes: int = 24) -> float:
     """Residual of the ergodic evaluation identity at state x.
 
-    Integrates [H(x, a, J', J'') - gamma log pi(a|x)] pi(a|x) da - V with
+    Integrates [H(x, a, J', J'') - gamma log pi(a|x)] pi(a|x) da - V for the
+    value with parameters theta and the policy pi = N(k x + m, s2), with
     Gauss-Hermite quadrature against the policy; exact for action-quadratic
     Hamiltonians.
     """
-    mu = float(np.asarray(policy.mean(0.0, x), float))
-    s2 = float(np.asarray(policy.variance(0.0, x), float))
+    mu = k * np.asarray(x, float) + m
+    p, q_hess = _value_derivs(theta, x)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     total = 0.0
     for zi, wi in zip(nodes, weights):
         a = mu + math.sqrt(2.0 * s2) * zi
-        h = hamiltonian(model, 0.0, x, a, J.d_x(0.0, x), J.d_xx(0.0, x))
-        logp = float(policy.log_density(0.0, x, a))
-        total += wi * (h - gamma * logp)
+        h = hamiltonian(coef, x, a, p, q_hess)
+        logp = -0.5 * (a - mu) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2)
+        total += wi * (h - gamma * float(logp))
     return total / math.sqrt(math.pi) - V
 
 
@@ -203,68 +203,62 @@ def ergodic_identity_residual(model: EnvModel, J: ValueApprox,
 # One-step policy improvement
 
 
-def policy_improvement_map(model: EnvModel, J: ValueApprox, gamma: float) -> GaussianPolicy:
-    """Gibbs policy of the Hamiltonian built from J.
+def policy_improvement_map(coef: LqCoefficients, theta,
+                           gamma: float) -> tuple[float, float, float]:
+    """Gibbs policy N(k x + m, s2) of the Hamiltonian built from the value
+    with parameters theta, returned as (k, m, s2).
 
-    At each (t, x) the map probes H(t, x, ., J', J'') at a few actions, fits
-    the quadratic and returns N(argmax, gamma / curvature).  Raises
-    ImprovementUndefined when H is not a concave quadratic in the action.
+    H is quadratic in the action; the map probes it at three actions, at
+    x = 0 and x = 1, and takes the argmax and gamma / curvature.  Raises
+    ImprovementUndefined when H is not strictly concave in the action.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
 
-    def fit(t, x):
-        p = J.d_x(t, x)
-        hess = J.d_xx(t, x)
-        h = [hamiltonian(model, t, x, av, p, hess) for av in (-1.0, 0.0, 1.0, 2.0)]
+    def fit(x):
+        p, q_hess = _value_derivs(theta, x)
+        h = [hamiltonian(coef, x, av, p, q_hess) for av in (-1.0, 0.0, 1.0)]
         quad = 0.5 * (h[0] + h[2]) - h[1]
         lin = 0.5 * (h[2] - h[0])
-        pred2 = h[1] + 2.0 * lin + 4.0 * quad
-        scale = max(1.0, max(abs(v) for v in h))
-        if abs(pred2 - h[3]) > 1e-8 * scale:
-            raise ImprovementUndefined("H is not quadratic in the action")
         if quad >= 0:
             raise ImprovementUndefined("H is not strictly concave in the action")
-        return -lin / (2.0 * quad), -gamma / (2.0 * quad)
+        return -lin / (2.0 * quad), quad
 
-    return GaussianPolicy(mean=lambda t, x: fit(t, x)[0],
-                          variance=lambda t, x: fit(t, x)[1])
+    m, quad = fit(0.0)
+    return fit(1.0)[0] - m, m, -gamma / (2.0 * quad)
 
 
 # ---------------------------------------------------------------------------
 # Small-step expansion of the action value
 
 
-def qdt_expansion_check(model: EnvModel, J: ValueApprox, t, x, a,
+def qdt_expansion_check(coef: LqCoefficients, theta, x, a,
                         dt_list: Sequence[float], *, V: float, rng: RngStream,
                         n_paths: int = 100_000, substeps: int = 16):
     """Monte Carlo first-order expansion of the action value in the step size.
 
     For each window dt the perturbed policy plays the constant action a and
     then reverts, so the window value is E[int (r - V)] plus J at the window
-    end.  The function regresses (window value - J)/dt on dt and returns
-    (slope, intercept); the intercept estimates the rate q(x, a).
+    end, for J = theta1 x^2 + theta2 x.  The function regresses
+    (window value - J)/dt on dt and returns (slope, intercept); the intercept
+    estimates the rate q(x, a).
     """
+    th1, th2 = np.asarray(theta, float)
     gen = rng.generator()
-    x0 = float(np.asarray(x, float).reshape(-1)[0])
-    a0 = float(np.asarray(a, float).reshape(-1)[0])
-    j0 = float(np.asarray(J.value(t, x0), float))
+    x0, a0 = float(x), float(a)
+    j0 = th1 * x0 ** 2 + th2 * x0
     ys = []
     for dt in dt_list:
         h = dt / substeps
         sq = math.sqrt(h)
         xs = np.full(n_paths, x0)
         acc = np.zeros(n_paths)
-        for i in range(substeps):
-            ti = t + i * h
-            r = np.asarray(model.reward_rate(ti, xs, a0), float) - V
-            acc += r * h
-            b = np.asarray(model.drift(ti, xs, a0), float)
-            sig = np.asarray(model.diffusion(ti, xs, a0), float)
-            xs = xs + b * h + sig * sq * gen.standard_normal(n_paths)
-        q_dt = float(np.mean(acc + np.asarray(J.value(t + dt, xs), float)))
+        for _ in range(substeps):
+            acc += (coef.reward(xs, a0) - V) * h
+            sig = coef.C * xs + coef.D * a0
+            xs = (xs + (coef.A * xs + coef.B * a0) * h
+                  + sig * sq * gen.standard_normal(n_paths))
+        q_dt = float(np.mean(acc + (th1 * xs ** 2 + th2 * xs)))
         ys.append((q_dt - j0) / dt)
-    dts = np.asarray(dt_list, float)
-    ys = np.asarray(ys)
-    slope, intercept = np.polyfit(dts, ys, 1)
+    slope, intercept = np.polyfit(np.asarray(dt_list, float), np.asarray(ys), 1)
     return float(slope), float(intercept)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ctql.approx import lq_q
-from ctql.envsim import LqCoefficients, RngStream, builtin_lq_env
+from ctql.envsim import LqCoefficients, RngStream
 from ctql.experiments import (ErgodicExperimentConfig, MvExperimentConfig,
                               aggregate_metrics, run_all_checks,
                               run_ergodic_replications, run_mv_replications)
+from ctql.experiments.ergodic import rate_kernel
 from ctql.oracle import (ergodic_identity_residual, lq_ergodic_fixed_point,
                          lq_policy_value)
 
@@ -64,13 +64,13 @@ def test_criterion_1_online_qlearning_parameter_band():
 def test_criterion_2_oracle_self_consistency():
     sol = lq_ergodic_fixed_point()
     psi1_err = abs(sol.psi_star[0] - (math.sqrt(7.0) - 3.0))
-    model = builtin_lq_env()
-    J, pol = sol.value(), sol.policy()
-    resid = max(abs(ergodic_identity_residual(model, J, pol, sol.gamma,
+    co = LqCoefficients()
+    k, m = sol.psi_star[0], sol.psi_star[1]
+    resid = max(abs(ergodic_identity_residual(co, sol.theta_star, k, m,
+                                              sol.variance, sol.gamma,
                                               sol.V_star, x))
                 for x in np.linspace(-5.0, 5.0, 101))
-    theta, V = lq_policy_value(LqCoefficients(), sol.gamma,
-                               sol.psi_star[0], sol.psi_star[1], sol.variance)
+    theta, V = lq_policy_value(co, sol.gamma, k, m, sol.variance)
     round_trip = max(float(np.max(np.abs(theta - sol.theta_star))),
                      abs(V - sol.V_star))
     ok = psi1_err < 1e-12 and resid < 1e-10 and round_trip < 1e-10
@@ -94,11 +94,11 @@ def test_criterion_3_offpolicy_martingale_mean_zero():
         x[k + 1] = (xk + (co.A * xk + co.B * a[k]) * dt
                     + (co.C * xk + co.D * a[k]) * sqdt * z[k])
     sol = lq_ergodic_fixed_point()
-    J = sol.value()
-    q = lq_q(np.array(sol.psi_star), sol.gamma)
-    delta = (J.value(0.0, x[1:]) - J.value(0.0, x[:-1])
-             + (co.reward(x[:-1], a) - q.value(0.0, x[:-1], a)
-                - sol.V_star) * dt)
+    # the q-learning kernel at the oracle's parameters, a lane per step; its
+    # test vectors are not read
+    P = np.concatenate((sol.theta_star, sol.psi_star, [sol.V_star]))
+    delta = rate_kernel(P, x[:-1], a, co.reward(x[:-1], a), x[1:], sol.gamma,
+                        dt, "q", np.empty((6, n)))
     mean = float(delta.mean())
     se = float(delta.std(ddof=1)) / math.sqrt(n)
     elapsed = time.perf_counter() - t0

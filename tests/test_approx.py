@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ctql.approx import (LOG_2PI, GaussianPolicy, lq_q, lq_q_eval, lq_value,
+from ctql.approx import (LOG_2PI, GaussianPolicy, lq_q, lq_q_eval,
                          mv_q, mv_q_eval_grad, mv_value_eval, mv_value_eval_grad,
                          policy_entropy, policy_log_density)
 
@@ -86,10 +86,6 @@ def test_terminal_value_is_pinned_for_all_parameters(t1, t2, t3, x):
 def test_value_frozen_values():
     assert mv_value_eval(0.3, -0.2, 0.7, 1.3, 1.4, 1.0, 0.25, 0.9) == pytest.approx(
         0.047148858298690456, abs=1e-15)
-    Jl = lq_value(np.array([0.5, -0.3]))
-    assert Jl.value(0.0, 2.0) == pytest.approx(1.4, abs=1e-15)
-    assert Jl.d_x(0.0, 2.0) == pytest.approx(1.7, abs=1e-15)
-    assert Jl.d_xx(0.0, 2.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_value_gradients_match_finite_differences():
@@ -100,16 +96,6 @@ def test_value_gradients_match_finite_differences():
         want = [_fd(lambda p: mv_value_eval_grad(*p, w, z, T, t, x)[0], theta, i)
                 for i in range(3)]
         assert np.allclose(np.asarray(rows, float), want, atol=1e-7)
-    # the ergodic value's space derivatives, which the oracle's Hamiltonian
-    # reads, against the same stencil
-    J = lq_value(np.array([0.4, -0.6]))
-    h = 1e-6
-    for x in (-1.5, 0.0, 0.7, 1.6):
-        assert J.d_x(0.0, x) == pytest.approx(
-            (J.value(0.0, x + h) - J.value(0.0, x - h)) / (2 * h), abs=1e-6)
-        assert J.d_xx(0.0, x) == pytest.approx(
-            (J.value(0.0, x + h) - 2 * J.value(0.0, x) + J.value(0.0, x - h)) / h ** 2,
-            abs=1e-3)
 
 
 def test_q_gradients_match_finite_differences():
@@ -139,8 +125,6 @@ def test_family_constructors_validate():
         lq_q(np.zeros(3), -0.1)
     with pytest.raises(ValueError):
         mv_q(np.zeros(2), 1.3, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        lq_value(np.zeros(3))
     pol = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: -1.0)
     with pytest.raises(ValueError):
         policy_log_density(pol, 0.0, 0.0, 0.0)

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ctql.approx import GaussianPolicy, lq_value
-from ctql.envsim import EnvModel, LqCoefficients, RngStream, builtin_lq_env
+from ctql.approx import lq_q
+from ctql.envsim import LqCoefficients, RngStream
 from ctql.errors import ImprovementUndefined, InfeasibleProblem
-from ctql.oracle import (ergodic_identity_residual, hamiltonian,
-                         lq_ergodic_fixed_point, lq_policy_value,
+from ctql.oracle import (_h_coeffs, _value_derivs, ergodic_identity_residual,
+                         hamiltonian, lq_ergodic_fixed_point, lq_policy_value,
                          policy_improvement_map, q_from_value,
                          qdt_expansion_check)
 
 SQ7 = math.sqrt(7.0)
+# B and C nonzero, so that a swapped field shows
+HOT_COEF = LqCoefficients(A=-1.3, B=0.7, C=0.4, D=0.9, M=1.5, N=2.5, R=0.6,
+                          P=-0.8, Q=1.1)
 
 
 def test_fixed_point_matches_closed_form_algebra():
@@ -63,14 +66,15 @@ def test_policy_value_consistent_with_fixed_point():
 
 
 def test_identity_residual_vanishes_only_at_solution():
-    model = builtin_lq_env()
+    coef = LqCoefficients()
     sol = lq_ergodic_fixed_point()
-    J = sol.value()
-    pol = sol.policy()
+    k, m = sol.psi_star[0], sol.psi_star[1]
     for x in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert abs(ergodic_identity_residual(model, J, pol, 0.1, sol.V_star, x)) < 1e-10
-    J_bad = lq_value(sol.theta_star + np.array([0.05, 0.0]))
-    assert abs(ergodic_identity_residual(model, J_bad, pol, 0.1, sol.V_star, 1.0)) > 1e-3
+        assert abs(ergodic_identity_residual(coef, sol.theta_star, k, m, sol.variance,
+                                             0.1, sol.V_star, x)) < 1e-10
+    theta_bad = sol.theta_star + np.array([0.05, 0.0])
+    assert abs(ergodic_identity_residual(coef, theta_bad, k, m, sol.variance, 0.1,
+                                         sol.V_star, 1.0)) > 1e-3
 
 
 @settings(max_examples=50, deadline=None)
@@ -82,37 +86,44 @@ def test_identity_residual_vanishes_for_every_stable_policy(k, m, s2, x):
     coef = LqCoefficients()
     assume(2.0 * (coef.A + coef.B * k) + (coef.C + coef.D * k) ** 2 < -1e-3)
     theta, V = lq_policy_value(coef, 0.1, k, m, s2)
-    pol = GaussianPolicy(mean=lambda t, y: k * np.asarray(y, float) + m,
-                         variance=lambda t, y: s2 + 0.0 * np.asarray(y, float))
-    resid = ergodic_identity_residual(builtin_lq_env(), lq_value(theta), pol, 0.1, V, x)
+    resid = ergodic_identity_residual(coef, theta, k, m, s2, 0.1, V, x)
     assert abs(resid) < 1e-10
 
 
 def test_improvement_of_optimal_value_is_the_optimal_policy():
-    model = builtin_lq_env()
     sol = lq_ergodic_fixed_point()
-    pim = policy_improvement_map(model, sol.value(), 0.1)
-    for x in (-1.5, 0.0, 0.4, 2.0):
-        assert pim.mean(0.0, x) == pytest.approx(
-            sol.psi_star[0] * x + sol.psi_star[1], abs=1e-9)
-        assert pim.variance(0.0, x) == pytest.approx(sol.variance, abs=1e-9)
+    k, m, s2 = policy_improvement_map(LqCoefficients(), sol.theta_star, 0.1)
+    assert k == pytest.approx(sol.psi_star[0], abs=1e-9)
+    assert m == pytest.approx(sol.psi_star[1], abs=1e-9)
+    assert s2 == pytest.approx(sol.variance, abs=1e-9)
+
+
+@pytest.mark.parametrize("coef", [LqCoefficients(), HOT_COEF])
+def test_improvement_matches_the_closed_form_away_from_the_optimum(coef):
+    # the probed Gibbs policy of H against the action-quadratic decomposition
+    # N((h1 x + B theta2 - Q) / h2, gamma / h2) at random values
+    rng = np.random.default_rng(12)
+    tried = 0
+    while tried < 40:
+        theta = rng.normal(scale=1.5, size=2)
+        gamma = float(rng.uniform(0.02, 1.0))
+        h2, h1 = _h_coeffs(coef, theta[0])
+        if h2 <= 0.05:
+            continue
+        tried += 1
+        k, m, s2 = policy_improvement_map(coef, theta, gamma)
+        assert k == pytest.approx(h1 / h2, abs=1e-9)
+        assert m == pytest.approx((coef.B * theta[1] - coef.Q) / h2, abs=1e-9)
+        assert s2 == pytest.approx(gamma / h2, abs=1e-9)
 
 
 def test_improvement_rejects_flat_or_convex_targets():
-    model = builtin_lq_env()
+    coef = LqCoefficients()
     # curvature 2 x^2 makes the action quadratic term vanish exactly
     with pytest.raises(ImprovementUndefined):
-        policy_improvement_map(model, lq_value(np.array([1.0, 0.0])), 0.1).mean(0.0, 1.0)
+        policy_improvement_map(coef, np.array([1.0, 0.0]), 0.1)
     with pytest.raises(ImprovementUndefined):
-        policy_improvement_map(model, lq_value(np.array([2.0, 0.0])), 0.1).mean(0.0, 1.0)
-
-
-def test_improvement_rejects_nonquadratic_hamiltonian():
-    model = EnvModel(drift=lambda t, x, a: 0.0 * x,
-                     diffusion=lambda t, x, a: a ** 2,
-                     reward_rate=lambda t, x, a: 0.0 * x)
-    with pytest.raises(ImprovementUndefined):
-        policy_improvement_map(model, lq_value(np.array([1.0, 0.0])), 0.1).mean(0.0, 1.0)
+        policy_improvement_map(coef, np.array([2.0, 0.0]), 0.1)
 
 
 def test_unstable_dynamics_are_reported_infeasible():
@@ -128,47 +139,60 @@ def test_unstable_dynamics_are_reported_infeasible():
 
 
 def test_hamiltonian_hand_value():
-    model = builtin_lq_env()
     # b p = -2, diffusion term = 1, reward = -6
-    assert hamiltonian(model, 0.0, 1.0, 1.0, 2.0, 2.0) == pytest.approx(-7.0, abs=1e-14)
+    assert hamiltonian(LqCoefficients(), 1.0, 1.0, 2.0, 2.0) == pytest.approx(-7.0, abs=1e-14)
+    # b = -0.6, sigma = 1.3, reward = -(0.75 + 0.6 + 1.25 - 0.8 + 1.1) = -2.9
+    assert hamiltonian(HOT_COEF, 1.0, 1.0, 2.0, 2.0) == pytest.approx(
+        -1.2 + 1.69 - 2.9, abs=1e-14)
+
+
+def test_value_derivatives_match_finite_differences():
+    theta = np.array([0.4, -0.6])
+    h = 1e-6
+
+    def J(x):
+        return theta[0] * x * x + theta[1] * x
+
+    assert _value_derivs(np.array([0.5, -0.3]), 2.0) == pytest.approx((1.7, 1.0), abs=1e-15)
+    for x in (-1.5, 0.0, 0.7, 1.6):
+        d_x, d_xx = _value_derivs(theta, x)
+        assert d_x == pytest.approx((J(x + h) - J(x - h)) / (2 * h), abs=1e-6)
+        assert d_xx == pytest.approx((J(x + h) - 2 * J(x) + J(x - h)) / h ** 2, abs=1e-3)
 
 
 def test_rate_function_conventions():
-    model = builtin_lq_env()
     sol = lq_ergodic_fixed_point()
-    J = sol.value()
-    for x, a in [(0.5, 0.3), (-1.0, 0.0), (2.0, -0.7)]:
-        h = hamiltonian(model, 0.0, x, a, J.d_x(0.0, x), J.d_xx(0.0, x))
-        assert q_from_value(model, J, sol.V_star, x, a) \
-            == pytest.approx(h - sol.V_star, abs=1e-13)
+    for coef in (LqCoefficients(), HOT_COEF):
+        for x, a in [(0.5, 0.3), (-1.0, 0.0), (2.0, -0.7)]:
+            h = hamiltonian(coef, x, a, *_value_derivs(sol.theta_star, x))
+            assert q_from_value(coef, sol.theta_star, sol.V_star, x, a) \
+                == pytest.approx(h - sol.V_star, abs=1e-13)
 
 
 def test_optimal_rate_is_scaled_log_density():
-    model = builtin_lq_env()
     sol = lq_ergodic_fixed_point()
-    J = sol.value()
-    pol = sol.policy()
+    q_star = lq_q(sol.psi_star, sol.gamma)
+    pol = q_star.policy()
     for x, a in [(0.0, 0.0), (1.0, -0.5), (-2.0, 1.0)]:
-        q = q_from_value(model, J, sol.V_star, x, a)
+        q = q_from_value(LqCoefficients(), sol.theta_star, sol.V_star, x, a)
         assert q == pytest.approx(0.1 * pol.log_density(0.0, x, a), abs=1e-10)
 
 
 def test_solution_accessors_are_consistent():
     sol = lq_ergodic_fixed_point()
-    th1, th2 = sol.theta_star
-    assert sol.value().d_x(0.0, 0.0) == th2
-    assert sol.value().d_xx(0.0, 0.0) == 2.0 * th1
     d = sol.to_dict()
     assert d["avg_reward"] == pytest.approx(sol.avg_reward(), abs=0.0)
     assert d["psi"] == [float(v) for v in sol.psi_star]
+    assert d["theta"] == [float(v) for v in sol.theta_star]
+    assert d["variance"] == sol.variance
     assert d["oracle"] is True
 
 
 def test_small_step_expansion_recovers_the_rate():
-    model = builtin_lq_env()
+    coef = LqCoefficients()
     sol = lq_ergodic_fixed_point()
-    q_true = q_from_value(model, sol.value(), sol.V_star, 0.5, 0.3)
+    q_true = q_from_value(coef, sol.theta_star, sol.V_star, 0.5, 0.3)
     slope, intercept = qdt_expansion_check(
-        model, sol.value(), 0.0, 0.5, 0.3, (0.05, 0.1), V=sol.V_star,
+        coef, sol.theta_star, 0.5, 0.3, (0.05, 0.1), V=sol.V_star,
         n_paths=40_000, substeps=8, rng=RngStream(7))
     assert intercept == pytest.approx(q_true, abs=0.25)
