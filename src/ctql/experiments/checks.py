@@ -3,24 +3,27 @@
 Each check is self-seeded and returns a CheckResult; run_all_checks drives
 the full list.  The suite covers the structural identities the learners rely
 on, on the code the experiment drivers run: Gibbs consistency and
-normalization of the q-families, the ergodic update kernels' test vectors
-and the mean-variance gradient helpers against finite differences, the
-mean-variance driver's episode residuals against a brute-force double sum,
-zero-learning-rate no-ops of every driver, policy improvement monotonicity
-(exact and Monte Carlo), the mean-zero gap between the SARSA kernel's
-bracket and the q-learning kernel's residual, and the first-order expansion
-of the step-size Q.
+normalization of the q the drivers evaluate (the regulator's through the
+running terms -q, -gamma log pi and gamma H of `rate_kernel`, the
+portfolio's through its q and log-density helpers), the ergodic update
+kernels' test vectors and the mean-variance gradient helpers against finite
+differences, the mean-variance driver's episode residuals against a
+brute-force double sum, zero-learning-rate no-ops of every driver, policy
+improvement monotonicity (exact and Monte Carlo), the mean-zero gap between
+the SARSA kernel's bracket and the q-learning kernel's residual, and the
+first-order expansion of the step-size Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List
 
 import numpy as np
 
-from ..approx import lq_q, mv_q, mv_q_eval_grad, mv_value_eval_grad
+from ..approx import mv_q_eval_grad, mv_value_eval_grad
 from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
 from ..envsim import LqCoefficients, RngStream
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
@@ -43,43 +46,58 @@ class CheckResult:
         return f"[{flag}] {self.name}: {self.detail}"
 
 
-def _hermite_expect(f, mu, s2, n=32):
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    total = sum(wi * f(mu + math.sqrt(2.0 * s2) * zi)
-                for zi, wi in zip(nodes, weights))
-    return total / math.sqrt(math.pi)
+def _kernel_terms(psi, gamma: float, x: float, a):
+    """q, gamma log pi(a|x) and the entropy bonus gamma H at the actions a,
+    read off `rate_kernel`: with theta, r and V zero, x' = x and dt = 1 its
+    residual is the running term alone, -q on the "q" route, -gamma log pi
+    on "sampled" and gamma H on "entropy"."""
+    a = np.atleast_1d(np.asarray(a, float))
+    P = (0.0, 0.0, psi[0], psi[1], psi[2], 0.0)
+    q, logp, bonus = (rate_kernel(P, x, a, 0.0, x, gamma, 1.0, running,
+                                  np.ones((6, a.size)))
+                      for running in ("q", "sampled", "entropy"))
+    return -q, -logp, np.broadcast_to(bonus, a.shape)
+
+
+def _gibbs_points(seed: int, gamma: float):
+    """Seeded points of the two q-families as (terms, mu, s2): terms maps an
+    action array to (q, gamma log pi, gamma H or None), and N(mu, s2) is the
+    policy, written out here.  The regulator's terms are read off the kernel
+    at psi* and at two random (psi, x), the portfolio's come from its q and
+    log-density helpers at three random (psi, w, t, x) with horizon T = 1."""
+    rng = np.random.default_rng(seed)
+    T = 1.0
+    for i in range(3):
+        psi, x = ((lq_ergodic_fixed_point(gamma=gamma).psi_star, 0.7) if i == 0
+                  else (rng.normal(scale=0.7, size=3), float(rng.normal())))
+        # pi = N(psi1 x + psi2, gamma e^{psi3})
+        yield (partial(_kernel_terms, psi, gamma, x), psi[0] * x + psi[1],
+               gamma * math.exp(psi[2]))
+    for _ in range(3):
+        psi, w = rng.normal(scale=0.7, size=3), float(rng.normal(loc=1.4, scale=0.2))
+        t, x = float(rng.uniform(0, 1)), float(rng.normal(loc=1.0))
+        args = (*psi, w, gamma, T, t, x)
+        # pi = N(-psi2 (x - w), gamma e^{psi1 + psi3 (T-t)})
+        yield ((lambda a, args=args: (mv_q_eval_grad(*args, a)[0],
+                                      gamma * pg_mv_logp_score(*args, a)[0], None)),
+               -psi[1] * (x - w), gamma * math.exp(psi[0] + psi[2] * (T - t)))
 
 
 def check_gibbs_consistency(seed: int = 0) -> CheckResult:
-    """E_pi[q - gamma log pi] must vanish for every q-induced policy."""
-    rng = np.random.default_rng(seed)
-    gamma = 0.1
-    worst = 0.0
-    for _ in range(3):
-        psi = rng.normal(scale=0.7, size=3)
-        q = lq_q(psi, gamma)
-        pol = q.policy()
-        x = float(rng.normal())
-        mu = float(np.asarray(pol.mean(0.0, x)))
-        s2 = float(np.asarray(pol.variance(0.0, x)))
-        val = _hermite_expect(
-            lambda a: float(q.value(0.0, x, a)) - gamma * float(pol.log_density(0.0, x, a)),
-            mu, s2)
-        worst = max(worst, abs(val))
-    for _ in range(3):
-        psi = rng.normal(scale=0.7, size=3)
-        w = float(rng.normal(loc=1.4, scale=0.2))
-        q = mv_q(psi, w, gamma, 1.0)
-        pol = q.policy()
-        t, x = float(rng.uniform(0, 1)), float(rng.normal(loc=1.0))
-        mu = float(np.asarray(pol.mean(t, x)))
-        s2 = float(np.asarray(pol.variance(t, x)))
-        val = _hermite_expect(
-            lambda a: float(q.value(t, x, a)) - gamma * float(pol.log_density(t, x, a)),
-            mu, s2)
-        worst = max(worst, abs(val))
-    return CheckResult("gibbs-consistency", worst < 1e-8,
-                       f"max |E_pi[q - gamma log pi]| = {worst:.3e} (tol 1e-8)")
+    """E_pi[q - gamma log pi] must vanish for every q-induced policy, and
+    E_pi[gamma log pi] must equal minus the entropy bonus gamma H, by 32-node
+    Gauss-Hermite quadrature over the policy's actions."""
+    nodes, weights = np.polynomial.hermite.hermgauss(32)
+    weights = weights / math.sqrt(math.pi)
+    q_gap = h_gap = 0.0
+    for terms, mu, s2 in _gibbs_points(seed, 0.1):
+        q, glogp, bonus = terms(mu + math.sqrt(2.0 * s2) * nodes)
+        q_gap = max(q_gap, abs(weights @ (q - glogp)))
+        if bonus is not None:
+            h_gap = max(h_gap, abs(weights @ (glogp + bonus)))
+    return CheckResult("gibbs-consistency", max(q_gap, h_gap) < 1e-8,
+                       f"max |E_pi[q - gamma log pi]| = {q_gap:.3e}, "
+                       f"|E_pi[gamma log pi] + gamma H| = {h_gap:.3e} (tol 1e-8)")
 
 
 def check_gibbs_normalization(seed: int = 0) -> CheckResult:
@@ -87,23 +105,11 @@ def check_gibbs_normalization(seed: int = 0) -> CheckResult:
     # imported here so that importing ctql.experiments does not load scipy
     from scipy.integrate import quad
 
-    rng = np.random.default_rng(seed)
     gamma = 0.1
     worst = 0.0
-    sol = lq_ergodic_fixed_point()
-    cases = [(lq_q(sol.psi_star, gamma), 0.0, 0.7)]
-    for _ in range(2):
-        cases.append((lq_q(rng.normal(scale=0.7, size=3), gamma), 0.0,
-                      float(rng.normal())))
-    for _ in range(2):
-        cases.append((mv_q(rng.normal(scale=0.7, size=3),
-                           float(rng.normal(loc=1.4, scale=0.2)), gamma, 1.0),
-                      float(rng.uniform(0, 1)), float(rng.normal(loc=1.0))))
-    for q, t, x in cases:
-        mu = float(np.asarray(q.mean(t, x)))
-        s2 = gamma / float(np.asarray(q.precision_scale(t, x)))
+    for terms, mu, s2 in _gibbs_points(seed, gamma):
         span = 12.0 * math.sqrt(s2)
-        val, _err = quad(lambda a: math.exp(float(q.value(t, x, a)) / gamma),
+        val, _err = quad(lambda a: math.exp(float(terms(np.array([a]))[0][0]) / gamma),
                          mu - span, mu + span, limit=200)
         worst = max(worst, abs(val - 1.0))
     return CheckResult("gibbs-normalization", worst < 1e-8,
@@ -321,8 +327,8 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
     """Averaging the SARSA kernel's bracket over the next action recovers
     the q-learning kernel's residual when the step-size Q matches J + q dt.
 
-    For a normalized family the extra term q(t', x', a') - gamma log pi(a'|x')
-    vanishes pointwise, not just in expectation, so the Monte Carlo gate
+    For a normalized family the extra term q(t', x', a') - gamma log pi(a'|x'),
+    with q read off the q-learning kernel, vanishes pointwise, not just in expectation, so the Monte Carlo gate
     carries an absolute roundoff floor alongside the 4 SE band.
     """
     sol = lq_ergodic_fixed_point()
@@ -353,7 +359,7 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
     # matched params: rate policy N(p1 x + p2, gamma e^{p3}) equals the step
     # policy, so the same draws feed the pointwise extra-term check
     logp = -0.5 * (a2 - mu2) ** 2 / var2 - 0.5 * math.log(2.0 * math.pi * var2)
-    extra = np.asarray(lq_q(ps, gamma).value(dt, x2, a2), float) - gamma * logp
+    extra = _kernel_terms(ps, gamma, x2, a2)[0] - gamma * logp
     extra_max = float(np.abs(extra).max())
     ok = abs(mean_gap) < 4.0 * se + 1e-12 and extra_max < 1e-10
     return CheckResult("sarsa-target-mean", ok,

@@ -30,8 +30,16 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for seeds, which the noise streams take only at zero or
+    above."""
+    if int(text) < 0:
+        raise ValueError(f"{text} is negative")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=nonnegative_int, default=0, help="master seed")
     p.add_argument("--reps", type=positive_int, default=100, help="independent replications")
     p.add_argument("--out", default=None, help="output directory (default results/<cmd>)")
     p.add_argument("--config", default=None, metavar="FILE",
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
                           default=getattr(LqCoefficients, name))
 
     ck_p = sub.add_parser("check", help="run the property suite")
-    ck_p.add_argument("--seed", type=int, default=0)
+    ck_p.add_argument("--seed", type=nonnegative_int, default=0)
 
     args = parser.parse_args(argv)
     subparsers = {"mv": mv_p, "lq": lq_p, "lq-off": lqo_p,

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .cli import positive_int
+from .cli import nonnegative_int, positive_int
 from .mv import MvExperimentConfig, MV_ALGOS, run_mv_replications
 from .records import aggregate_metrics
 
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dt", type=float, default=1.0 / 25.0)
     ap.add_argument("--reps", type=positive_int, default=20)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=nonnegative_int, default=0)
     ap.add_argument("--episodes", type=int, default=20000)
     ap.add_argument("--algos", nargs="*", default=list(MV_ALGOS),
                     choices=MV_ALGOS)

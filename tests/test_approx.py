@@ -1,4 +1,6 @@
-"""Parametric families: Gaussian policies, value and q approximators."""
+"""Parametric families: the portfolio's value and q helpers, and the
+regulator's normalized q and entropy bonus as its q-learning and
+policy-gradient kernel evaluates them."""
 
 import math
 
@@ -8,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ctql.approx import (LOG_2PI, GaussianPolicy, lq_q, lq_q_eval,
-                         mv_q, mv_q_eval_grad, mv_value_eval, mv_value_eval_grad,
-                         policy_entropy, policy_log_density)
+from ctql.approx import (LOG_2PI, mv_q_eval_grad, mv_value_eval,
+                         mv_value_eval_grad)
+from ctql.experiments.checks import _kernel_terms
 
 params = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -21,20 +23,27 @@ def _fd(f, p, i, h=1e-6):
     return (f(p + e) - f(p - e)) / (2 * h)
 
 
-def test_lq_q_frozen_values():
-    q = lq_q(np.zeros(3), 0.1)
+def _q(psi, gamma, x, a):
+    """The regulator's q at (x, a), as the q-learning kernel evaluates it."""
+    return float(_kernel_terms(psi, gamma, x, a)[0][0])
+
+
+def test_regulator_q_frozen_values():
     # at the policy mean only the entropy constant survives
-    assert q.value(0.0, 1.0, 0.0) == pytest.approx(0.0232354013292350, abs=1e-15)
-    q2 = lq_q(np.array([0.0, 0.0, math.log(10.0)]), 0.1)
-    assert q2.value(0.0, 1.0, 0.0) == pytest.approx(-0.0918938533204672, abs=1e-15)
-    assert lq_q_eval(0.3, -0.1, 0.2, 0.1, 1.0, 0.5) == pytest.approx(
+    assert _q(np.zeros(3), 0.1, 1.0, 0.0) == pytest.approx(0.0232354013292350, abs=1e-15)
+    assert _q(np.array([0.0, 0.0, math.log(10.0)]), 0.1, 1.0, 0.0) == pytest.approx(
+        -0.0918938533204672, abs=1e-15)
+    assert _q(np.array([0.3, -0.1, 0.2]), 0.1, 1.0, 0.5) == pytest.approx(
         -0.5 * math.exp(-0.2) * (0.5 - 0.2) ** 2
         - 0.05 * (LOG_2PI + math.log(0.1) + 0.2), abs=1e-14)
 
 
 def test_entropy_frozen_value():
-    pol = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: 0.1)
-    assert policy_entropy(pol, 0.0, 0.0) == pytest.approx(0.26764598670764983, abs=1e-15)
+    # the policy-gradient kernel's entropy bonus gamma H of N(0, 0.1)
+    bonus = float(_kernel_terms(np.zeros(3), 0.1, 0.0, 0.0)[2][0])
+    assert bonus / 0.1 == pytest.approx(0.26764598670764983, abs=1e-15)
+    assert bonus / 0.1 == pytest.approx(stats.norm(0.0, math.sqrt(0.1)).entropy(),
+                                        abs=1e-15)
 
 
 def test_q_exponential_integrates_to_one():
@@ -42,9 +51,8 @@ def test_q_exponential_integrates_to_one():
     for _ in range(4):
         psi = rng.uniform(-1.0, 1.0, 3)
         gamma = float(rng.uniform(0.05, 0.5))
-        q = lq_q(psi, gamma)
         x = float(rng.uniform(-2, 2))
-        val, err = integrate.quad(lambda a: math.exp(q.value(0.0, x, a) / gamma),
+        val, err = integrate.quad(lambda a: math.exp(_q(psi, gamma, x, a) / gamma),
                                   -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=max(1e-9, 10 * err))
 
@@ -52,19 +60,25 @@ def test_q_exponential_integrates_to_one():
 @settings(max_examples=30, deadline=None)
 @given(params, params, params, params, params)
 def test_scaled_policy_log_density_recovers_q(p1, p2, p3, x, a):
+    # gamma log pi of pi = N(p1 x + p2, gamma e^{p3}) is q, and so is gamma
+    # log pi as the sampled policy-gradient route evaluates it
     gamma = 0.1
-    q = lq_q(np.array([p1, p2, p3]), gamma)
-    logp = policy_log_density(q.policy(), 0.0, x, a)
-    assert gamma * logp == pytest.approx(q.value(0.0, x, a), abs=1e-12)
+    psi = np.array([p1, p2, p3])
+    logp = stats.norm(p1 * x + p2, math.sqrt(gamma * math.exp(p3))).logpdf(a)
+    assert gamma * logp == pytest.approx(_q(psi, gamma, x, a), abs=1e-12)
+    assert float(_kernel_terms(psi, gamma, x, a)[1][0]) == pytest.approx(
+        gamma * logp, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(params, params, params, params, params)
 def test_scaled_policy_log_density_recovers_q_wealth_family(p1, p3, w, x, a):
+    # pi = N(-psi2 (x - w), gamma e^{psi1 + psi3 (T-t)})
     gamma, T, t = 0.1, 1.0, 0.4
-    q = mv_q(np.array([p1, 0.6, p3]), w, gamma, T)
-    logp = policy_log_density(q.policy(), t, x, a)
-    assert gamma * logp == pytest.approx(q.value(t, x, a), abs=1e-12)
+    q, _rows = mv_q_eval_grad(p1, 0.6, p3, w, gamma, T, t, x, a)
+    logp = stats.norm(-0.6 * (x - w),
+                      math.sqrt(gamma * math.exp(p1 + p3 * (T - t)))).logpdf(a)
+    assert gamma * logp == pytest.approx(q, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,33 +115,11 @@ def test_value_gradients_match_finite_differences():
 def test_q_gradients_match_finite_differences():
     gamma, w, T = 0.1, 1.3, 1.0
     psi = np.array([0.2, 0.9, -0.4])
-    q = mv_q(psi, w, gamma, T)
     for (t, x, a) in [(0.0, 1.1, -0.5), (0.6, 0.8, 0.3)]:
-        value, rows = mv_q_eval_grad(*psi, w, gamma, T, t, x, a)
+        _value, rows = mv_q_eval_grad(*psi, w, gamma, T, t, x, a)
         want = [_fd(lambda p: mv_q_eval_grad(*p, w, gamma, T, t, x, a)[0], psi, i)
                 for i in range(3)]
         assert np.allclose(np.asarray(rows, float), want, atol=1e-6)
-        # the family object is the same helper
-        assert q.value(t, x, a) == value
-
-
-def test_policy_log_density_matches_reference():
-    pol = GaussianPolicy(mean=lambda t, x: 0.3 * x, variance=lambda t, x: 0.25)
-    got = policy_log_density(pol, 0.0, 2.0, 1.1)
-    assert got == pytest.approx(stats.norm(0.6, 0.5).logpdf(1.1), abs=1e-12)
-    assert pol.log_density(0.0, 2.0, 1.1) == got
-
-
-def test_family_constructors_validate():
-    with pytest.raises(ValueError):
-        lq_q(np.zeros(4), 0.1)
-    with pytest.raises(ValueError):
-        lq_q(np.zeros(3), -0.1)
-    with pytest.raises(ValueError):
-        mv_q(np.zeros(2), 1.3, 0.1, 1.0)
-    pol = GaussianPolicy(mean=lambda t, x: 0.0, variance=lambda t, x: -1.0)
-    with pytest.raises(ValueError):
-        policy_log_density(pol, 0.0, 0.0, 0.0)
 
 
 # The separate value and gradient expressions the fused helpers replaced,

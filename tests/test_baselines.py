@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from ctql.approx import (GaussianPolicy, mv_q_eval_grad, policy_entropy,
-                         policy_log_density)
+from ctql.approx import mv_q_eval_grad
 from ctql.baselines import (pg_mv_logp, pg_mv_logp_score, qdt_mv_eval,
                             qdt_mv_eval_grad)
 from ctql.envsim import RngStream
@@ -47,10 +47,8 @@ def test_qdt_policy_variance_scales_with_step_size():
         bracket = sarsa_kernel(P, x, a, r, x2, a2, GAMMA, dt, np.ones((6, 1)))
         logp = (q(x2, a2) - q(x, a) + r * dt - float(bracket[0])) / (GAMMA * dt)
         var = GAMMA * dt * math.exp(0.4)
-        pol = GaussianPolicy(mean=lambda t, x: 0.3 * x - 0.1,
-                             variance=lambda t, x, var=var: var)
-        assert logp == pytest.approx(float(policy_log_density(pol, 0.0, x2, a2)),
-                                     rel=1e-9)
+        assert logp == pytest.approx(
+            stats.norm(0.3 * x2 - 0.1, math.sqrt(var)).logpdf(a2), rel=1e-9)
         variances.append(var)
     assert variances[0] / variances[1] == pytest.approx(0.1, abs=1e-15)
     # the mean-variance Q(dt) is quadratic in a with curvature
@@ -195,17 +193,15 @@ def test_family_policy_object_matches_fields():
     # -f2 (x - w) and variance gamma e^{f1 + f3 (T-t)}; its mean over actions
     # is minus the policy's entropy
     f1, f2, f3, w, T = 0.2, 0.6, -0.1, 1.3, 1.0
-    pol = GaussianPolicy(mean=lambda t, x: -f2 * (x - w),
-                         variance=lambda t, x: GAMMA * math.exp(f1 + f3 * (T - t)))
     t, x, a = 0.3, 1.1, -0.2
-    assert pol.mean(t, x) == pytest.approx(-0.6 * (1.1 - 1.3), abs=1e-14)
-    assert policy_log_density(pol, t, x, a) == pytest.approx(
+    mean, var = -f2 * (x - w), GAMMA * math.exp(f1 + f3 * (T - t))
+    pol = stats.norm(mean, math.sqrt(var))
+    assert pol.logpdf(a) == pytest.approx(
         pg_mv_logp(f1, f2, f3, w, GAMMA, T, t, x, a), abs=1e-12)
     nodes, weights = np.polynomial.hermite.hermgauss(16)
-    acts = pol.mean(t, x) + math.sqrt(2.0 * pol.variance(t, x)) * nodes
+    acts = mean + math.sqrt(2.0 * var) * nodes
     mean_logp = float(weights @ pg_mv_logp(f1, f2, f3, w, GAMMA, T, t, x, acts))
-    assert -mean_logp / math.sqrt(math.pi) == pytest.approx(
-        float(policy_entropy(pol, t, x)), abs=1e-12)
+    assert -mean_logp / math.sqrt(math.pi) == pytest.approx(pol.entropy(), abs=1e-12)
 
 
 def test_pg_family_entropy_closed_form():
@@ -222,11 +218,10 @@ def test_pg_family_entropy_closed_form():
     assert float(weights @ sampled) / math.sqrt(math.pi) == pytest.approx(
         bonus[0], abs=1e-12)
     base, _ = _kernel("entropy", P, 1.5, mu, -1.0, 1.2)
-    pol = GaussianPolicy(mean=lambda t, x: mu, variance=lambda t, x: var)
     plain = (0.4 * 1.2 ** 2 - 0.2 * 1.2) - (0.4 * 1.5 ** 2 - 0.2 * 1.5) \
         + (-1.0 - 0.1) * DT
     assert (base[0] - plain) / DT == pytest.approx(
-        GAMMA * policy_entropy(pol, 0.0, 1.5), abs=1e-12)
+        GAMMA * stats.norm(mu, math.sqrt(var)).entropy(), abs=1e-12)
 
 
 def test_pg_step_equals_rate_learner_step_at_matched_rates():

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import ctql
 from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
 from ctql.experiments import ergodic, mv
-from ctql.experiments.checks import check_gibbs_normalization
+from ctql.experiments.checks import (check_gibbs_consistency,
+                                    check_gibbs_normalization)
 from ctql.experiments.cli import main
 from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
                                       run_ergodic, run_ergodic_replications)
@@ -596,6 +597,24 @@ def test_cli_check_suite_passes(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("rule", ("q", "entropy", "sampled"))
+def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
+    # move one running term's log constant in the driver's kernel by 0.1: the
+    # Gibbs checks evaluate that kernel, so they must fail
+    constants = ergodic._constants
+
+    def moved(gamma, dt, running):
+        c = constants(gamma, dt, running)
+        if running != rule:
+            return c
+        return c[:5] + (np.array(float(c[5]) + 0.1),) + c[6:]
+
+    monkeypatch.setattr(ergodic, "_constants", moved)
+    assert not check_gibbs_consistency().passed
+    # exp(q/gamma) still integrates to one unless the q route's constant moved
+    assert check_gibbs_normalization().passed == (rule != "q")
+
+
 def _fresh_python(code, **env_vars):
     """stdout of `code` run in a fresh interpreter that imports this ctql."""
     src = os.path.dirname(os.path.dirname(ctql.__file__))
@@ -689,7 +708,8 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("text, lineno", [("horizon = 50\nreps = 1e3\n", 2),
                                           ("algo = qlearn\n", 1),
-                                          ("horizon = 50\nreps = 0\n", 2)])
+                                          ("horizon = 50\nreps = 0\n", 2),
+                                          ("horizon = 50\nseed = -1\n", 2)])
 def test_cli_config_file_values_are_checked_like_flags(tmp_path, text, lineno):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)
@@ -704,10 +724,15 @@ def test_cli_config_file_values_are_checked_like_flags(tmp_path, text, lineno):
     (["lq", "--reps", "-2"], "argument --reps: invalid positive_int value: '-2'"),
     (["lq-off", "--reps", "0"], "argument --reps: invalid positive_int value: '0'"),
     (["lq", "--dt", "0"], "dt, horizon and gamma must be positive"),
-    (["mv", "--batch", "0"], "bad updates/batch/multiplier_every")])
+    (["mv", "--batch", "0"], "bad updates/batch/multiplier_every"),
+    (["lq", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'"),
+    (["lq-off", "--seed", "-3"], "argument --seed: invalid nonnegative_int value: '-3'"),
+    (["mv", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'"),
+    (["check", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'")])
 def test_cli_rejects_invalid_values_with_a_usage_error(tmp_path, capsys, argv, message):
+    out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "out")])
+        main(argv + out)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"ctql {argv[0]}: error: {message}"
     assert not (tmp_path / "out").exists()
@@ -725,7 +750,8 @@ def test_mv_table_rejects_nonpositive_reps(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--dt", "0"], "T and dt must be positive"),
     (["--dt", "0.3"], "T must be a whole number of steps"),
-    (["--episodes", "-1"], "bad updates/batch/multiplier_every")])
+    (["--episodes", "-1"], "bad updates/batch/multiplier_every"),
+    (["--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'")])
 def test_mv_table_rejects_invalid_config_with_a_usage_error(capsys, argv, message):
     from ctql.experiments import mv_table
 

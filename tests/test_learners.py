@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ctql.approx import LOG_2PI, lq_q
+from ctql.approx import LOG_2PI
 from ctql.envsim import LqCoefficients, RngStream
 from ctql.experiments.ergodic import (ALGOS, MODES, PARAM_NAMES,
                                       ErgodicExperimentConfig, rate_kernel,
@@ -102,13 +102,14 @@ def test_ergodic_update_learns_rate():
                                   schedule=lambda t: 1.0, trace_points=steps)
     rec = run_ergodic(cfg, "qlearn-online", "off-policy", RngStream(7, (0, 0)))
     noise = RngStream(7, (0, 0)).generator().standard_normal((steps, 2))
-    q = lq_q(np.array([0.0, 0.0, math.log(1.0 / gamma)]), gamma)
     co = LqCoefficients()
     x, V, want = 0.0, 0.0, []
     for z0, z1 in noise:
         a = z0
         r = co.reward(x, a)
-        V += 0.5 * (r - float(q.value(0.0, x, a)) - V) * dt
+        # the flat family psi = (0, 0, log 1/gamma): q = -(gamma/2)(a^2 + log 2 pi)
+        q = -0.5 * gamma * (a * a + LOG_2PI)
+        V += 0.5 * (r - q - V) * dt
         want.append(V)
         x = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * math.sqrt(dt) * z1
     assert rec.status == "ok"
@@ -149,7 +150,9 @@ def test_episode_and_step_routes_agree_on_simulated_data():
     delta = rate_kernel(P, xs[:-1], acts, rewards, xs[1:], gamma, dt, "q",
                         np.ones((6, K)))
     J = theta[0] * xs ** 2 + theta[1] * xs
-    q = np.asarray(lq_q(psi, gamma).value(0.0, xs[:-1], acts), float)
+    # the normalized q of the policy N(psi1 x + psi2, gamma e^{psi3})
+    q = -0.5 * math.exp(-psi[2]) * (acts - psi[0] * xs[:-1] - psi[1]) ** 2 \
+        - 0.5 * gamma * (LOG_2PI + math.log(gamma) + psi[2])
     g = martingale_residuals(J[-1], J[:-1], rewards - q, dt)
     assert np.allclose(g, np.flip(np.cumsum(np.flip(delta))), atol=1e-10)
 

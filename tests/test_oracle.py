@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from ctql.approx import lq_q
 from ctql.envsim import LqCoefficients, RngStream
 from ctql.errors import ImprovementUndefined, InfeasibleProblem
+from ctql.experiments.checks import _kernel_terms
 from ctql.oracle import (_h_coeffs, _value_derivs, ergodic_identity_residual,
                          hamiltonian, lq_ergodic_fixed_point, lq_policy_value,
                          policy_improvement_map, q_from_value,
@@ -171,11 +172,14 @@ def test_rate_function_conventions():
 
 def test_optimal_rate_is_scaled_log_density():
     sol = lq_ergodic_fixed_point()
-    q_star = lq_q(sol.psi_star, sol.gamma)
-    pol = q_star.policy()
+    p1, p2, p3 = sol.psi_star
     for x, a in [(0.0, 0.0), (1.0, -0.5), (-2.0, 1.0)]:
         q = q_from_value(LqCoefficients(), sol.theta_star, sol.V_star, x, a)
-        assert q == pytest.approx(0.1 * pol.log_density(0.0, x, a), abs=1e-10)
+        # pi* = N(psi1 x + psi2, gamma e^{psi3}), and the q-learning kernel's q
+        pol = stats.norm(p1 * x + p2, math.sqrt(sol.gamma * math.exp(p3)))
+        assert q == pytest.approx(0.1 * pol.logpdf(a), abs=1e-10)
+        assert q == pytest.approx(
+            float(_kernel_terms(sol.psi_star, sol.gamma, x, a)[0][0]), abs=1e-10)
 
 
 def test_solution_accessors_are_consistent():
