@@ -37,9 +37,6 @@ class RngStream:
         key = (int(self.master_seed),) + tuple(int(s) for s in self.stream_id)
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
-    def child(self, *ids) -> "RngStream":
-        return RngStream(self.master_seed, tuple(self.stream_id) + tuple(int(i) for i in ids))
-
 
 @dataclass(frozen=True)
 class LqCoefficients:

@@ -56,27 +56,27 @@ def _parse_config_file(path: str, parser: argparse.ArgumentParser, args) -> None
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                parser.error(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             action = actions.get(key.replace("-", "_"))
             if action is None:
-                raise SystemExit(f"{path}:{lineno}: unknown option {key!r}")
+                parser.error(f"{path}:{lineno}: unknown option {key!r}")
             value = val
             if action.type is not None:
                 try:
                     value = action.type(val)
                 except (TypeError, ValueError):
-                    raise SystemExit(f"{path}:{lineno}: {key}: invalid "
-                                     f"{action.type.__name__} value {val!r}") from None
+                    parser.error(f"{path}:{lineno}: {key}: invalid "
+                                 f"{action.type.__name__} value {val!r}")
             if action.choices is not None and value not in action.choices:
                 choices = ", ".join(map(repr, action.choices))
-                raise SystemExit(f"{path}:{lineno}: {key}: invalid choice "
-                                 f"{value!r} (choose from {choices})")
+                parser.error(f"{path}:{lineno}: {key}: invalid choice "
+                             f"{value!r} (choose from {choices})")
             setattr(args, action.dest, value)
 
 
-def _finish(out_dir, cfg_dict, records, extra=None) -> int:
-    path = write_summary(out_dir, cfg_dict, records, extra)
+def _finish(out_dir, cfg_dict, records) -> int:
+    path = write_summary(out_dir, cfg_dict, records)
     agg = aggregate_metrics(records)
     print(f"wrote {path}")
     print(json.dumps(agg, indent=2, sort_keys=True))

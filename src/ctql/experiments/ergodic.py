@@ -37,20 +37,22 @@ is asked for at a time, so a single replication consumes exactly the same
 numbers regardless of the block length or of how many lanes run beside it,
 and a run's working memory depends on its lanes, not on its horizon.
 SARSA draws its action at the *next* state (column 0 of the step belongs to
-that draw, after one extra draw for the initial action); off-policy SARSA
-samples the bracket action from its own stream so the observed data stay
-shared across algorithms.  A lane's trace ends at the first record after it
-diverges.  The driver then drops the lane from its working arrays and
-stops drawing its streams; the lane's record keeps its frozen parameters,
-and the driver stops once every lane has diverged, so a lane's record does
-not depend on the lanes beside it either.
+that draw, after one extra draw for the initial action); off-policy, that
+draw comes from its learner stream and is the next behaviour action, so its
+data are its own, not q-learning's and policy gradient's (column 0 goes
+unused and the extra draw shifts its Brownian draws by one normal).  A
+lane's trace ends at the first record after it diverges, if one follows.
+The driver then drops the lane from its working arrays and stops drawing
+its streams; the lane's record keeps its frozen parameters, and the driver
+stops once every lane has diverged, so a lane's record does not depend on
+the lanes beside it either.
 
 Off-policy, the observed actions, states and rewards do not depend on the
-learner, so the driver computes them for the whole block from its noise;
-the per-step loop then runs only the kernel, the guard, the update and the
-trace.  The block uses the same state and reward expressions as the
-on-policy step (`_euler`, `_reward`), so a lane's numbers do not depend on
-the block length.
+learner's parameters, so the driver computes them for the whole block from
+its noise; the per-step loop then runs only the kernel, the guard, the
+update and the trace.  The block uses the same state and reward expressions
+as the on-policy step (`_euler`, `_reward`), so a lane's numbers do not
+depend on the block length.
 """
 
 from __future__ import annotations
@@ -258,8 +260,8 @@ def run_ergodic_replications(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                              master_seed: int, reps: int) -> List[RunRecord]:
     """Run `reps` independent replications in lockstep.
 
-    Replication r draws its observed data from stream (r, 0) and any
-    learner-private randomness from stream (r, 1).
+    Replication r draws from stream (r, 0), and off-policy SARSA draws its
+    behaviour actions after the first from stream (r, 1).
     """
     data_streams = [RngStream(master_seed, (r, 0)) for r in range(reps)]
     learner_streams = [RngStream(master_seed, (r, 1)) for r in range(reps)]
@@ -271,8 +273,8 @@ def run_ergodic(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 rng: RngStream) -> RunRecord:
     """Single replication driven by an explicit stream (lane width one).
 
-    `rng` is the data stream (r, 0) of replication r; the learner stream is
-    (r, 1), as in `run_ergodic_replications`.
+    `rng` is the data stream (r, 0) of replication r; off-policy SARSA's
+    later actions come from stream (r, 1), as in `run_ergodic_replications`.
     """
     rep_id = int(rng.stream_id[0]) if rng.stream_id else 0
     out = _drive(cfg, algo, mode, [rng], [RngStream(rng.master_seed, (rep_id, 1))])
@@ -374,7 +376,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
 
     record_every = max(1, steps // max(1, cfg.trace_points))
     n_rec = steps // record_every
-    t_trace = np.empty(n_rec)
+    t_trace = np.arange(1, n_rec + 1) * record_every * dt
     p_trace = np.empty((n_rec, 6, lanes))
     r_trace = np.empty((n_rec, lanes))
     rec_i = 0
@@ -488,24 +490,17 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                         if sarsa:
                             A2 = A2[:, keep]
                             lgens = list(compress(lgens, keep))
-                kk = k + i + 1
-                if kk % record_every == 0 and rec_i < n_rec:
-                    t_now = kk * dt
-                    t_trace[rec_i] = t_now
+                if (k + i + 1) % record_every == 0:
                     p_trace[rec_i][:, live] = P
-                    r_trace[rec_i, live] = reward_sum / t_now
+                    r_trace[rec_i, live] = reward_sum / t_trace[rec_i]
                     rec_i += 1
             k += n
 
-    if not len(live) and rec_i < n_rec:
-        # the record the run would have written next: each lane's trace
-        # already holds its frozen parameters and no reward average there,
-        # so a lane's trace ends the same way alone or beside lanes that
-        # live longer
-        t_trace[rec_i] = (rec_i + 1) * record_every * dt
-        rec_i += 1
-    rows = np.where(div_step < 0, rec_i,
-                    np.minimum(rec_i, div_step // record_every + 1))
+    # a dead lane's trace ends at the first record after it dies (frozen
+    # parameters, no reward average) or at the last, the same alone or
+    # beside lanes that live longer
+    rows = np.where(div_step < 0, n_rec,
+                    np.minimum(n_rec, div_step // record_every + 1))
     avg = np.full(lanes, np.nan)
     if len(live):
         params[:, live] = P

@@ -84,11 +84,9 @@ class MvExperimentConfig:
     schedule: Callable[[float], float] = power_schedule(0.51)
     train_years: float = 20.0
     eval_runs: int = 100
-    ml_inner_sum: str = "discounted"
     # Out-of-sample episodes play the Gaussian policy's mean by default, the
     # exploitative readout; set True to sample exploratory actions instead.
     eval_exploratory: bool = False
-    strict_multiplier_box: bool = False
     trace_points: int = 200
 
     def __post_init__(self):
@@ -100,8 +98,6 @@ class MvExperimentConfig:
             raise ValueError("bad updates/batch/multiplier_every")
         if self.eval_runs < 2:
             raise ValueError("need at least two evaluation episodes")
-        if self.ml_inner_sum not in ("discounted", "frozen-at-k"):
-            raise ValueError("ml_inner_sum must be 'discounted' or 'frozen-at-k'")
         k = int(round(self.T / self.dt))
         if abs(k * self.dt - self.T) > 1e-9:
             raise ValueError("T must be a whole number of steps")
@@ -285,11 +281,8 @@ def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, xs, acts,
         term = mv_value_eval(*th, w, z, T, T, xs[:, K:])
         martingale_residuals(term, js[:, :-1], running, dt, axis=1, out=resid)
         q_tests = tests[3:]
-        if cfg.ml_inner_sum == "discounted":
-            np.cumsum(np.flip(q_tests, 2), axis=2, out=np.flip(q_tests, 2))
-            q_tests *= dt
-        else:
-            q_tests *= ((K - np.arange(K)) * dt)[:, None]
+        np.cumsum(np.flip(q_tests, 2), axis=2, out=np.flip(q_tests, 2))
+        q_tests *= dt
     else:
         np.subtract(js[:, 1:], js[:, :-1], out=resid)
         running *= dt
@@ -334,7 +327,7 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
     tw = np.empty((lanes, cfg.multiplier_every, B))
 
     record_every = max(1, cfg.updates // max(1, cfg.trace_points))
-    n_rec = cfg.updates // record_every if cfg.updates else 0
+    n_rec = cfg.updates // record_every
     p_trace = np.empty((n_rec, len(P), lanes))
 
     tcol = (np.arange(K + 1) * cfg.dt).reshape(1, K + 1, 1)
@@ -405,8 +398,7 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
 
             tw[:, (j - 1) % cfg.multiplier_every] = np.where(active[:, None], xk[K], np.nan)
             if j % cfg.multiplier_every == 0:
-                z_eff = 0.0 if cfg.strict_multiplier_box else cfg.z
-                w_new = lagrange_update(P[-1], tw.reshape(lanes, -1), cfg.alpha_w, z_eff)
+                w_new = lagrange_update(P[-1], tw.reshape(lanes, -1), cfg.alpha_w, cfg.z)
                 P[-1] = np.where(active & np.isfinite(w_new), w_new, P[-1])
             if j % record_every == 0:
                 p_trace[j // record_every - 1] = P

@@ -108,8 +108,7 @@ def write_trace_csv(path, trace: dict) -> None:
         fh.writelines(row % vals for vals in zip(*(trace[c] for c in cols)))
 
 
-def write_summary(out_dir, config: dict, records: Sequence[RunRecord],
-                  extra: Optional[dict] = None) -> str:
+def write_summary(out_dir, config: dict, records: Sequence[RunRecord]) -> str:
     """summary.json plus per-replication trace files under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -118,8 +117,6 @@ def write_summary(out_dir, config: dict, records: Sequence[RunRecord],
         "replications": [r.to_dict() for r in sorted(records, key=lambda r: r.replication)],
         "aggregate": aggregate_metrics(records),
     }
-    if extra:
-        payload.update(extra)
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -137,9 +137,8 @@ def test_lq_reward_helper_matches_model():
 
 
 def test_distinct_stream_children_decorrelate():
-    s = RngStream(11, (4, 0))
-    a = s.child(0).generator().standard_normal(5)
-    b = s.child(1).generator().standard_normal(5)
+    a = RngStream(11, (4, 0)).generator().standard_normal(5)
+    b = RngStream(11, (4, 1)).generator().standard_normal(5)
     assert not np.allclose(a, b)
     with pytest.raises(ValueError):
         RngStream(-1)

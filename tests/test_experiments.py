@@ -5,7 +5,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -111,6 +110,31 @@ def test_all_dead_run_stops_at_its_last_divergence():
     assert any(r.status == "ok" for r in wide)
     for a, b in zip(two, wide):
         _same_record(a, b)
+
+
+# Hot rates over 1,307 steps, recorded every 186 steps: the last of the 7
+# records is at step 1,302, five steps before the horizon.  At seed 37, lane 1
+# dies at step 1,305, after the last record, so its row count is clamped to
+# the 7 records; at seed 8, both lanes die at step 803, between the fourth
+# record and the fifth, and the run stops there.
+@pytest.mark.parametrize("seed, div", [(37, [None, 1305]), (8, [803, 803])])
+def test_dead_lane_traces_end_at_the_next_record_or_the_last(seed, div):
+    cfg = dataclasses.replace(HOT, horizon=130.7, trace_points=7)
+    every = cfg.steps // cfg.trace_points
+    n_rec = cfg.steps // every
+    assert (cfg.steps, every, n_rec) == (1307, 186, 7)
+    recs = run_ergodic_replications(cfg, "qlearn-online", "on-policy", seed, 2)
+    assert [r.divergence_step for r in recs] == div
+    for r, rec in enumerate(recs):
+        d = rec.divergence_step
+        rows = n_rec if d is None else min(n_rec, d // every + 1)
+        assert rec.trace["t"].tolist() == [i * every * cfg.dt
+                                           for i in range(1, rows + 1)]
+        # a row after the divergence holds no reward average
+        frozen = d is not None and d // every < n_rec
+        assert math.isnan(rec.trace["reward_avg"][-1]) == frozen
+        _same_record(run_ergodic(cfg, "qlearn-online", "on-policy",
+                                 RngStream(seed, (r, 0))), rec)
 
 
 @pytest.mark.parametrize("algo", ["qlearn-online", "sarsa"])
@@ -356,30 +380,51 @@ def test_exploratory_readout_moves_wealth():
     assert rec.metrics["variance"] > 0.0
 
 
-@pytest.mark.parametrize("lanes", [1, 3])
-def test_mv_evaluation_replays_per_episode_draws(lanes):
-    # untrained lanes act with mean 0 and variance gamma (gamma dt for the
-    # step-size policy of sarsa); each lane's episodes are replayed in plain
-    # floats from its stream, one (K, 2) draw per episode after the pool draw
-    cfg = small_mv(updates=0, eval_runs=6, T=0.2, mu=0.3, sigma=0.2, rfree=0.05,
-                   eval_exploratory=True)
-    K, dt = cfg.steps, cfg.dt
+@pytest.mark.parametrize("lanes, updates, explore", [
+    pytest.param(1, 0, True, id="1"),
+    pytest.param(3, 0, True, id="3"),
+    pytest.param(3, 30, True, id="trained-exploratory"),
+    pytest.param(3, 30, False, id="trained-mean")])
+def test_mv_evaluation_replays_per_episode_draws(lanes, updates, explore):
+    # each lane's episodes are replayed in plain floats from its stream and
+    # its final parameters: after the pool draw and each update's segment
+    # starts and action normals, one (K, 2) draw per episode.  Untrained
+    # lanes act with gain 0 and variance gamma (gamma dt for the step-size
+    # policy of sarsa); trained ones also pull the wealth toward w
+    cfg = small_mv(updates=updates, eval_runs=6, T=0.2, mu=0.3, sigma=0.2,
+                   rfree=0.05, eval_exploratory=explore)
+    K, dt, B = cfg.steps, cfg.dt, cfg.batch
+    tau = cfg.T - np.arange(K) * dt
     for algo in MV_ALGOS:
-        std = math.sqrt(cfg.gamma * (dt if algo == "sarsa" else 1.0))
+        n_act = K + 1 if algo == "sarsa" else K
         for r, rec in enumerate(run_mv_replications(cfg, algo, 5, lanes)):
+            assert rec.status == "ok", algo
+            p = rec.final_params
+            # the gain and variance as `_policy` forms them, with numpy's exp
+            if algo == "sarsa":
+                gain = p["s2"] * float(np.exp(p["s1"]))
+                var = cfg.gamma * dt * np.exp(p["s3"] * tau + p["s1"])
+            else:
+                c1, gain, c3 = (p[k] for k in mv.MV_PARAM_NAMES[algo][3:6])
+                var = cfg.gamma * np.exp(c1 + c3 * tau)
+            assert (gain != 0.0) == (updates > 0), algo
+            std = [(1.0 if explore else 0.0) * math.sqrt(v) for v in var.tolist()]
             gen = RngStream(5, (r, 0)).generator()
             gen.standard_normal(cfg.pool_size)
+            for _ in range(updates):
+                gen.integers(0, cfg.pool_size - K + 1, size=B)
+                gen.standard_normal((n_act, B))
             wealth = []
             for _ in range(cfg.eval_runs):
                 noise = gen.standard_normal((K, 2)).tolist()
                 x = cfg.x0
-                for z_act, z_mkt in noise:
-                    a = std * z_act
+                for s, (z_act, z_mkt) in zip(std, noise):
+                    a = (x - p["w"]) * -gain + s * z_act
                     x = x + a * ((cfg.mu - cfg.rfree) * dt
                                  + cfg.sigma * math.sqrt(dt) * z_mkt)
                 wealth.append(x)
-            mean, var, _ = metrics_terminal(wealth, cfg.x0)
-            assert (rec.metrics["mean"], rec.metrics["variance"]) == (mean, var), algo
+            mean, variance, _ = metrics_terminal(wealth, cfg.x0)
+            assert (rec.metrics["mean"], rec.metrics["variance"]) == (mean, variance), algo
 
 
 @pytest.mark.parametrize("updates,seed", [(0, 2), (3, 1)])
@@ -423,13 +468,6 @@ def test_mv_smoke_every_algorithm():
             assert math.isfinite(rec.metrics[key])
         assert "w" in rec.trace and "j" in rec.trace
         assert math.isfinite(rec.final_params["w"])
-
-
-def test_strict_multiplier_box_pulls_the_target_down():
-    loose = run_mv_replications(small_mv(), "qlearn-td", 7, 1)[0]
-    strict = run_mv_replications(small_mv(strict_multiplier_box=True),
-                                 "qlearn-td", 7, 1)[0]
-    assert strict.final_params["w"] < loose.final_params["w"]
 
 
 def test_mv_config_validation():
@@ -702,20 +740,25 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys, monkeypatch):
     assert len(payload["replications"]) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus=1\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["lq", "--out", str(tmp_path / "out"), "--config", str(bad)])
+    assert exc.value.code == 2
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == f"ctql lq: error: {bad}:1: unknown option 'bogus'")
 
 
 @pytest.mark.parametrize("text, lineno", [("horizon = 50\nreps = 1e3\n", 2),
                                           ("algo = qlearn\n", 1),
                                           ("horizon = 50\nreps = 0\n", 2),
                                           ("horizon = 50\nseed = -1\n", 2)])
-def test_cli_config_file_values_are_checked_like_flags(tmp_path, text, lineno):
+def test_cli_config_file_values_are_checked_like_flags(tmp_path, capsys, text, lineno):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(text)
-    prefix = re.escape(f"{cfgfile}:{lineno}: ")
-    with pytest.raises(SystemExit, match=f"^{prefix}"):
+    with pytest.raises(SystemExit) as exc:
         main(["lq", "--out", str(tmp_path / "out"), "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"ctql lq: error: {cfgfile}:{lineno}: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -199,6 +199,3 @@ def test_config_validation():
         ErgodicExperimentConfig(dt=0.1, horizon=0.01)
     with pytest.raises(ValueError):
         MvExperimentConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        MvExperimentConfig(ml_inner_sum="other")
-    assert MvExperimentConfig(ml_inner_sum="frozen-at-k").ml_inner_sum == "frozen-at-k"
