@@ -1,8 +1,9 @@
 """Continuous-time q-learning under entropy-regularized exploration.
 
 The package splits into the regulator's coefficients and noise streams
-(envsim), the mean-variance value and q families (approx), the mean-variance
-step-size and policy-gradient families (baselines), closed-form references
+(envsim), the mean-variance value and q families, whose q over gamma is also
+the policy-gradient log-density (approx), the mean-variance step-size Q
+family (baselines), closed-form references
 (oracle) and the reproduction experiments (experiments), whose drivers hold
 each update rule once: the ergodic regulator's q-learning, SARSA and
 policy-gradient lane kernels, which also hold its value and q, and the

@@ -8,7 +8,8 @@ rows from one copy of each shared term, and writes them into an optional
 regulator's value and q live in the ergodic driver's update kernels.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
-one, so gamma * log pi equals q for the induced policy.
+one, so gamma * log pi equals q for the induced policy, and the policy-gradient
+baseline's log-density and score rows are q and its rows over gamma.
 """
 
 from __future__ import annotations
@@ -66,4 +67,7 @@ def mv_q_eval_grad(p1, p2, p3, w, gamma, T, t, x, a, out=(None,) * 4):
 
 
 mv_q_eval, mv_q_grad = split_fused(mv_q_eval_grad)
-
+# log pi of the q family's Gibbs policy and its score rows d log pi / dphi:
+# q and its rows over gamma, the fifth argument
+pg_mv_logp = lambda *args: mv_q_eval(*args) / args[4]  # noqa: E731
+pg_mv_score = lambda *args: tuple(r / args[4] for r in mv_q_grad(*args))  # noqa: E731

@@ -1,20 +1,20 @@
-"""Discrete-time baselines on the mean-variance task: SARSA on a step-size
-Q-function and policy gradient with a separately learned critic.
+"""Discrete-time SARSA baseline on the mean-variance task: a step-size
+Q-function.
 
-The Q-function family parameterizes Q directly at a fixed step size dt; its
-induced Boltzmann policy has variance proportional to gamma * dt, which is
-the step-size sensitivity the rate-based learner avoids.  The policy gradient
-family shares the parameterization of the corresponding q-induced policy so
-comparisons run at matched coordinates.  As in `approx`, each family is one
-fused helper of its value and gradient rows.  The ergodic regulator's
-versions of both rules are the lane kernels of `experiments.ergodic`.
+The family parameterizes Q directly at a fixed step size dt; its induced
+Boltzmann policy has variance proportional to gamma * dt, which is the
+step-size sensitivity the rate-based learner avoids.  As in `approx`, it is
+one fused helper of its value and gradient rows.  The policy-gradient
+baseline's log-density is the q family's q / gamma in `approx`; the ergodic
+regulator's versions of both rules are the lane kernels of
+`experiments.ergodic`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .approx import LOG_2PI, split_fused
+from .approx import split_fused
 
 
 def qdt_mv_eval_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a, out=(None,) * 4):
@@ -42,25 +42,3 @@ def qdt_mv_eval_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a, out=(None,) * 4):
 
 
 qdt_mv_eval, qdt_mv_grad = split_fused(qdt_mv_eval_grad)
-
-
-def pg_mv_logp_score(f1, f2, f3, w, gamma, T, t, x, a, out=(None,) * 4):
-    """Log-density of the wealth-tracking policy N(-f2 (x - w),
-    gamma e^{f1 + f3 (T-t)}) and its score rows d log pi / df; out buffers
-    the log-density and the three rows."""
-    val, b0, b1, b2 = out
-    ex = f1 + f3 * (T - t)
-    pe = np.exp(-ex)
-    xw = np.subtract(x, w, out=b1)
-    dev = np.add(a, np.multiply(f2, xw, out=b2), out=b2)
-    r1 = np.multiply(np.multiply(-pe / gamma, dev, out=b0), xw, out=b1)
-    dev **= 2
-    v = np.multiply(np.multiply(-0.5, dev, out=val), pe, out=val)
-    v = np.subtract(np.divide(v, gamma, out=val),
-                    0.5 * (LOG_2PI + np.log(gamma) + ex), out=val)
-    g1 = np.divide(np.multiply(dev, pe, out=b0), gamma, out=b0)
-    g1 = np.multiply(0.5, np.subtract(g1, 1.0, out=b0), out=b0)
-    return v, (g1, r1, np.multiply(T - t, g1, out=b2))
-
-
-pg_mv_logp, pg_mv_score = split_fused(pg_mv_logp_score)

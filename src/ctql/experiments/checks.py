@@ -5,13 +5,13 @@ the full list.  The suite covers the structural identities the learners rely
 on, on the code the experiment drivers run: Gibbs consistency and
 normalization of the q the drivers evaluate (the regulator's through the
 running terms -q, -gamma log pi and gamma H of `rate_kernel`, the
-portfolio's through its q and log-density helpers), the ergodic update
-kernels' test vectors and the mean-variance gradient helpers against finite
-differences, the mean-variance driver's episode residuals against a
-brute-force double sum, zero-learning-rate no-ops of every driver, policy
-improvement monotonicity (exact and Monte Carlo), the mean-zero gap between
-the SARSA kernel's bracket and the q-learning kernel's residual, and the
-first-order expansion of the step-size Q.
+portfolio's through its q helper against a written-out log-density), the
+ergodic update kernels' test vectors and the mean-variance gradient helpers
+against finite differences, the mean-variance driver's episode residuals
+against a brute-force double sum, zero-learning-rate no-ops of every driver,
+policy improvement monotonicity (exact and Monte Carlo), the mean-zero gap
+between the SARSA kernel's bracket and the q-learning kernel's residual, and
+the first-order expansion of the step-size Q.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, List
 import numpy as np
 
 from ..approx import mv_q_eval_grad, mv_value_eval_grad
-from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
+from ..baselines import qdt_mv_eval_grad
 from ..envsim import LqCoefficients, RngStream
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
                       policy_improvement_map, q_from_value, qdt_expansion_check)
@@ -59,12 +59,18 @@ def _kernel_terms(psi, gamma: float, x: float, a):
     return -q, -logp, np.broadcast_to(bonus, a.shape)
 
 
+def _log_normal(a, mu, var):
+    """log N(a; mu, var), written out apart from the learners' families."""
+    return -0.5 * (a - mu) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
+
+
 def _gibbs_points(seed: int, gamma: float):
     """Seeded points of the two q-families as (terms, mu, s2): terms maps an
     action array to (q, gamma log pi, gamma H or None), and N(mu, s2) is the
     policy, written out here.  The regulator's terms are read off the kernel
-    at psi* and at two random (psi, x), the portfolio's come from its q and
-    log-density helpers at three random (psi, w, t, x) with horizon T = 1."""
+    at psi* and at two random (psi, x); the portfolio's q comes from its q
+    helper and gamma log pi from `_log_normal` at three random (psi, w, t, x)
+    with horizon T = 1."""
     rng = np.random.default_rng(seed)
     T = 1.0
     for i in range(3):
@@ -76,11 +82,11 @@ def _gibbs_points(seed: int, gamma: float):
     for _ in range(3):
         psi, w = rng.normal(scale=0.7, size=3), float(rng.normal(loc=1.4, scale=0.2))
         t, x = float(rng.uniform(0, 1)), float(rng.normal(loc=1.0))
-        args = (*psi, w, gamma, T, t, x)
         # pi = N(-psi2 (x - w), gamma e^{psi1 + psi3 (T-t)})
-        yield ((lambda a, args=args: (mv_q_eval_grad(*args, a)[0],
-                                      gamma * pg_mv_logp_score(*args, a)[0], None)),
-               -psi[1] * (x - w), gamma * math.exp(psi[0] + psi[2] * (T - t)))
+        mu, s2 = -psi[1] * (x - w), gamma * math.exp(psi[0] + psi[2] * (T - t))
+        yield ((lambda a, args=(*psi, w, gamma, T, t, x), mu=mu, s2=s2: (
+                    mv_q_eval_grad(*args, a)[0], gamma * _log_normal(a, mu, s2), None)),
+               mu, s2)
 
 
 def check_gibbs_consistency(seed: int = 0) -> CheckResult:
@@ -168,8 +174,7 @@ def check_gradients(seed: int = 0) -> CheckResult:
     for name, fused, n, args in (
             ("mv_value", mv_value_eval_grad, 3, (w, z, T, t, x)),
             ("mv_q", mv_q_eval_grad, 3, (w, gamma, T, t, x, a)),
-            ("qdt_mv", qdt_mv_eval_grad, 5, (w, z, T, t, x, a)),
-            ("pg_mv_score", pg_mv_logp_score, 3, (w, gamma, T, t, x, a))):
+            ("qdt_mv", qdt_mv_eval_grad, 5, (w, z, T, t, x, a))):
         cases.append((name, lambda p, f=fused, args=args: float(f(*p, *args)[0]),
                       lambda p, f=fused, args=args: np.asarray(f(*p, *args)[1], float),
                       rng.normal(scale=0.5, size=n)))
@@ -178,9 +183,7 @@ def check_gradients(seed: int = 0) -> CheckResult:
     # log-density log N(a; psi1 x + psi2, gamma e^{psi3}), written out here
     # so that the kernel's 1/gamma precision scale is checked
     def pg_log_density(psi):
-        var = gamma * math.exp(psi[2])
-        dev = a - (psi[0] * x + psi[1])
-        return -0.5 * dev * dev / var - 0.5 * math.log(2.0 * math.pi * var)
+        return _log_normal(a, psi[0] * x + psi[1], gamma * math.exp(psi[2]))
 
     def pg_score(psi):
         P = np.zeros((6, 1))
@@ -358,8 +361,7 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
     se = float(brackets.std(ddof=1) / math.sqrt(n))
     # matched params: rate policy N(p1 x + p2, gamma e^{p3}) equals the step
     # policy, so the same draws feed the pointwise extra-term check
-    logp = -0.5 * (a2 - mu2) ** 2 / var2 - 0.5 * math.log(2.0 * math.pi * var2)
-    extra = _kernel_terms(ps, gamma, x2, a2)[0] - gamma * logp
+    extra = _kernel_terms(ps, gamma, x2, a2)[0] - gamma * _log_normal(a2, mu2, var2)
     extra_max = float(np.abs(extra).max())
     ok = abs(mean_gap) < 4.0 * se + 1e-12 and extra_max < 1e-10
     return CheckResult("sarsa-target-mean", ok,

@@ -29,23 +29,20 @@ the sampled one.  Adding the term moves every policy-gradient record, so it
 is left to a change of its own.
 
 Replications are advanced in lockstep as numpy vectors, one lane per
-replication.  Each replication owns a counter-based noise stream; the driver
-runs in blocks of `_BLOCK` steps and draws each block's noise as an (n, 2)
-array per replication, column 0 for the action draw of the step and column 1
-for the Brownian increment.  A stream gives the same numbers however many it
-is asked for at a time, so a single replication consumes exactly the same
-numbers regardless of the block length or of how many lanes run beside it,
-and a run's working memory depends on its lanes, not on its horizon.
-SARSA draws its action at the *next* state (column 0 of the step belongs to
-that draw, after one extra draw for the initial action); off-policy, that
-draw comes from its learner stream and is the next behaviour action, so its
-data are its own, not q-learning's and policy gradient's (column 0 goes
-unused and the extra draw shifts its Brownian draws by one normal).  A
-lane's trace ends at the first record after it diverges, if one follows.
-The driver then drops the lane from its working arrays and stops drawing
-its streams; the lane's record keeps its frozen parameters, and the driver
-stops once every lane has diverged, so a lane's record does not depend on
-the lanes beside it either.
+replication.  Each replication owns one counter-based noise stream; the
+driver runs in blocks of `_BLOCK` steps and draws each block's noise as an
+(n, 2) array per replication, column 0 for the action draw of the step and
+column 1 for the Brownian increment.  A stream gives the same numbers however
+many it is asked for at a time, so a single replication consumes exactly the
+same numbers regardless of the block length or of how many lanes run beside
+it, and a run's working memory depends on its lanes, not on its horizon.
+SARSA's column 0 draws the action at the *next* state, off-policy the next
+behaviour action, after one extra draw for the initial action.  A lane's
+trace ends at the first record after it diverges, if one follows.  The
+driver then drops the lane from its working arrays and stops drawing its
+stream; the lane's record keeps its frozen parameters, and the driver stops
+once every lane has diverged, so a lane's record does not depend on the
+lanes beside it either.
 
 Off-policy, the observed actions, states and rewards do not depend on the
 learner's parameters, so the driver computes them for the whole block from
@@ -120,9 +117,10 @@ class ErgodicExperimentConfig:
     trace_points: int = 200
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.gamma <= 0:
+        # the comparisons are written so that NaN fails them
+        if not all(0 < v < math.inf for v in (self.dt, self.horizon, self.gamma)):
             raise ValueError("dt, horizon and gamma must be positive")
-        if self.behavior_var <= 0:
+        if not 0 < self.behavior_var < math.inf:
             raise ValueError("behavior variance must be positive")
         if self.pg_regularizer not in ("entropy", "sampled"):
             raise ValueError("pg_regularizer must be 'entropy' or 'sampled'")
@@ -258,26 +256,19 @@ def sarsa_kernel(P, x, a, r, x2, a2, gamma: float, dt: float, tests):
 
 def run_ergodic_replications(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                              master_seed: int, reps: int) -> List[RunRecord]:
-    """Run `reps` independent replications in lockstep.
-
-    Replication r draws from stream (r, 0), and off-policy SARSA draws its
-    behaviour actions after the first from stream (r, 1).
-    """
-    data_streams = [RngStream(master_seed, (r, 0)) for r in range(reps)]
-    learner_streams = [RngStream(master_seed, (r, 1)) for r in range(reps)]
-    out = _drive(cfg, algo, mode, data_streams, learner_streams)
+    """Run `reps` independent replications in lockstep; replication r
+    draws from stream (r, 0)."""
+    out = _drive(cfg, algo, mode, [RngStream(master_seed, (r, 0)) for r in range(reps)])
     return [_record(algo, mode, out, r, r, master_seed) for r in range(reps)]
 
 
 def run_ergodic(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 rng: RngStream) -> RunRecord:
-    """Single replication driven by an explicit stream (lane width one).
-
-    `rng` is the data stream (r, 0) of replication r; off-policy SARSA's
-    later actions come from stream (r, 1), as in `run_ergodic_replications`.
-    """
+    """Single replication driven by an explicit stream (lane width one):
+    `rng` is the stream (r, 0) of replication r, as in
+    `run_ergodic_replications`."""
     rep_id = int(rng.stream_id[0]) if rng.stream_id else 0
-    out = _drive(cfg, algo, mode, [rng], [RngStream(rng.master_seed, (rep_id, 1))])
+    out = _drive(cfg, algo, mode, [rng])
     return _record(algo, mode, out, 0, rep_id, rng.master_seed)
 
 
@@ -334,14 +325,19 @@ def _behaviour_path(x, a, z1, cx, ca, h):
     return X, _reward(cx[2:].reshape(3, 1, 1) * xs, pa[2:], xs, a)
 
 
+def _sarsa_action(P, x, z, gdt):
+    """SARSA's action s1 x + s2 + sqrt(gamma dt e^{s3}) z, a draw of its
+    policy N(s1 x + s2, gamma dt e^{s3}) from the standard normals z."""
+    return P[0] * x + P[1] + np.sqrt(gdt * np.exp(P[2])) * z
+
+
 def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
-           data_streams: Sequence[RngStream],
-           learner_streams: Sequence[RngStream]) -> dict:
+           streams: Sequence[RngStream]) -> dict:
     if algo not in ALGOS:
         raise ValueError(f"algo must be one of {ALGOS}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    lanes = len(data_streams)
+    lanes = len(streams)
     steps = cfg.steps
     dt = cfg.dt
     co = cfg.coef
@@ -358,12 +354,11 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
 
     # The working arrays hold the live lanes only: `live` maps their columns
     # to the caller's lanes, and a lane that dies leaves every working array
-    # and stream list, and its frozen parameters go into `params`.  `prows`
-    # holds P's row views for the kernels and is rebuilt when P is replaced
-    # by its live columns, since the old views would still read the old P
+    # and the generator list, and its frozen parameters go into `params`.
+    # `prows` holds P's row views for the kernels and is rebuilt when P is
+    # replaced by its live columns, since the old views would still read P
     live = np.arange(lanes)
-    gens = [s.generator() for s in data_streams]
-    lgens = [s.generator() for s in learner_streams] if sarsa and off_policy else None
+    gens = [s.generator() for s in streams]
 
     P, rates = _init_params(cfg, algo, lanes)
     prows = tuple(P)
@@ -384,9 +379,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     a_cur = None
     if sarsa:
         z0 = np.array([g.standard_normal() for g in gens])
-        mean0 = P[0] * x + P[1]
-        std0 = np.sqrt(gdt * np.exp(P[2]))
-        a_cur = (b_mean + b_std * z0) if off_policy else (mean0 + std0 * z0)
+        a_cur = (b_mean + b_std * z0) if off_policy else _sarsa_action(P, x, z0, gdt)
 
     k = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -399,15 +392,12 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
             lr = (np.array([cfg.schedule((k + i) * dt) for i in range(n)])
                   .reshape(n, 1, 1) * rates)
             if off_policy:
+                A = b_mean + b_std * noise[:, 0]
                 if sarsa:
-                    # a step's action is the previous step's a2
-                    A2 = np.empty((n, len(live)))
-                    for lane, g in enumerate(lgens):
-                        A2[:, lane] = g.standard_normal(n)
-                    A2 = b_mean + b_std * A2
+                    # column 0 draws the next action a2, and a step's action
+                    # is the previous step's a2
+                    A2 = A
                     A = np.concatenate((a_cur[None], A2[:-1]))
-                else:
-                    A = b_mean + b_std * noise[:, 0]
                 X, R = _behaviour_path(x, A, noise[:, 1], cx, ca, h)
                 RDT = R * dt
                 OK = np.abs(X[1:]) <= STATE_GUARD
@@ -431,8 +421,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                     r = _reward(px[2:], pa[2:], x, a)
                     rdt = r * dt0
                     if sarsa:
-                        a2 = (prows[0] * x2 + prows[1]
-                              + np.sqrt(gdt * np.exp(prows[2])) * z0)
+                        a2 = _sarsa_action(prows, x2, z0, gdt)
                 if sarsa:
                     resid = sarsa_kernel(prows, x, a, r, x2, a2, cfg.gamma, dt,
                                          tests)
@@ -489,7 +478,6 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                         block_ok = OK.all(1)
                         if sarsa:
                             A2 = A2[:, keep]
-                            lgens = list(compress(lgens, keep))
                 if (k + i + 1) % record_every == 0:
                     p_trace[rec_i][:, live] = P
                     r_trace[rec_i, live] = reward_sum / t_trace[rec_i]

@@ -16,7 +16,9 @@ contraction sums its own contiguous block.  Each algorithm turns its residual
 and test vectors into parameter increments (`_increments`) with the fused
 value-and-gradient helpers of `approx` and `baselines`, which write every
 full-shape array into one workspace allocated per call; one block guards,
-freezes, updates and traces the array for all four.
+freezes, updates and traces the array for all four.  Policy gradient is
+qlearn-td's update with the actor rate alpha_phi / gamma: its sampled bonus
+-gamma log pi is -q, and its score rows are the q rows over gamma.
 
 Noise consumption per replication stream, in order: pool draws
 (standard_normal(pool_size)), then per update the segment starts
@@ -37,10 +39,11 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from ..approx import mv_q_eval_grad, mv_value_eval_grad
-from ..baselines import pg_mv_logp_score, qdt_mv_eval_grad
+from ..baselines import qdt_mv_eval_grad
 # perfbench's traced pass wraps these thin names on this module
-from ..approx import mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad  # noqa: F401
-from ..baselines import pg_mv_logp, pg_mv_score, qdt_mv_eval, qdt_mv_grad  # noqa: F401
+from ..approx import (mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad,  # noqa: F401
+                      pg_mv_logp, pg_mv_score)
+from ..baselines import qdt_mv_eval, qdt_mv_grad  # noqa: F401
 from ..envsim import RngStream, STATE_GUARD
 from .records import RunRecord, packed
 
@@ -90,9 +93,10 @@ class MvExperimentConfig:
     trace_points: int = 200
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.gamma <= 0:
+        # the comparisons are written so that NaN fails them
+        if not (0 < self.sigma < math.inf and 0 < self.gamma < math.inf):
             raise ValueError("sigma and gamma must be positive")
-        if self.T <= 0 or self.dt <= 0:
+        if not (0 < self.T < math.inf and 0 < self.dt < math.inf):
             raise ValueError("T and dt must be positive")
         if self.updates < 0 or self.batch < 1 or self.multiplier_every < 1:
             raise ValueError("bad updates/batch/multiplier_every")
@@ -177,17 +181,17 @@ def _init_mv_params(cfg: MvExperimentConfig, algo: str, lanes: int):
     """(P, lanes) start parameters, all zero but the multiplier w = z, and
     the (P - 1, 1) signed learning rate of each row but w.
 
-    The value family tracks the cost-to-go (convex in x) while the q and
-    policy families are reward-oriented, so the running term enters the
-    residual with a plus sign and the q and policy rows descend (negative
-    rates).
+    The value family tracks the cost-to-go (convex in x) while the q family
+    is reward-oriented, so the running term enters the residual with a plus
+    sign and the q rows descend (negative rates).  Policy gradient moves its
+    rows f along the score, the q rows over gamma, at alpha_phi.
     """
     if algo in ("qlearn-td", "qlearn-ml"):
         rates = (cfg.alpha_theta,) * 3 + (-cfg.alpha_psi,) * 3
     elif algo == "sarsa":
         rates = (cfg.alpha_psi,) * 5
     elif algo == "pg":
-        rates = (cfg.alpha_theta,) * 3 + (-cfg.alpha_phi,) * 3
+        rates = (cfg.alpha_theta,) * 3 + (-cfg.alpha_phi / cfg.gamma,) * 3
     else:
         raise ValueError(f"algo must be one of {MV_ALGOS}")
     P = np.zeros((len(rates) + 1, lanes))
@@ -250,7 +254,7 @@ def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, xs, acts,
     and var are the policy's, from `_policy`.  The value family and Q(dt)
     write their values and rows on the K + 1 grid points to the workspace
     `full`; the running term and the residual go to the first two product
-    rows `tests`, and the q-function or score rows straight into the rest.
+    rows `tests`, and the q rows straight into the rest.
     """
     K, dt, gamma, T, z = cfg.steps, cfg.dt, cfg.gamma, cfg.T, cfg.z
     w = P[-1]
@@ -272,11 +276,9 @@ def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, xs, acts,
         return _contract([r[:, :-1] for r in rows], resid, tests)
     th, pol = P[:3], P[3:6]
     js, rows = mv_value_eval_grad(*th, w, z, T, tcol, xs, out=full)
-    family = pg_mv_logp_score if algo == "pg" else mv_q_eval_grad
     tl, xl = tcol[:, :-1], xs[:, :-1]
-    running, q_rows = family(*pol, w, gamma, T, tl, xl, acts, out=(run, *tests[3:]))
-    if algo == "pg":
-        running *= gamma
+    running, q_rows = mv_q_eval_grad(*pol, w, gamma, T, tl, xl, acts,
+                                     out=(run, *tests[3:]))
     if algo == "qlearn-ml":
         term = mv_value_eval(*th, w, z, T, T, xs[:, K:])
         martingale_residuals(term, js[:, :-1], running, dt, axis=1, out=resid)

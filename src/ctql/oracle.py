@@ -94,7 +94,7 @@ def lq_ergodic_fixed_point(coef: LqCoefficients = LqCoefficients(),
     Gibbs target is a proper Gaussian (h2 > 0) and the closed loop is mean
     square stable: 2 (A + B k) + (C + D k)^2 < 0 for the mean map k x + m.
     """
-    if gamma <= 0:
+    if not 0 < gamma < math.inf:  # NaN fails it
         raise ValueError("gamma must be positive")
     A, B, C, D = coef.A, coef.B, coef.C, coef.D
     M, N, R, P, Q = coef.M, coef.N, coef.R, coef.P, coef.Q

@@ -161,20 +161,6 @@ def _ref_qdt_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
             t ** 2 - T ** 2, t - T)
 
 
-def _ref_pg_logp(f1, f2, f3, w, gamma, T, t, x, a):
-    ex = f1 + f3 * (T - np.asarray(t, float))
-    dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
-    return -0.5 * dev ** 2 * np.exp(-ex) / gamma - 0.5 * (LOG_2PI + np.log(gamma) + ex)
-
-
-def _ref_pg_score(f1, f2, f3, w, gamma, T, t, x, a):
-    t = np.asarray(t, float)
-    ex = f1 + f3 * (T - t)
-    dev = np.asarray(a, float) + f2 * (np.asarray(x, float) - w)
-    g1 = 0.5 * (dev ** 2 * np.exp(-ex) / gamma - 1.0)
-    return (g1, -np.exp(-ex) / gamma * dev * (np.asarray(x, float) - w), (T - t) * g1)
-
-
 def _same_bytes(got, want, shape):
     assert len(got) == len(want)
     for g, r in zip(got, want):
@@ -184,7 +170,7 @@ def _same_bytes(got, want, shape):
 
 @pytest.mark.parametrize("lanes", (1, 3))
 def test_fused_helpers_keep_the_reference_arithmetic(lanes):
-    from ctql.baselines import pg_mv_logp_score, qdt_mv_eval_grad
+    from ctql.baselines import qdt_mv_eval_grad
 
     rng = np.random.default_rng(lanes)
     K, B, gamma, T, z, dt = 7, 5, 0.1, 1.0, 1.4, 1.0 / 7
@@ -206,21 +192,18 @@ def test_fused_helpers_keep_the_reference_arithmetic(lanes):
                                    out=tuple(np.empty((4,) + full)))
     _same_bytes([value], [_ref_qdt(*P[:5], w, z, T, tcol, xs, acts)], full)
     _same_bytes([r[:, :-1] for r in rows], _ref_qdt_grad(*P[:5], w, z, T, tl, xl, al), left)
-    # the q-function and the log-density run on the left points
-    for fused, ref, ref_grad in ((mv_q_eval_grad, _ref_q, _ref_q_grad),
-                                 (pg_mv_logp_score, _ref_pg_logp, _ref_pg_score)):
-        value, rows = fused(*P[3:6], w, gamma, T, tl, xl, al,
-                            out=tuple(np.empty((4,) + left)))
-        _same_bytes([value], [ref(*P[3:6], w, gamma, T, tl, xl, al)], left)
-        _same_bytes(rows, ref_grad(*P[3:6], w, gamma, T, tl, xl, al), left)
+    # the q-function runs on the left points
+    value, rows = mv_q_eval_grad(*P[3:6], w, gamma, T, tl, xl, al,
+                                 out=tuple(np.empty((4,) + left)))
+    _same_bytes([value], [_ref_q(*P[3:6], w, gamma, T, tl, xl, al)], left)
+    _same_bytes(rows, _ref_q_grad(*P[3:6], w, gamma, T, tl, xl, al), left)
     # without buffers, at scalar points as the property suite calls them
     p = [float(v) for v in P[:, 0, 0, 0]]
     t, x, a = 0.3, float(xs[0, 1, 0]), float(acts[0, 1, 0])
     for fused, ref, ref_grad, n, args in (
             (mv_value_eval_grad, _ref_value, _ref_value_grad, 3, (1.35, z, T, t, x)),
             (qdt_mv_eval_grad, _ref_qdt, _ref_qdt_grad, 5, (1.35, z, T, t, x, a)),
-            (mv_q_eval_grad, _ref_q, _ref_q_grad, 3, (1.35, gamma, T, t, x, a)),
-            (pg_mv_logp_score, _ref_pg_logp, _ref_pg_score, 3, (1.35, gamma, T, t, x, a))):
+            (mv_q_eval_grad, _ref_q, _ref_q_grad, 3, (1.35, gamma, T, t, x, a))):
         value, rows = fused(*p[:n], *args)
         _same_bytes([value], [ref(*p[:n], *args)], ())
         _same_bytes(rows, ref_grad(*p[:n], *args), ())

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctql.approx import mv_q_eval_grad
-from ctql.baselines import (pg_mv_logp, pg_mv_logp_score, qdt_mv_eval,
-                            qdt_mv_eval_grad)
+from ctql.approx import mv_q_eval_grad, pg_mv_logp, pg_mv_score
+from ctql.baselines import qdt_mv_eval, qdt_mv_eval_grad
 from ctql.envsim import RngStream
 from ctql.experiments.ergodic import (ErgodicExperimentConfig, rate_kernel,
                                       run_ergodic, sarsa_kernel)
@@ -96,33 +95,33 @@ def test_sarsa_bracket_hand_value():
 
 
 def test_sarsa_bracket_accepts_external_policy():
-    # off-policy SARSA takes its next action from the behaviour policy
-    # N(0.5, 4) on the learner stream (r, 1) and scores it under its own
-    # policy N(0, gamma dt); one driver step replayed by hand
-    cfg = ErgodicExperimentConfig(gamma=GAMMA, dt=DT, horizon=DT, x0=0.5,
+    # off-policy SARSA plays the behaviour policy N(0.5, 4) and scores each
+    # next action under its own policy N(s1 x + s2, gamma dt e^{s3}).  The
+    # first action takes one draw of the data stream, and each next action
+    # comes from column 0 of the step's row of the stream's (n, 2) block.
+    # The bracket is free of the next action, so two driver steps are
+    # replayed: the second step plays the first step's next action
+    cfg = ErgodicExperimentConfig(gamma=GAMMA, dt=DT, horizon=2 * DT, x0=0.5,
                                   behavior_mean=0.5, behavior_var=4.0,
                                   alpha_psi=0.2, alpha_v=0.1)
     rec = run_ergodic(cfg, "sarsa", "off-policy", RngStream(6, (1, 0)))
     data = RngStream(6, (1, 0)).generator()
     a = 0.5 + 2.0 * data.standard_normal()
-    z1 = data.standard_normal((1, 2))[0, 1]
-    a2 = 0.5 + 2.0 * RngStream(6, (1, 1)).generator().standard_normal(1)[0]
+    block = data.standard_normal((2, 2))
+    # s3 starts at log(1 / (gamma dt)), where the policy variance is 1
+    P = np.array([0.0, 0.0, math.log(1.0 / (GAMMA * DT)), 0.0, 0.0, 0.0])[:, None]
+    rates = np.array([0.2] * 5 + [0.1])[:, None]
     x = 0.5
-    x2 = x - x * DT + a * math.sqrt(DT) * z1
-    r = -(x * x + x * a + a * a + x + 2.0 * a)
-    # s3 starts at log(1 / (gamma dt)), so e^{-s3} = gamma dt and the policy
-    # variance gamma dt e^{s3} is 1
-    es3 = GAMMA * DT
-    logp = -0.5 * a2 * a2 - 0.5 * math.log(2.0 * math.pi)
-    bracket = -0.5 * es3 * a2 * a2 - GAMMA * logp * DT + 0.5 * es3 * a * a + r * DT
-    want = {"s1": 0.2 * bracket * es3 * a * x, "s2": 0.2 * bracket * es3 * a,
-            "s3": math.log(1.0 / es3) + 0.2 * bracket * 0.5 * es3 * a * a,
-            "s4": 0.2 * bracket * x * x, "s5": 0.2 * bracket * x,
-            "V": 0.1 * bracket}
+    for z0, z1 in block:
+        a2 = 0.5 + 2.0 * z0
+        x2 = x - x * DT + a * math.sqrt(DT) * z1
+        r = -(x * x + x * a + a * a + x + 2.0 * a)
+        tests = np.ones((6, 1))
+        P = P + rates * sarsa_kernel(P, x, a, r, x2, a2, GAMMA, DT, tests) * tests
+        x, a = x2, a2
     assert rec.status == "ok"
-    assert x2 != x
-    for key, val in want.items():
-        assert rec.final_params[key] == pytest.approx(val, abs=1e-13)
+    for i, key in enumerate(("s1", "s2", "s3", "s4", "s5", "V")):
+        assert rec.final_params[key] == pytest.approx(P[i, 0], abs=1e-13)
 
 
 def test_pg_update_hand_value():
@@ -182,8 +181,9 @@ def test_pg_log_density_is_scaled_q_for_wealth_family():
         f = rng.uniform(-1.0, 1.0, 3)
         t = float(rng.uniform(0.0, T))
         x, a = rng.uniform(-1, 3, 2)
-        logp, score = pg_mv_logp_score(*f, w, 0.1, T, t, x, a)
-        q, q_rows = mv_q_eval_grad(*f, w, 0.1, T, t, x, a)
+        args = (*f, w, 0.1, T, t, x, a)
+        logp, score = pg_mv_logp(*args), pg_mv_score(*args)
+        q, q_rows = mv_q_eval_grad(*args)
         assert 0.1 * logp == pytest.approx(q, abs=1e-12)
         assert np.allclose(0.1 * np.asarray(score, float), q_rows, atol=1e-12)
 

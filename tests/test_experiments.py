@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctql
+from ctql import approx
 from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
 from ctql.experiments import ergodic, mv
 from ctql.experiments.checks import (check_gibbs_consistency,
@@ -156,18 +157,13 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
 
     data = RngStream(seed, (0, 0)).generator()
     b_std = math.sqrt(b_var)
-    if algo == "sarsa":
-        # the first action comes from one draw of the data stream, each later
-        # one from the learner stream (0, 1), drawn one step ahead
-        first = b_mean + b_std * data.standard_normal()
-        learner = RngStream(seed, (0, 1)).generator()
-        z = np.concatenate([learner.standard_normal(chunk),
-                            learner.standard_normal(steps - chunk)])
-        actions = [first] + [b_mean + b_std * v for v in z[:-1].tolist()]
+    # SARSA's first action takes one draw of the stream before the blocks
+    first = [b_mean + b_std * data.standard_normal()] if algo == "sarsa" else []
     noise = np.concatenate([data.standard_normal((chunk, 2)),
                             data.standard_normal((steps - chunk, 2))])
-    if algo != "sarsa":
-        actions = [b_mean + b_std * v for v in noise[:, 0].tolist()]
+    # column 0 draws each step's action; SARSA draws it one step ahead, as
+    # the next action, and never plays the last one
+    actions = first + [b_mean + b_std * v for v in noise[:, 0].tolist()]
     co = cfg.coef
     sqdt = math.sqrt(dt)
     x, total, want = 0.0, 0.0, []
@@ -207,12 +203,14 @@ def test_guard_paths_agree_on_divergence_at_block_edges(mode, seed, lane, div):
 
 
 class _CountingStream:
-    """A noise stream whose generators count their `standard_normal` calls."""
+    """A noise stream that counts its generators and their `standard_normal`
+    calls."""
 
     def __init__(self, stream):
-        self.stream, self.draws = stream, 0
+        self.stream, self.opens, self.draws = stream, 0, 0
 
     def generator(self):
+        self.opens += 1
         gen = self.stream.generator()
 
         def standard_normal(*size):
@@ -225,20 +223,19 @@ class _CountingStream:
 @pytest.mark.parametrize("algo, mode", [("qlearn-online", "on-policy"),
                                         ("sarsa", "off-policy")])
 def test_driver_stops_drawing_the_streams_of_a_dead_lane(algo, mode):
-    # a lane draws each 512-step block's data (and off-policy SARSA's learner
-    # draws) up to the block it dies in, and nothing after
+    # a lane opens one stream and draws each 512-step block's data from it
+    # up to the block it dies in, and nothing after
     lanes, seed = 20, 10
     data = [_CountingStream(RngStream(seed, (r, 0))) for r in range(lanes)]
-    learner = [_CountingStream(RngStream(seed, (r, 1))) for r in range(lanes)]
-    out = ergodic._drive(HOT, algo, mode, data, learner)
+    out = ergodic._drive(HOT, algo, mode, data)
     blocks = -(-HOT.steps // ergodic._BLOCK)
     drawn = np.where(out["div_step"] < 0, blocks,
                      out["div_step"] // ergodic._BLOCK + 1)
     assert drawn.min() < blocks == drawn.max()  # some lanes die, some live
     sarsa = algo == "sarsa"
-    # SARSA's first action takes one more draw from the data stream
+    assert [s.opens for s in data] == [1] * lanes
+    # SARSA's first action takes one more draw
     assert [s.draws for s in data] == (drawn + sarsa).tolist()
-    assert [s.draws for s in learner] == (drawn.tolist() if sarsa else [0] * lanes)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.001])
@@ -562,8 +559,7 @@ def test_trace_columns_are_the_drivers_trace_blocks_packed():
     for algo in ALGOS:
         for mode in MODES:
             out = ergodic._drive(cfg, algo, mode,
-                                 [RngStream(0, (r, 0)) for r in range(lanes)],
-                                 [RngStream(0, (r, 1)) for r in range(lanes)])
+                                 [RngStream(0, (r, 0)) for r in range(lanes)])
             if (algo, mode) == ("pg", "off-policy"):
                 assert (out["rows"] < len(out["t"])).all()
             for lane in range(lanes):
@@ -620,7 +616,9 @@ def test_cli_oracle_prints_fixed_point(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--gamma", "0"], "gamma must be positive"),
-    (["--A", "1"], "no stabilizing solution")])
+    (["--A", "1"], "no stabilizing solution"),
+    (["--gamma", "nan"], "gamma must be positive"),
+    (["--gamma", "inf"], "gamma must be positive")])
 def test_cli_oracle_rejects_ill_posed_models_with_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(["oracle"] + argv)
@@ -635,10 +633,19 @@ def test_cli_check_suite_passes(capsys):
     assert "[FAIL]" not in out
 
 
-@pytest.mark.parametrize("rule", ("q", "entropy", "sampled"))
+@pytest.mark.parametrize("rule", ("q", "entropy", "sampled", "portfolio"))
 def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
-    # move one running term's log constant in the driver's kernel by 0.1: the
-    # Gibbs checks evaluate that kernel, so they must fail
+    # move one running term's log constant in the driver's kernel, or the
+    # portfolio q's, by 0.1: the Gibbs checks evaluate those, so they must fail
+    if rule == "portfolio":
+        # q moves by -gamma 0.1 / 2, which the check's own log-density of the
+        # portfolio policy does not, and exp(q/gamma) integrates to e^{-0.05}
+        monkeypatch.setattr(approx, "LOG_2PI", approx.LOG_2PI + 0.1)
+        consistency, normalization = check_gibbs_consistency(), check_gibbs_normalization()
+        assert not consistency.passed and not normalization.passed
+        assert consistency.detail.startswith("max |E_pi[q - gamma log pi]| = 5.000e-03,")
+        assert normalization.detail.startswith("max |int exp(q/gamma) da - 1| = 4.877e-02 ")
+        return
     constants = ergodic._constants
 
     def moved(gamma, dt, running):
@@ -771,7 +778,21 @@ def test_cli_config_file_values_are_checked_like_flags(tmp_path, capsys, text, l
     (["lq", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'"),
     (["lq-off", "--seed", "-3"], "argument --seed: invalid nonnegative_int value: '-3'"),
     (["mv", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'"),
-    (["check", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'")])
+    (["check", "--seed", "-1"], "argument --seed: invalid nonnegative_int value: '-1'"),
+    # non-finite values fail the positivity checks too; the short runs keep
+    # a program that lets them through from running long
+    (["lq", "--horizon", "inf"], "dt, horizon and gamma must be positive"),
+    (["lq", "--gamma", "nan", "--horizon", "1", "--reps", "1"],
+     "dt, horizon and gamma must be positive"),
+    (["lq-off", "--behavior-var", "nan", "--horizon", "1", "--reps", "1"],
+     "behavior variance must be positive"),
+    (["lq-off", "--behavior-var", "inf", "--horizon", "1", "--reps", "1"],
+     "behavior variance must be positive"),
+    (["mv", "--gamma", "inf", "--episodes", "1", "--reps", "1"],
+     "sigma and gamma must be positive"),
+    (["mv", "--sigma", "nan", "--episodes", "1", "--reps", "1"],
+     "sigma and gamma must be positive"),
+    (["mv", "--dt", "inf", "--episodes", "1", "--reps", "1"], "T and dt must be positive")])
 def test_cli_rejects_invalid_values_with_a_usage_error(tmp_path, capsys, argv, message):
     out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:

@@ -199,3 +199,9 @@ def test_config_validation():
         ErgodicExperimentConfig(dt=0.1, horizon=0.01)
     with pytest.raises(ValueError):
         MvExperimentConfig(gamma=0.0)
+    # NaN and infinity fail the positivity checks
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MvExperimentConfig(T=bad)
+        with pytest.raises(ValueError):
+            ErgodicExperimentConfig(dt=bad)
