@@ -3,15 +3,16 @@
 Each check is self-seeded and returns a CheckResult; run_all_checks drives
 the full list.  The suite covers the structural identities the learners rely
 on, on the code the experiment drivers run: Gibbs consistency and
-normalization of the q the drivers evaluate (the regulator's through the
-running terms -q, -gamma log pi and gamma H of `rate_kernel`, the
-portfolio's through its q helper against a written-out log-density), the
-ergodic update kernels' test vectors and the mean-variance gradient helpers
-against finite differences, the mean-variance driver's episode residuals
-against a brute-force double sum, zero-learning-rate no-ops of every driver,
-policy improvement monotonicity (exact and Monte Carlo), the mean-zero gap
-between the SARSA kernel's bracket and the q-learning kernel's residual, and
-the first-order expansion of the step-size Q.
+normalization of the q the drivers evaluate against a written-out
+log-density (the regulator's through the running terms -q and gamma H of
+`rate_kernel`, the portfolio's through its q helper), the ergodic update
+kernels' test vectors and the mean-variance gradient helpers against finite
+differences, the mean-variance driver's episode residuals against a
+brute-force double sum, zero-learning-rate no-ops of every driver, policy
+improvement monotonicity (exact and Monte Carlo), the SARSA kernel's
+bracket against one written out at explicit next actions and against the
+q-learning kernel's residual at matched parameters, and the first-order
+expansion of the step-size Q.
 """
 
 from __future__ import annotations
@@ -46,31 +47,34 @@ class CheckResult:
         return f"[{flag}] {self.name}: {self.detail}"
 
 
-def _kernel_terms(psi, gamma: float, x: float, a):
-    """q, gamma log pi(a|x) and the entropy bonus gamma H at the actions a,
-    read off `rate_kernel`: with theta, r and V zero, x' = x and dt = 1 its
-    residual is the running term alone, -q on the "q" route, -gamma log pi
-    on "sampled" and gamma H on "entropy"."""
-    a = np.atleast_1d(np.asarray(a, float))
-    P = (0.0, 0.0, psi[0], psi[1], psi[2], 0.0)
-    q, logp, bonus = (rate_kernel(P, x, a, 0.0, x, gamma, 1.0, running,
-                                  np.ones((6, a.size)))
-                      for running in ("q", "sampled", "entropy"))
-    return -q, -logp, np.broadcast_to(bonus, a.shape)
-
-
 def _log_normal(a, mu, var):
     """log N(a; mu, var), written out apart from the learners' families."""
     return -0.5 * (a - mu) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
 
 
+def _kernel_terms(psi, gamma: float, x: float, a):
+    """q, gamma log pi(a|x) and the entropy bonus gamma H at the actions a.
+
+    q and gamma H are read off `rate_kernel`: with theta, r and V zero,
+    x' = x and dt = 1 its residual is the running term alone, -q on the "q"
+    route and gamma H on "entropy".  gamma log pi is written out with
+    `_log_normal` for pi = N(psi1 x + psi2, gamma e^{psi3})."""
+    a = np.atleast_1d(np.asarray(a, float))
+    P = (0.0, 0.0, psi[0], psi[1], psi[2], 0.0)
+    q, bonus = (rate_kernel(P, x, a, 0.0, x, gamma, 1.0, running,
+                            np.ones((6, a.size)))
+                for running in ("q", "entropy"))
+    glogp = gamma * _log_normal(a, psi[0] * x + psi[1], gamma * math.exp(psi[2]))
+    return -q, glogp, np.broadcast_to(bonus, a.shape)
+
+
 def _gibbs_points(seed: int, gamma: float):
     """Seeded points of the two q-families as (terms, mu, s2): terms maps an
     action array to (q, gamma log pi, gamma H or None), and N(mu, s2) is the
-    policy, written out here.  The regulator's terms are read off the kernel
-    at psi* and at two random (psi, x); the portfolio's q comes from its q
-    helper and gamma log pi from `_log_normal` at three random (psi, w, t, x)
-    with horizon T = 1."""
+    policy, written out here.  The regulator's terms are those of
+    `_kernel_terms` at psi* and at two random (psi, x); the portfolio's q
+    comes from its q helper and gamma log pi from `_log_normal` at three
+    random (psi, w, t, x) with horizon T = 1."""
     rng = np.random.default_rng(seed)
     T = 1.0
     for i in range(3):
@@ -138,13 +142,13 @@ def check_gradients(seed: int = 0) -> CheckResult:
 
     The ergodic kernels' test vectors are checked through their residuals
     at a transition that ends at x' = 0, where J(x') vanishes: there the
-    residual's parameter gradient is minus the test vector scaled by the
-    step (and by gamma for the policy-gradient score).  The SARSA bracket
-    also carries the s3-derivative gamma dt / 2 of Q(x', a') - gamma
-    log pi(a'|x') dt, which is free of the action.  The policy-gradient
-    score rows are also checked against the log-density of the policy,
-    which does not go through the kernel.  The mean-variance fused helpers'
-    rows are checked against their own values.
+    residual's parameter gradient is minus the test vector, scaled by the
+    step on the q rows and the V row, plus the derivative gamma dt / 2 in
+    psi3 or s3 of the action-free gamma H dt (policy gradient, whose psi
+    rows carry nothing else) or Q(x', a') - gamma log pi(a'|x') dt (SARSA).
+    The policy-gradient score rows are checked against the log-density of
+    the policy, which does not go through the kernel.  The mean-variance
+    fused helpers' rows are checked against their own values.
     """
     rng = np.random.default_rng(seed)
     gamma, T, dt = 0.1, 1.0, 0.04
@@ -153,16 +157,15 @@ def check_gradients(seed: int = 0) -> CheckResult:
     x = float(rng.normal(loc=1.0))
     a = float(rng.normal())
     r = float(rng.normal())
-    a2 = float(rng.normal())
-    gdt = gamma * dt
+    hgdt = 0.5 * gamma * dt
     cases = []
     for name, kernel, args, scale, shift in (
             ("q kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "q"),
              [1, 1, dt, dt, dt, dt], 0.0),
-            ("pg kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "sampled"),
-             [1, 1, gdt, gdt, gdt, dt], 0.0),
-            ("sarsa kernel", sarsa_kernel, (x, a, r, 0.0, a2, gamma, dt),
-             [1, 1, 1, 1, 1, dt], np.array([0, 0, 0.5 * gdt, 0, 0, 0]))):
+            ("pg kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "entropy"),
+             [1, 1, 0, 0, 0, dt], np.array([0, 0, 0, 0, hgdt, 0])),
+            ("sarsa kernel", sarsa_kernel, (x, a, r, 0.0, gamma, dt),
+             [1, 1, 1, 1, 1, dt], np.array([0, 0, hgdt, 0, 0, 0]))):
         P = rng.normal(scale=0.5, size=6)
         tests = np.ones((6, 1))
         kernel(P.reshape(6, 1), *args, tests)
@@ -327,47 +330,41 @@ def check_improvement_mc(seed: int = 0) -> CheckResult:
 
 
 def check_sarsa_target(seed: int = 0) -> CheckResult:
-    """Averaging the SARSA kernel's bracket over the next action recovers
-    the q-learning kernel's residual when the step-size Q matches J + q dt.
+    """The SARSA kernel's bracket, which it computes without the next
+    action, against the bracket written out at five explicit next actions
+    and against the q-learning kernel's residual, on 20 random transitions
+    at the oracle's parameters, where the step-size Q matches J + q dt.
 
-    For a normalized family the extra term q(t', x', a') - gamma log pi(a'|x'),
-    with q read off the q-learning kernel, vanishes pointwise, not just in expectation, so the Monte Carlo gate
-    carries an absolute roundoff floor alongside the 4 SE band.
+    For this normalized family Q(x', a') - gamma log pi(a'|x') dt is free
+    of a', so both identities hold pointwise up to roundoff.
     """
     sol = lq_ergodic_fixed_point()
-    gamma = sol.gamma
-    dt = 0.1
-    n = 200_000
+    gamma, dt, n = sol.gamma, 0.1, 20
     th, ps = sol.theta_star, sol.psi_star
     P_q = np.array([th[0], th[1], ps[0], ps[1], ps[2], sol.V_star]).reshape(6, 1)
     # e^{-s3} = dt e^{-p3} lines the advantage block up with q psi
-    P_s = np.array([ps[0], ps[1], ps[2] - math.log(dt), th[0], th[1],
-                    sol.V_star]).reshape(6, 1)
-    gen = RngStream(seed, (702,)).generator()
-    x, a = 0.8, -0.5
+    P_s = np.array([ps[0], ps[1], ps[2] - math.log(dt), th[0], th[1], sol.V_star])
+    s1, s2, s3, s4, s5, V = P_s
     coef = LqCoefficients()
-    r = float(coef.reward(x, a))
-    x2 = x + (coef.A * x + coef.B * a) * dt \
-        + (coef.C * x + coef.D * a) * math.sqrt(dt) * gen.standard_normal()
-    delta = float(rate_kernel(P_q, x, a, r, x2, gamma, dt, "q", np.ones((6, 1)))[0])
-    # n lanes of the one transition, each with its own next action drawn from
-    # the step-size policy N(s1 x' + s2, gamma dt e^{s3})
-    mu2 = ps[0] * x2 + ps[1]
-    var2 = gamma * dt * math.exp(P_s[2, 0])
-    a2 = mu2 + math.sqrt(var2) * gen.standard_normal(n)
-    brackets = sarsa_kernel(P_s, np.full(n, x), a, r, x2, a2, gamma, dt,
-                            np.ones((6, n)))
-    mean_gap = float(brackets.mean()) - delta
-    se = float(brackets.std(ddof=1) / math.sqrt(n))
-    # matched params: rate policy N(p1 x + p2, gamma e^{p3}) equals the step
-    # policy, so the same draws feed the pointwise extra-term check
-    extra = _kernel_terms(ps, gamma, x2, a2)[0] - gamma * _log_normal(a2, mu2, var2)
-    extra_max = float(np.abs(extra).max())
-    ok = abs(mean_gap) < 4.0 * se + 1e-12 and extra_max < 1e-10
-    return CheckResult("sarsa-target-mean", ok,
-                       f"|E[bracket] - delta| = {abs(mean_gap):.2e} "
-                       f"(4 SE + floor = {4.0 * se + 1e-12:.2e}); "
-                       f"max |extra term| {extra_max:.1e}")
+    x, a, z = RngStream(seed, (702,)).generator().normal(size=(3, n))
+    r = coef.reward(x, a)
+    x2 = x + (coef.A * x + coef.B * a) * dt + (coef.C * x + coef.D * a) * math.sqrt(dt) * z
+    bracket = sarsa_kernel(P_s.reshape(6, 1), x, a, r, x2, gamma, dt, np.ones((6, n)))
+    delta = rate_kernel(P_q, x, a, r, x2, gamma, dt, "q", np.ones((6, n)))
+
+    def q_step(x, a):
+        return -0.5 * math.exp(-s3) * (a - s1 * x - s2) ** 2 + s4 * x * x + s5 * x
+
+    a2 = np.array([-2.0, -0.5, 0.0, 0.3, 1.5]).reshape(5, 1)
+    written = (q_step(x2, a2)
+               - gamma * dt * _log_normal(a2, s1 * x2 + s2, gamma * dt * math.exp(s3))
+               - q_step(x, a) + r * dt - V * dt)
+    gap_written = float(np.abs(written - bracket).max())
+    gap_q = float(np.abs(bracket - delta).max())
+    return CheckResult("sarsa-target-mean", max(gap_written, gap_q) < 1e-12,
+                       f"max |bracket - written out| at 5 next actions "
+                       f"{gap_written:.1e}; max |bracket - q residual| "
+                       f"{gap_q:.1e} (tol 1e-12)")
 
 
 def check_qdt_intercept(seed: int = 0) -> CheckResult:

@@ -15,18 +15,18 @@ in one (6, lanes) array and moves them along rate * residual * tests in a
 single block shared by all three learners.
 
 The policy-gradient arm realizes the exploration bonus as the policy's
-entropy by default (`pg_regularizer="entropy"`), which is the benchmark
-convention.  With `"sampled"` the bonus is the negative log-density at the
-taken action, which for this normalized Gaussian family makes the update
-identical to the q-learner's up to a 1/gamma rescaling of the actor rate.
-On-policy the two forms agree in the conditional mean of the residual, but
-not of the actor's update residual * score: the entropy is free of the
+entropy, which is the benchmark convention.  With the paper's other bonus,
+-gamma log pi at the taken action, the update for this normalized Gaussian
+family is the q-learner's with the actor rate alpha_phi / gamma: that
+policy gradient is `qlearn-online` run at alpha_psi = alpha_phi / gamma.
+On-policy the two bonuses agree in the conditional mean of the residual,
+but not of the actor's update residual * score: the entropy is free of the
 action, so the entropy route lacks the bonus's own gradient
-gamma dH/dpsi3 = gamma/2 per unit time.  Measured at the oracle's parameters
-on an on-policy path (dt 0.01, 1e6 steps), the psi3 row's mean of
-residual * score reads -10.9 standard errors on the entropy route and 1.1 on
-the sampled one.  Adding the term moves every policy-gradient record, so it
-is left to a change of its own.
+gamma dH/dpsi3 = gamma/2 per unit time.  Measured at the oracle's
+parameters on an on-policy path (dt 0.01, 1e6 steps), the psi3 row's mean
+of residual * score reads -10.9 standard errors on the entropy route and
+1.1 with the log-density bonus.  Adding the term moves every
+policy-gradient record, so the bias is left open for a change of its own.
 
 Replications are advanced in lockstep as numpy vectors, one lane per
 replication.  Each replication owns one counter-based noise stream; the
@@ -113,7 +113,6 @@ class ErgodicExperimentConfig:
     schedule: Callable[[float], float] = sqrt_log_schedule
     behavior_mean: float = 0.0
     behavior_var: float = 1.0
-    pg_regularizer: str = "entropy"
     trace_points: int = 200
 
     def __post_init__(self):
@@ -122,8 +121,6 @@ class ErgodicExperimentConfig:
             raise ValueError("dt, horizon and gamma must be positive")
         if not 0 < self.behavior_var < math.inf:
             raise ValueError("behavior variance must be positive")
-        if self.pg_regularizer not in ("entropy", "sampled"):
-            raise ValueError("pg_regularizer must be 'entropy' or 'sampled'")
         if int(round(self.horizon / self.dt)) < 1:
             raise ValueError("horizon shorter than one step")
 
@@ -160,19 +157,22 @@ def _init_params(cfg: ErgodicExperimentConfig, algo: str, lanes: int):
 @lru_cache(maxsize=32)
 def _constants(gamma: float, dt: float, rule: str):
     """The scalar constants of a step as read-only 0-d float64 arrays:
-    (dt, gamma, 0.5, -0.5, 0.5 gamma, log constant, test offset, gamma dt,
-    2 pi).
+    (dt, gamma, 0.5, -0.5, half temperature, log constant, test offset,
+    gamma dt).
 
     A 0-d array operand costs numpy less than a Python float and gives the
-    same float64 result.  `rule` is "q", "entropy", "sampled" or "sarsa";
-    the log constant is log 2 pi gamma, plus 1 for "entropy", and the offset
-    of the psi3 test row is gamma for "q" and 1 for policy gradient.
+    same float64 result.  `rule` is "q", "entropy" or "sarsa".  The
+    temperature is gamma, or gamma dt for "sarsa", whose policy variance
+    carries the step; the log constant is log 2 pi times the temperature,
+    plus 1 for "entropy".  The offset of the psi3 test row is gamma for "q"
+    and 1 for policy gradient.
     """
+    temp = gamma * dt if rule == "sarsa" else gamma
     logc = (LOG_2PI + 1.0 + math.log(gamma) if rule == "entropy"
-            else LOG_2PI + math.log(gamma))
+            else LOG_2PI + math.log(temp))
     out = tuple(np.array(v) for v in (
-        dt, gamma, 0.5, -0.5, 0.5 * gamma, logc,
-        gamma if rule == "q" else 1.0, gamma * dt, 2.0 * np.pi))
+        dt, gamma, 0.5, -0.5, 0.5 * temp, logc,
+        gamma if rule == "q" else 1.0, gamma * dt))
     for c in out:
         c.flags.writeable = False
     return out
@@ -189,9 +189,9 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
       * "q": q-learning.  The running term is -q with the normalized
         q = -(e^{-psi3}/2)(a - psi1 x - psi2)^2 - (gamma/2)(log 2 pi gamma
         + psi3), tested against dq/dpsi.
-      * "entropy" / "sampled": policy gradient.  The running term is the
-        policy's entropy bonus, or -gamma log pi(a|x) at the taken action,
-        tested against the score d log pi / dpsi, which is dq/dpsi / gamma.
+      * "entropy": policy gradient.  The running term is the policy's
+        entropy bonus gamma H, tested against the score d log pi / dpsi,
+        which is dq/dpsi / gamma.
 
     `mean` is the policy mean psi1 x + psi2; a caller that drew the action
     from it passes it in, otherwise it is computed here by the same
@@ -199,8 +199,8 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
     into the (6, lanes) buffer `tests` and returns the residual.
     """
     th1, th2, p1, p2, p3, V = P
-    dt, gamma, half, mhalf, hgamma, logc, off, _, _ = _constants(gamma, dt,
-                                                                 running)
+    dt, gamma, half, mhalf, hgamma, logc, off, _ = _constants(gamma, dt,
+                                                              running)
     prec = np.exp(-p3)
     if running != "q":
         prec = prec / gamma
@@ -215,39 +215,36 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
     np.multiply(pdd - off, half, out=tests[4])
     if running == "q":
         gain = r - (mhalf * pdd - hgamma * (logc + p3))
-    elif running == "entropy":
-        gain = r + hgamma * (logc + p3)
     else:
-        gain = r - gamma * (mhalf * pdd - half * (logc + p3))
+        gain = r + hgamma * (logc + p3)
     return ((th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x)
             + gain * dt - V * dt)
 
 
-def sarsa_kernel(P, x, a, r, x2, a2, gamma: float, dt: float, tests):
+def sarsa_kernel(P, x, a, r, x2, gamma: float, dt: float, tests):
     """SARSA bracket of the step-size Q-function in the ergodic form.
 
     P rows are (s1, ..., s5, V), as a (6, lanes) array or a tuple of its
     rows, with Q(x, a) = -(e^{-s3}/2)(a - s1 x - s2)^2 + s4 x^2 + s5 x, whose
     policy is N(s1 x + s2, gamma dt e^{s3}).  The bracket is
     Q(x', a') - gamma log pi(a'|x') dt - Q(x, a) + r dt - V dt for the next
-    action a' drawn at x'.  Writes (dQ/ds, 1) into the (6, lanes) buffer
-    `tests` and returns the bracket.
+    action a' drawn from the policy at x'.  For this normalized family the
+    first two terms sum to s4 x'^2 + s5 x' + (gamma dt/2)(log 2 pi gamma dt
+    + s3) whatever a' is, so the bracket is computed without it.  Writes
+    (dQ/ds, 1) into the (6, lanes) buffer `tests` and returns the bracket.
     """
     s1, s2, s3, s4, s5, V = P
-    dt, gamma, half, mhalf, _, _, _, gdt, twopi = _constants(gamma, dt, "sarsa")
-    var_next = gdt * np.exp(s3)
+    dt, _, half, _, hgdt, logc, _, _ = _constants(gamma, dt, "sarsa")
     es3 = np.exp(-s3)
     dev = a - (s1 * x + s2)
-    dev2 = a2 - (s1 * x2 + s2)
     edev = np.multiply(es3, dev, out=tests[1])
     np.multiply(edev, x, out=tests[0])
     q_half = np.multiply(edev * dev, half, out=tests[2])
     np.multiply(x, x, out=tests[3])
     tests[4] = x
     q_now = -q_half + s4 * x * x + s5 * x
-    q_next = mhalf * es3 * dev2 * dev2 + s4 * x2 * x2 + s5 * x2
-    logp = mhalf * dev2 * dev2 / var_next - half * np.log(twopi * var_next)
-    return q_next - gamma * logp * dt - q_now + r * dt - V * dt
+    v_next = s4 * x2 * x2 + s5 * x2 + hgdt * (logc + s3)
+    return v_next - q_now + r * dt - V * dt
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +341,8 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     off_policy = (mode == "off-policy")
     b_mean, b_std = cfg.behavior_mean, math.sqrt(cfg.behavior_var)
     sarsa = (algo == "sarsa")
-    running = "q" if algo == "qlearn-online" else cfg.pg_regularizer
-    dt0, gamma, _, _, _, _, _, gdt, _ = _constants(
+    running = "q" if algo == "qlearn-online" else "entropy"
+    dt0, gamma, _, _, _, _, _, gdt = _constants(
         cfg.gamma, dt, "sarsa" if sarsa else running)
     # coefficients of the stacked products with the state and the action
     cx = np.array([co.A, co.C, 0.5 * co.M, co.R, co.P]).reshape(5, 1)
@@ -423,7 +420,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                     if sarsa:
                         a2 = _sarsa_action(prows, x2, z0, gdt)
                 if sarsa:
-                    resid = sarsa_kernel(prows, x, a, r, x2, a2, cfg.gamma, dt,
+                    resid = sarsa_kernel(prows, x, a, r, x2, cfg.gamma, dt,
                                          tests)
                 else:
                     resid = rate_kernel(prows, x, a, r, x2, cfg.gamma, dt,

@@ -156,7 +156,9 @@ def lq_policy_value(coef: LqCoefficients, gamma: float, k: float, m: float,
     mean square stable closed loop.  Returns (theta array, V) where V includes
     the entropy reward gamma * entropy.
     """
-    if s2 <= 0:
+    if not 0 < gamma < math.inf:  # NaN fails it
+        raise ValueError("gamma must be positive")
+    if not 0 < s2 < math.inf:
         raise ValueError("policy variance must be positive")
     A, B, C, D = coef.A, coef.B, coef.C, coef.D
     M, N, R, P, Q = coef.M, coef.N, coef.R, coef.P, coef.Q
@@ -212,7 +214,7 @@ def policy_improvement_map(coef: LqCoefficients, theta,
     x = 0 and x = 1, and takes the argmax and gamma / curvature.  Raises
     ImprovementUndefined when H is not strictly concave in the action.
     """
-    if gamma <= 0:
+    if not 0 < gamma < math.inf:  # NaN fails it
         raise ValueError("gamma must be positive")
 
     def fit(x):

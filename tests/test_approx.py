@@ -61,7 +61,7 @@ def test_q_exponential_integrates_to_one():
 @given(params, params, params, params, params)
 def test_scaled_policy_log_density_recovers_q(p1, p2, p3, x, a):
     # gamma log pi of pi = N(p1 x + p2, gamma e^{p3}) is q, and so is gamma
-    # log pi as the sampled policy-gradient route evaluates it
+    # log pi as the property suite writes it out
     gamma = 0.1
     psi = np.array([p1, p2, p3])
     logp = stats.norm(p1 * x + p2, math.sqrt(gamma * math.exp(p3))).logpdf(a)

@@ -35,7 +35,8 @@ def _kernel(running, P, x=X, a=A, r=R, x2=X2):
 
 def test_qdt_policy_variance_scales_with_step_size():
     # the step-size dependence the rate-based family is free of: the SARSA
-    # kernel scores the next action under N(s1 x + s2, gamma dt e^{s3})
+    # bracket scores the next action under N(s1 x + s2, gamma dt e^{s3}),
+    # whatever that action is
     s = np.array([0.3, -0.1, 0.4, 0.2, -0.5])
     P = np.append(s, 0.0)[:, None]
     x, a, r, x2, a2 = 1.0, 0.5, 2.0, 1.5, -0.3
@@ -43,7 +44,7 @@ def test_qdt_policy_variance_scales_with_step_size():
         + 0.2 * x * x - 0.5 * x
     variances = []
     for dt in (0.01, 0.1):
-        bracket = sarsa_kernel(P, x, a, r, x2, a2, GAMMA, dt, np.ones((6, 1)))
+        bracket = sarsa_kernel(P, x, a, r, x2, GAMMA, dt, np.ones((6, 1)))
         logp = (q(x2, a2) - q(x, a) + r * dt - float(bracket[0])) / (GAMMA * dt)
         var = GAMMA * dt * math.exp(0.4)
         assert logp == pytest.approx(
@@ -82,11 +83,12 @@ def test_qdt_gradients_match_finite_differences():
 
 def test_sarsa_bracket_hand_value():
     # Q = -(1/2)(a - s1 x - s2)^2 e^{-s3} + s4 x^2 + s5 x at s = 0: the policy
-    # is N(0, 0.01), and the next actions are 0.5 and -0.5
+    # is N(0, 0.01), and the bracket is the one of the next actions 0.5 and
+    # -0.5
     P = np.zeros((6, 2))
     P[5] = 0.3
     tests = np.ones((6, 2))
-    bracket = sarsa_kernel(P, X, A, R, X2, np.array([0.5, -0.5]), GAMMA, DT, tests)
+    bracket = sarsa_kernel(P, X, A, R, X2, GAMMA, DT, tests)
     logp = -0.5 * 0.25 / 0.01 - 0.5 * math.log(2.0 * math.pi * 0.01)
     want = -0.125 - 0.1 * logp * 0.1 - (-0.5) + R * 0.1 - 0.03
     assert np.allclose(bracket, want, atol=1e-12)
@@ -117,7 +119,7 @@ def test_sarsa_bracket_accepts_external_policy():
         x2 = x - x * DT + a * math.sqrt(DT) * z1
         r = -(x * x + x * a + a * a + x + 2.0 * a)
         tests = np.ones((6, 1))
-        P = P + rates * sarsa_kernel(P, x, a, r, x2, a2, GAMMA, DT, tests) * tests
+        P = P + rates * sarsa_kernel(P, x, a, r, x2, GAMMA, DT, tests) * tests
         x, a = x2, a2
     assert rec.status == "ok"
     for i, key in enumerate(("s1", "s2", "s3", "s4", "s5", "V")):
@@ -126,21 +128,21 @@ def test_sarsa_bracket_accepts_external_policy():
 
 def test_pg_update_hand_value():
     # one actor step at unit rates: J = x^2, f = 0 (policy N(0, gamma)),
-    # x 1 -> 2 under a = 1, r = 2, sampled bonus -gamma log pi(a|x)
+    # x 1 -> 2 under a = 1, r = 2, entropy bonus gamma H(pi)
     P = np.zeros((6, 1))
     P[0] = 1.0
-    logp = -0.5 * 10.0 - 0.5 * (math.log(2.0 * math.pi) + math.log(GAMMA))
-    bracket = -GAMMA * logp * DT + 3.0 + 0.2
-    resid, tests = _kernel("sampled", P, X[:1], A[:1], R[:1], X2[:1])
+    bonus = GAMMA * stats.norm(0.0, math.sqrt(GAMMA)).entropy()
+    bracket = bonus * DT + 3.0 + 0.2
+    resid, tests = _kernel("entropy", P, X[:1], A[:1], R[:1], X2[:1])
     phi = P[2:5, 0] + resid[0] * tests[2:5, 0]
     assert np.allclose(phi, bracket * np.array([10.0, 10.0, 4.5]), atol=1e-12)
     P[5] = 0.5
-    resid_v, tests = _kernel("sampled", P, X[:1], A[:1], R[:1], X2[:1])
+    resid_v, tests = _kernel("entropy", P, X[:1], A[:1], R[:1], X2[:1])
     assert np.allclose(resid_v[0] * tests[2:5, 0],
                        (bracket - 0.05) * np.array([10.0, 10.0, 4.5]), atol=1e-12)
     # a non-finite transition gives a non-finite residual, which the driver's
     # guard turns into a divergence
-    hot, _ = _kernel("sampled", P, X[:1], A[:1], np.array([math.inf]), X2[:1])
+    hot, _ = _kernel("entropy", P, X[:1], A[:1], np.array([math.inf]), X2[:1])
     assert not np.isfinite(hot).any()
 
 
@@ -149,29 +151,12 @@ def test_pg_kernel_hand_value():
     P = np.zeros((6, 2))
     P[0] = 1.0
     P[5] = 0.5
-    logp = -0.5 * 10.0 - 0.5 * (math.log(2.0 * math.pi) + math.log(GAMMA))
     entropy = 0.5 * (math.log(2.0 * math.pi) + 1.0 + math.log(GAMMA))
     score = [[1.0, 4.0], [1.0, 2.0], [10.0, -20.0], [10.0, -10.0], [4.5, 4.5],
              [1.0, 1.0]]
-    sampled, tests = _kernel("sampled", P)
-    assert np.allclose(sampled, [3.0, 5.0] + (R - GAMMA * logp) * DT - 0.05, atol=1e-12)
-    assert np.allclose(tests, score, atol=1e-14)
     bonus, tests = _kernel("entropy", P)
     assert np.allclose(bonus, [3.0, 5.0] + (R + GAMMA * entropy) * DT - 0.05, atol=1e-12)
     assert np.allclose(tests, score, atol=1e-14)
-
-
-def test_pg_log_density_is_scaled_q_for_lq_family():
-    # -gamma log pi is -q for the matched policy, and gamma times the score
-    # is the q-gradient
-    rng = np.random.default_rng(3)
-    P = np.vstack([rng.uniform(-1.5, 1.5, (5, 20)), np.zeros((1, 20))])
-    x, a, r, x2 = rng.uniform(-2, 2, (4, 20))
-    q_resid, q_tests = _kernel("q", P, x, a, r, x2)
-    pg_resid, pg_tests = _kernel("sampled", P, x, a, r, x2)
-    assert np.allclose(pg_resid, q_resid, atol=1e-12)
-    assert np.allclose(GAMMA * pg_tests[2:5], q_tests[2:5], atol=1e-12)
-    assert np.array_equal(pg_tests[[0, 1, 5]], q_tests[[0, 1, 5]])
 
 
 def test_pg_log_density_is_scaled_q_for_wealth_family():
@@ -205,32 +190,20 @@ def test_family_policy_object_matches_fields():
 
 
 def test_pg_family_entropy_closed_form():
-    # the entropy bonus is the policy mean of the sampled one: quadrature
-    # over actions drawn at one (x, r, x') as lanes
+    # the entropy bonus is the policy mean of -gamma log pi: quadrature over
+    # actions drawn at one (x, r, x') as lanes, against scipy's log-density
     f = np.array([0.2, -0.3, 0.7])
     P = np.concatenate([[0.4, -0.2], f, [0.1]])[:, None]
     var = GAMMA * math.exp(0.7)
     mu = 0.2 * 1.5 - 0.3
+    pol = stats.norm(mu, math.sqrt(var))
     nodes, weights = np.polynomial.hermite.hermgauss(16)
     acts = mu + math.sqrt(2.0 * var) * nodes
     bonus, _ = _kernel("entropy", P, 1.5, acts, -1.0, 1.2)
-    sampled, _ = _kernel("sampled", P, 1.5, acts, -1.0, 1.2)
-    assert float(weights @ sampled) / math.sqrt(math.pi) == pytest.approx(
-        bonus[0], abs=1e-12)
-    base, _ = _kernel("entropy", P, 1.5, mu, -1.0, 1.2)
     plain = (0.4 * 1.2 ** 2 - 0.2 * 1.2) - (0.4 * 1.5 ** 2 - 0.2 * 1.5) \
         + (-1.0 - 0.1) * DT
-    assert (base[0] - plain) / DT == pytest.approx(
-        GAMMA * stats.norm(mu, math.sqrt(var)).entropy(), abs=1e-12)
-
-
-def test_pg_step_equals_rate_learner_step_at_matched_rates():
-    # moving phi at gamma times the psi rate reproduces the q-learner step
-    P = np.array([0.4, -0.2, 0.15, -0.45, 0.25, 0.3])[:, None]
-    step = (1.2, -0.6, 1.4, 0.9)
-    q_resid, q_tests = _kernel("q", P, *step)
-    pg_resid, pg_tests = _kernel("sampled", P, *step)
-    rates = np.array([0.01, 0.01, GAMMA * 0.01, GAMMA * 0.01, GAMMA * 0.01, 0.01])
-    psi = P[:, 0] + 0.01 * q_resid * q_tests[:, 0]
-    phi = P[:, 0] + rates * pg_resid * pg_tests[:, 0]
-    assert np.allclose(phi, psi, atol=1e-12)
+    # the bonus is free of the action
+    assert np.all(bonus == bonus[0])
+    assert (bonus[0] - plain) / DT == pytest.approx(
+        -GAMMA * float(weights @ pol.logpdf(acts)) / math.sqrt(math.pi), abs=1e-12)
+    assert (bonus[0] - plain) / DT == pytest.approx(GAMMA * pol.entropy(), abs=1e-12)

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 import ctql
 from ctql import approx
 from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
-from ctql.experiments import ergodic, mv
+from ctql.experiments import checks, ergodic, mv
 from ctql.experiments.checks import (check_gibbs_consistency,
-                                    check_gibbs_normalization)
+                                    check_gibbs_normalization,
+                                    check_sarsa_target)
 from ctql.experiments.cli import main
 from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
                                       run_ergodic, run_ergodic_replications)
@@ -316,19 +317,6 @@ def test_divergent_replications_are_reported_not_raised():
                 assert np.all(np.isfinite(column))
 
 
-def test_sampled_pg_route_tracks_rate_learner_at_matched_rates():
-    cfg_q = ErgodicExperimentConfig(horizon=500.0)
-    cfg_pg = dataclasses.replace(cfg_q, pg_regularizer="sampled",
-                                 alpha_phi=cfg_q.gamma * cfg_q.alpha_psi)
-    rec_q = run_ergodic(cfg_q, "qlearn-online", "on-policy", RngStream(2, (0, 0)))
-    rec_pg = run_ergodic(cfg_pg, "pg", "on-policy", RngStream(2, (0, 0)))
-    pairs = {"p1": "f1", "p2": "f2", "p3": "f3",
-             "th1": "th1", "th2": "th2", "V": "V"}
-    for qk, pk in pairs.items():
-        assert rec_pg.final_params[pk] == pytest.approx(
-            rec_q.final_params[qk], abs=1e-6)
-
-
 def test_ergodic_argument_validation():
     with pytest.raises(ValueError):
         run_ergodic_replications(SHORT, "dqn", "on-policy", 0, 1)
@@ -336,8 +324,6 @@ def test_ergodic_argument_validation():
         run_ergodic_replications(SHORT, "sarsa", "offline", 0, 1)
     with pytest.raises(ValueError):
         ErgodicExperimentConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        ErgodicExperimentConfig(pg_regularizer="none")
     with pytest.raises(ValueError):
         ErgodicExperimentConfig(behavior_var=0.0)
 
@@ -633,10 +619,22 @@ def test_cli_check_suite_passes(capsys):
     assert "[FAIL]" not in out
 
 
-@pytest.mark.parametrize("rule", ("q", "entropy", "sampled", "portfolio"))
+@pytest.mark.parametrize("rule", ("q", "entropy", "sarsa", "portfolio", "log_normal"))
 def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
     # move one running term's log constant in the driver's kernel, or the
-    # portfolio q's, by 0.1: the Gibbs checks evaluate those, so they must fail
+    # portfolio q's, by 0.1: the Gibbs checks evaluate those, and the SARSA
+    # check the SARSA kernel, so they must fail
+    if rule == "log_normal":
+        # gamma log pi of both families is written out in the check: moved
+        # by gamma 0.1, it misses q, and for the regulator also -gamma H
+        log_normal = checks._log_normal
+        monkeypatch.setattr(checks, "_log_normal",
+                            lambda a, mu, var: log_normal(a, mu, var) + 0.1)
+        consistency = check_gibbs_consistency()
+        assert not consistency.passed
+        assert consistency.detail == ("max |E_pi[q - gamma log pi]| = 1.000e-02, "
+                                      "|E_pi[gamma log pi] + gamma H| = 1.000e-02 (tol 1e-8)")
+        return
     if rule == "portfolio":
         # q moves by -gamma 0.1 / 2, which the check's own log-density of the
         # portfolio policy does not, and exp(q/gamma) integrates to e^{-0.05}
@@ -655,6 +653,10 @@ def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
         return c[:5] + (np.array(float(c[5]) + 0.1),) + c[6:]
 
     monkeypatch.setattr(ergodic, "_constants", moved)
+    if rule == "sarsa":
+        # the bracket moves by gamma dt 0.1 / 2 = 5e-4
+        assert not check_sarsa_target().passed
+        return
     assert not check_gibbs_consistency().passed
     # exp(q/gamma) still integrates to one unless the q route's constant moved
     assert check_gibbs_normalization().passed == (rule != "q")

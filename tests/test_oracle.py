@@ -139,6 +139,17 @@ def test_unstable_dynamics_are_reported_infeasible():
         lq_policy_value(LqCoefficients(), 0.1, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, 0.0))
+def test_oracle_maps_reject_gamma_and_variance_outside_the_positive_reals(bad):
+    theta = lq_ergodic_fixed_point().theta_star
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        policy_improvement_map(LqCoefficients(), theta, bad)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        lq_policy_value(LqCoefficients(), bad, -0.3, -0.7, 0.1)
+    with pytest.raises(ValueError, match="policy variance must be positive"):
+        lq_policy_value(LqCoefficients(), 0.1, -0.3, -0.7, bad)
+
+
 def test_hamiltonian_hand_value():
     # b p = -2, diffusion term = 1, reward = -6
     assert hamiltonian(LqCoefficients(), 1.0, 1.0, 2.0, 2.0) == pytest.approx(-7.0, abs=1e-14)
