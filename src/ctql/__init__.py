@@ -5,9 +5,9 @@ The package splits into the regulator's coefficients and noise streams
 the policy-gradient log-density (approx), the mean-variance step-size Q
 family (baselines), closed-form references
 (oracle) and the reproduction experiments (experiments), whose drivers hold
-each update rule once: the ergodic regulator's q-learning, SARSA and
-policy-gradient lane kernels, which also hold its value and q, and the
-mean-variance driver's episode updates.
+each update rule once: the ergodic regulator's lane kernel, whose
+q-learning, SARSA and policy-gradient rules also hold its value and q, and
+the mean-variance driver's episode updates.
 """
 
 from .envsim import LqCoefficients, RngStream

@@ -5,7 +5,7 @@ Every family is a plain closed-form expression.  Each family is one fused
 formulas: it broadcasts over (t, x, a), returns the value with the gradient
 rows from one copy of each shared term, and writes them into an optional
 `out` tuple of buffers.  The *_eval / *_grad names call it.  The ergodic
-regulator's value and q live in the ergodic driver's update kernels.
+regulator's value and q live in the ergodic driver's update kernel.
 
 A q-function here is normalized: integrating exp(q/gamma) over actions gives
 one, so gamma * log pi equals q for the induced policy, and the policy-gradient

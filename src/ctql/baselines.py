@@ -6,8 +6,8 @@ Boltzmann policy has variance proportional to gamma * dt, which is the
 step-size sensitivity the rate-based learner avoids.  As in `approx`, it is
 one fused helper of its value and gradient rows.  The policy-gradient
 baseline's log-density is the q family's q / gamma in `approx`; the ergodic
-regulator's versions of both rules are the lane kernels of
-`experiments.ergodic`.
+regulator's versions of both rules are running rules of the lane kernel
+`experiments.ergodic.rate_kernel`.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ on, on the code the experiment drivers run: Gibbs consistency and
 normalization of the q the drivers evaluate against a written-out
 log-density (the regulator's through the running terms -q and gamma H of
 `rate_kernel`, the portfolio's through its q helper), the ergodic update
-kernels' test vectors and the mean-variance gradient helpers against finite
-differences, the mean-variance driver's episode residuals against a
-brute-force double sum, zero-learning-rate no-ops of every driver, policy
-improvement monotonicity (exact and Monte Carlo), the SARSA kernel's
+kernel's test vectors under each rule and the mean-variance gradient helpers
+against finite differences, the mean-variance driver's episode residuals
+against a brute-force double sum, zero-learning-rate no-ops of every driver,
+policy improvement monotonicity (exact and Monte Carlo), the kernel's SARSA
 bracket against one written out at explicit next actions and against the
-q-learning kernel's residual at matched parameters, and the first-order
-expansion of the step-size Q.
+q-learning residual at matched parameters, and the first-order expansion of
+the step-size Q.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from ..envsim import LqCoefficients, RngStream
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
                       policy_improvement_map, q_from_value, qdt_expansion_check)
 from .ergodic import (ALGOS, MODES, PARAM_NAMES, ErgodicExperimentConfig,
-                      _init_params, rate_kernel, run_ergodic_replications,
-                      sarsa_kernel)
+                      _init_params, rate_kernel, run_ergodic_replications)
 from .mv import (MV_ALGOS, MV_PARAM_NAMES, MvExperimentConfig,
                  _init_mv_params, martingale_residuals, run_mv_replications)
 
@@ -140,7 +139,7 @@ def _fd_grad(fn: Callable[[np.ndarray], float], p: np.ndarray) -> np.ndarray:
 def check_gradients(seed: int = 0) -> CheckResult:
     """Analytic parameter gradients against central differences.
 
-    The ergodic kernels' test vectors are checked through their residuals
+    The ergodic kernel's test vectors are checked through its residuals
     at a transition that ends at x' = 0, where J(x') vanishes: there the
     residual's parameter gradient is minus the test vector, scaled by the
     step on the q rows and the V row, plus the derivative gamma dt / 2 in
@@ -157,22 +156,20 @@ def check_gradients(seed: int = 0) -> CheckResult:
     x = float(rng.normal(loc=1.0))
     a = float(rng.normal())
     r = float(rng.normal())
-    hgdt = 0.5 * gamma * dt
+    psi3_shift = np.array([0, 0, 0, 0, 0.5 * gamma * dt, 0])
     cases = []
-    for name, kernel, args, scale, shift in (
-            ("q kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "q"),
-             [1, 1, dt, dt, dt, dt], 0.0),
-            ("pg kernel", rate_kernel, (x, a, r, 0.0, gamma, dt, "entropy"),
-             [1, 1, 0, 0, 0, dt], np.array([0, 0, 0, 0, hgdt, 0])),
-            ("sarsa kernel", sarsa_kernel, (x, a, r, 0.0, gamma, dt),
-             [1, 1, 1, 1, 1, dt], np.array([0, 0, hgdt, 0, 0, 0]))):
+    for name, running, scale, shift in (
+            ("q kernel", "q", [1, 1, dt, dt, dt, dt], 0.0),
+            ("pg kernel", "entropy", [1, 1, 0, 0, 0, dt], psi3_shift),
+            ("sarsa kernel", "sarsa", [1, 1, 1, 1, 1, dt], psi3_shift)):
+        args = (x, a, r, 0.0, gamma, dt, running)
         P = rng.normal(scale=0.5, size=6)
         tests = np.ones((6, 1))
-        kernel(P.reshape(6, 1), *args, tests)
+        rate_kernel(P.reshape(6, 1), *args, tests)
         want = shift - np.asarray(scale, float) * tests[:, 0]
         cases.append((name,
-                      lambda p, kernel=kernel, args=args: float(
-                          kernel(p.reshape(6, 1), *args, np.ones((6, 1)))[0]),
+                      lambda p, args=args: float(rate_kernel(
+                          p.reshape(6, 1), *args, np.ones((6, 1)))[0]),
                       lambda p, want=want: want, P))
     for name, fused, n, args in (
             ("mv_value", mv_value_eval_grad, 3, (w, z, T, t, x)),
@@ -329,11 +326,11 @@ def check_improvement_mc(seed: int = 0) -> CheckResult:
                        f"value gains {', '.join(details)}; worst drop {worst:.2f} SE (tol 3)")
 
 
-def check_sarsa_target(seed: int = 0) -> CheckResult:
-    """The SARSA kernel's bracket, which it computes without the next
+def check_sarsa_bracket(seed: int = 0) -> CheckResult:
+    """The kernel's SARSA bracket, which it computes without the next
     action, against the bracket written out at five explicit next actions
-    and against the q-learning kernel's residual, on 20 random transitions
-    at the oracle's parameters, where the step-size Q matches J + q dt.
+    and against the q-learning residual, on 20 random transitions at the
+    oracle's parameters, where the step-size Q matches J + q dt.
 
     For this normalized family Q(x', a') - gamma log pi(a'|x') dt is free
     of a', so both identities hold pointwise up to roundoff.
@@ -343,13 +340,14 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
     th, ps = sol.theta_star, sol.psi_star
     P_q = np.array([th[0], th[1], ps[0], ps[1], ps[2], sol.V_star]).reshape(6, 1)
     # e^{-s3} = dt e^{-p3} lines the advantage block up with q psi
-    P_s = np.array([ps[0], ps[1], ps[2] - math.log(dt), th[0], th[1], sol.V_star])
-    s1, s2, s3, s4, s5, V = P_s
+    P_s = np.array([th[0], th[1], ps[0], ps[1], ps[2] - math.log(dt), sol.V_star])
+    s4, s5, s1, s2, s3, V = P_s
     coef = LqCoefficients()
     x, a, z = RngStream(seed, (702,)).generator().normal(size=(3, n))
     r = coef.reward(x, a)
     x2 = x + (coef.A * x + coef.B * a) * dt + (coef.C * x + coef.D * a) * math.sqrt(dt) * z
-    bracket = sarsa_kernel(P_s.reshape(6, 1), x, a, r, x2, gamma, dt, np.ones((6, n)))
+    bracket = rate_kernel(P_s.reshape(6, 1), x, a, r, x2, gamma, dt, "sarsa",
+                          np.ones((6, n)))
     delta = rate_kernel(P_q, x, a, r, x2, gamma, dt, "q", np.ones((6, n)))
 
     def q_step(x, a):
@@ -361,7 +359,7 @@ def check_sarsa_target(seed: int = 0) -> CheckResult:
                - q_step(x, a) + r * dt - V * dt)
     gap_written = float(np.abs(written - bracket).max())
     gap_q = float(np.abs(bracket - delta).max())
-    return CheckResult("sarsa-target-mean", max(gap_written, gap_q) < 1e-12,
+    return CheckResult("sarsa-bracket", max(gap_written, gap_q) < 1e-12,
                        f"max |bracket - written out| at 5 next actions "
                        f"{gap_written:.1e}; max |bracket - q residual| "
                        f"{gap_q:.1e} (tol 1e-12)")
@@ -394,6 +392,6 @@ def run_all_checks(seed: int = 0) -> List[CheckResult]:
         check_zero_rate(seed),
         check_improvement_exact(seed),
         check_improvement_mc(seed),
-        check_sarsa_target(seed),
+        check_sarsa_bracket(seed),
         check_qdt_intercept(seed),
     ]

@@ -7,11 +7,13 @@ off-policy runs execute a fixed Gaussian behavior policy and feed the learner
 the observed transitions.
 
 Every learner is one instance of the ergodic martingale condition: a residual
-tested against a vector of test functions.  Each update rule is one lane
-kernel that computes its residual and writes its test vectors into a
-(6, lanes) buffer (`rate_kernel` for q-learning and policy gradient,
-`sarsa_kernel` for SARSA); the driver holds the six parameters of every lane
-in one (6, lanes) array and moves them along rate * residual * tests in a
+tested against a vector of test functions.  One lane kernel, `rate_kernel`,
+computes the residual of each update rule and writes its test vectors into a
+(6, lanes) buffer; the rules differ only in the running term.  SARSA is the
+q-learner of the step-size Q(dt) = J + q dt, so its parameters sit in the
+same rows (value, then policy, then V) and its rule is the q rule at the
+temperature gamma dt.  The driver holds the six parameters of every lane in
+one (6, lanes) array and moves them along rate * residual * tests in a
 single block shared by all three learners.
 
 The policy-gradient arm realizes the exploration bonus as the policy's
@@ -36,13 +38,12 @@ column 1 for the Brownian increment.  A stream gives the same numbers however
 many it is asked for at a time, so a single replication consumes exactly the
 same numbers regardless of the block length or of how many lanes run beside
 it, and a run's working memory depends on its lanes, not on its horizon.
-SARSA's column 0 draws the action at the *next* state, off-policy the next
-behaviour action, after one extra draw for the initial action.  A lane's
-trace ends at the first record after it diverges, if one follows.  The
-driver then drops the lane from its working arrays and stops drawing its
-stream; the lane's record keeps its frozen parameters, and the driver stops
-once every lane has diverged, so a lane's record does not depend on the
-lanes beside it either.
+Every learner draws its action when it acts, from column 0 of that step's
+row.  A lane's trace ends at the first record after it diverges, if one
+follows.  The driver then drops the lane from its working arrays and stops
+drawing its stream; the lane's record keeps its frozen parameters, and the
+driver stops once every lane has diverged, so a lane's record does not
+depend on the lanes beside it either.
 
 Off-policy, the observed actions, states and rewards do not depend on the
 learner's parameters, so the driver computes them for the whole block from
@@ -84,10 +85,11 @@ PARAM_GUARD = 25.0
 ALGOS = ("qlearn-online", "sarsa", "pg")
 MODES = ("on-policy", "off-policy")
 
-# Rows of the (6, lanes) parameter array; the last row is always the rate V.
+# Rows of the (6, lanes) parameter array: the value's two, the policy's
+# three and the rate V.
 PARAM_NAMES = {
     "qlearn-online": ("th1", "th2", "p1", "p2", "p3", "V"),
-    "sarsa": ("s1", "s2", "s3", "s4", "s5", "V"),
+    "sarsa": ("s4", "s5", "s1", "s2", "s3", "V"),
     "pg": ("th1", "th2", "f1", "f2", "f3", "V"),
 }
 
@@ -140,7 +142,7 @@ def _init_params(cfg: ErgodicExperimentConfig, algo: str, lanes: int):
         P[4] = math.log(1.0 / cfg.gamma)
         rates = (cfg.alpha_theta,) * 2 + (cfg.alpha_psi,) * 3
     elif algo == "sarsa":
-        P[2] = math.log(1.0 / (cfg.gamma * cfg.dt))
+        P[4] = math.log(1.0 / (cfg.gamma * cfg.dt))
         rates = (cfg.alpha_psi,) * 5
     elif algo == "pg":
         P[4] = math.log(1.0 / cfg.gamma)
@@ -151,28 +153,29 @@ def _init_params(cfg: ErgodicExperimentConfig, algo: str, lanes: int):
 
 
 # ---------------------------------------------------------------------------
-# Update kernels
+# Update kernel
 
 
 @lru_cache(maxsize=32)
 def _constants(gamma: float, dt: float, rule: str):
     """The scalar constants of a step as read-only 0-d float64 arrays:
     (dt, gamma, 0.5, -0.5, half temperature, log constant, test offset,
-    gamma dt).
+    temperature).
 
     A 0-d array operand costs numpy less than a Python float and gives the
     same float64 result.  `rule` is "q", "entropy" or "sarsa".  The
     temperature is gamma, or gamma dt for "sarsa", whose policy variance
     carries the step; the log constant is log 2 pi times the temperature,
-    plus 1 for "entropy".  The offset of the psi3 test row is gamma for "q"
-    and 1 for policy gradient.
+    plus 1 for "entropy".  The offset of the psi3 test row is gamma for "q",
+    1 for policy gradient and 0 for "sarsa", whose Q(dt) has no normalizer
+    term.
     """
     temp = gamma * dt if rule == "sarsa" else gamma
     logc = (LOG_2PI + 1.0 + math.log(gamma) if rule == "entropy"
             else LOG_2PI + math.log(temp))
+    off = {"q": gamma, "entropy": 1.0, "sarsa": 0.0}[rule]
     out = tuple(np.array(v) for v in (
-        dt, gamma, 0.5, -0.5, 0.5 * temp, logc,
-        gamma if rule == "q" else 1.0, gamma * dt))
+        dt, gamma, 0.5, -0.5, 0.5 * temp, logc, off, temp))
     for c in out:
         c.flags.writeable = False
     return out
@@ -180,15 +183,22 @@ def _constants(gamma: float, dt: float, rule: str):
 
 def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
                 mean=None):
-    """Ergodic residual dJ + (r + running term) dt - V dt of the rate learners.
+    """Ergodic residual dJ + (r + running term) dt - V dt of every learner.
 
     P rows are (theta1, theta2, psi1, psi2, psi3, V), as a (6, lanes) array
     or a tuple of its rows: the value is J = theta1 x^2 + theta2 x and the
-    policy N(psi1 x + psi2, gamma e^{psi3}).  `running` picks the learner:
+    policy N(psi1 x + psi2, T e^{psi3}) at the temperature T of `_constants`.
+    `running` picks the learner:
 
       * "q": q-learning.  The running term is -q with the normalized
         q = -(e^{-psi3}/2)(a - psi1 x - psi2)^2 - (gamma/2)(log 2 pi gamma
         + psi3), tested against dq/dpsi.
+      * "sarsa": SARSA on Q(x, a) = J(x) + q dt with T = gamma dt, in the
+        rows (s4, s5, s1, s2, s3, V): Q = -(e^{-s3}/2)(a - s1 x - s2)^2
+        + s4 x^2 + s5 x.  Its bracket Q(x', a') - gamma log pi(a'|x') dt
+        - Q(x, a) + r dt - V dt is free of the next action a' for this
+        normalized family, so it is the q residual with the advantage term
+        already in Q units, tested against dQ/ds.
       * "entropy": policy gradient.  The running term is the policy's
         entropy bonus gamma H, tested against the score d log pi / dpsi,
         which is dq/dpsi / gamma.
@@ -199,10 +209,10 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
     into the (6, lanes) buffer `tests` and returns the residual.
     """
     th1, th2, p1, p2, p3, V = P
-    dt, gamma, half, mhalf, hgamma, logc, off, _ = _constants(gamma, dt,
-                                                              running)
+    dt, gamma, half, mhalf, htemp, logc, off, _ = _constants(gamma, dt,
+                                                             running)
     prec = np.exp(-p3)
-    if running != "q":
+    if running == "entropy":
         prec = prec / gamma
     if mean is None:
         mean = p1 * x + p2
@@ -213,38 +223,13 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
     np.multiply(pdev, x, out=tests[2])
     pdd = pdev * dev
     np.multiply(pdd - off, half, out=tests[4])
-    if running == "q":
-        gain = r - (mhalf * pdd - hgamma * (logc + p3))
+    if running == "entropy":
+        gain = (r + htemp * (logc + p3)) * dt
     else:
-        gain = r + hgamma * (logc + p3)
+        q = mhalf * pdd - htemp * (logc + p3)
+        gain = (r - q) * dt if running == "q" else r * dt - q
     return ((th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x)
-            + gain * dt - V * dt)
-
-
-def sarsa_kernel(P, x, a, r, x2, gamma: float, dt: float, tests):
-    """SARSA bracket of the step-size Q-function in the ergodic form.
-
-    P rows are (s1, ..., s5, V), as a (6, lanes) array or a tuple of its
-    rows, with Q(x, a) = -(e^{-s3}/2)(a - s1 x - s2)^2 + s4 x^2 + s5 x, whose
-    policy is N(s1 x + s2, gamma dt e^{s3}).  The bracket is
-    Q(x', a') - gamma log pi(a'|x') dt - Q(x, a) + r dt - V dt for the next
-    action a' drawn from the policy at x'.  For this normalized family the
-    first two terms sum to s4 x'^2 + s5 x' + (gamma dt/2)(log 2 pi gamma dt
-    + s3) whatever a' is, so the bracket is computed without it.  Writes
-    (dQ/ds, 1) into the (6, lanes) buffer `tests` and returns the bracket.
-    """
-    s1, s2, s3, s4, s5, V = P
-    dt, _, half, _, hgdt, logc, _, _ = _constants(gamma, dt, "sarsa")
-    es3 = np.exp(-s3)
-    dev = a - (s1 * x + s2)
-    edev = np.multiply(es3, dev, out=tests[1])
-    np.multiply(edev, x, out=tests[0])
-    q_half = np.multiply(edev * dev, half, out=tests[2])
-    np.multiply(x, x, out=tests[3])
-    tests[4] = x
-    q_now = -q_half + s4 * x * x + s5 * x
-    v_next = s4 * x2 * x2 + s5 * x2 + hgdt * (logc + s3)
-    return v_next - q_now + r * dt - V * dt
+            + gain - V * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +307,6 @@ def _behaviour_path(x, a, z1, cx, ca, h):
     return X, _reward(cx[2:].reshape(3, 1, 1) * xs, pa[2:], xs, a)
 
 
-def _sarsa_action(P, x, z, gdt):
-    """SARSA's action s1 x + s2 + sqrt(gamma dt e^{s3}) z, a draw of its
-    policy N(s1 x + s2, gamma dt e^{s3}) from the standard normals z."""
-    return P[0] * x + P[1] + np.sqrt(gdt * np.exp(P[2])) * z
-
-
 def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
            streams: Sequence[RngStream]) -> dict:
     if algo not in ALGOS:
@@ -340,10 +319,8 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     co = cfg.coef
     off_policy = (mode == "off-policy")
     b_mean, b_std = cfg.behavior_mean, math.sqrt(cfg.behavior_var)
-    sarsa = (algo == "sarsa")
-    running = "q" if algo == "qlearn-online" else "entropy"
-    dt0, gamma, _, _, _, _, _, gdt = _constants(
-        cfg.gamma, dt, "sarsa" if sarsa else running)
+    running = {"qlearn-online": "q", "sarsa": "sarsa", "pg": "entropy"}[algo]
+    dt0, _, _, _, _, _, _, temp = _constants(cfg.gamma, dt, running)
     # coefficients of the stacked products with the state and the action
     cx = np.array([co.A, co.C, 0.5 * co.M, co.R, co.P]).reshape(5, 1)
     ca = np.array([co.B, co.D, 0.5 * co.N, co.Q]).reshape(4, 1)
@@ -352,7 +329,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     # The working arrays hold the live lanes only: `live` maps their columns
     # to the caller's lanes, and a lane that dies leaves every working array
     # and the generator list, and its frozen parameters go into `params`.
-    # `prows` holds P's row views for the kernels and is rebuilt when P is
+    # `prows` holds P's row views for the kernel and is rebuilt when P is
     # replaced by its live columns, since the old views would still read P
     live = np.arange(lanes)
     gens = [s.generator() for s in streams]
@@ -360,7 +337,7 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     P, rates = _init_params(cfg, algo, lanes)
     prows = tuple(P)
     params = np.empty((6, lanes))
-    tests = np.ones((6, lanes))  # the kernels leave row 5, the V test, at 1
+    tests = np.ones((6, lanes))  # the kernel leaves row 5, the V test, at 1
     upd = np.empty((6, lanes))
     x = np.full(lanes, float(cfg.x0))
     reward_sum = np.zeros(lanes)
@@ -372,11 +349,6 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     p_trace = np.empty((n_rec, 6, lanes))
     r_trace = np.empty((n_rec, lanes))
     rec_i = 0
-
-    a_cur = None
-    if sarsa:
-        z0 = np.array([g.standard_normal() for g in gens])
-        a_cur = (b_mean + b_std * z0) if off_policy else _sarsa_action(P, x, z0, gdt)
 
     k = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -390,11 +362,6 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                   .reshape(n, 1, 1) * rates)
             if off_policy:
                 A = b_mean + b_std * noise[:, 0]
-                if sarsa:
-                    # column 0 draws the next action a2, and a step's action
-                    # is the previous step's a2
-                    A2 = A
-                    A = np.concatenate((a_cur[None], A2[:-1]))
                 X, R = _behaviour_path(x, A, noise[:, 1], cx, ca, h)
                 RDT = R * dt
                 OK = np.abs(X[1:]) <= STATE_GUARD
@@ -403,28 +370,16 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 mean = None
                 if off_policy:
                     a, x2, r, rdt = A[i], X[i + 1], R[i], RDT[i]
-                    if sarsa:
-                        a2 = A2[i]
                 else:
-                    z0 = noise[i, 0]
-                    if sarsa:
-                        a = a_cur
-                    else:
-                        mean = prows[2] * x + prows[3]
-                        a = mean + np.sqrt(gamma * np.exp(prows[4])) * z0
+                    mean = prows[2] * x + prows[3]
+                    a = mean + np.sqrt(temp * np.exp(prows[4])) * noise[i, 0]
                     px = cx * x
                     pa = ca * a
                     x2 = _euler(x, px[:2], pa[:2], noise[i, 1], h)
                     r = _reward(px[2:], pa[2:], x, a)
                     rdt = r * dt0
-                    if sarsa:
-                        a2 = _sarsa_action(prows, x2, z0, gdt)
-                if sarsa:
-                    resid = sarsa_kernel(prows, x, a, r, x2, cfg.gamma, dt,
-                                         tests)
-                else:
-                    resid = rate_kernel(prows, x, a, r, x2, cfg.gamma, dt,
-                                        running, tests, mean)
+                resid = rate_kernel(prows, x, a, r, x2, cfg.gamma, dt,
+                                    running, tests, mean)
 
                 # one guard, update and trace block for every learner; the
                 # comparisons are written so that NaN fails them.  One test
@@ -459,22 +414,16 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 P += upd
                 reward_sum = reward_sum + rdt
                 x = x2
-                if sarsa:
-                    a_cur = a2
                 if keep is not None:
                     P, x, reward_sum, tests, noise = (
                         v[..., keep] for v in (P, x, reward_sum, tests, noise))
                     prows = tuple(P)
                     upd = np.empty_like(P)
                     gens = list(compress(gens, keep))
-                    if sarsa:
-                        a_cur = a_cur[keep]
                     if off_policy:
                         A, X, RDT, R, OK = (
                             v[..., keep] for v in (A, X, RDT, R, OK))
                         block_ok = OK.all(1)
-                        if sarsa:
-                            A2 = A2[:, keep]
                 if (k + i + 1) % record_every == 0:
                     p_trace[rec_i][:, live] = P
                     r_trace[rec_i, live] = reward_sum / t_trace[rec_i]

@@ -1,5 +1,5 @@
 """Step-size Q-function SARSA and policy gradient baselines: the ergodic
-lane kernels of both rules and the mean-variance families."""
+lane kernel's rules and the mean-variance families."""
 
 import math
 
@@ -11,7 +11,7 @@ from ctql.approx import mv_q_eval_grad, pg_mv_logp, pg_mv_score
 from ctql.baselines import qdt_mv_eval, qdt_mv_eval_grad
 from ctql.envsim import RngStream
 from ctql.experiments.ergodic import (ErgodicExperimentConfig, rate_kernel,
-                                      run_ergodic, sarsa_kernel)
+                                      run_ergodic)
 
 GAMMA, DT = 0.1, 0.1
 # a fixed 2-lane transition with value x^2: x 1 -> 2 under a = 1, r = 2 and
@@ -38,13 +38,13 @@ def test_qdt_policy_variance_scales_with_step_size():
     # bracket scores the next action under N(s1 x + s2, gamma dt e^{s3}),
     # whatever that action is
     s = np.array([0.3, -0.1, 0.4, 0.2, -0.5])
-    P = np.append(s, 0.0)[:, None]
+    P = np.array([0.2, -0.5, 0.3, -0.1, 0.4, 0.0])[:, None]  # s4, s5, s1, s2, s3, V
     x, a, r, x2, a2 = 1.0, 0.5, 2.0, 1.5, -0.3
     q = lambda x, a: -0.5 * math.exp(-0.4) * (a - 0.3 * x + 0.1) ** 2 \
         + 0.2 * x * x - 0.5 * x
     variances = []
     for dt in (0.01, 0.1):
-        bracket = sarsa_kernel(P, x, a, r, x2, GAMMA, dt, np.ones((6, 1)))
+        bracket = rate_kernel(P, x, a, r, x2, GAMMA, dt, "sarsa", np.ones((6, 1)))
         logp = (q(x2, a2) - q(x, a) + r * dt - float(bracket[0])) / (GAMMA * dt)
         var = GAMMA * dt * math.exp(0.4)
         assert logp == pytest.approx(
@@ -84,46 +84,68 @@ def test_qdt_gradients_match_finite_differences():
 def test_sarsa_bracket_hand_value():
     # Q = -(1/2)(a - s1 x - s2)^2 e^{-s3} + s4 x^2 + s5 x at s = 0: the policy
     # is N(0, 0.01), and the bracket is the one of the next actions 0.5 and
-    # -0.5
+    # -0.5.  The rows are (s4, s5, s1, s2, s3, V)
     P = np.zeros((6, 2))
     P[5] = 0.3
-    tests = np.ones((6, 2))
-    bracket = sarsa_kernel(P, X, A, R, X2, GAMMA, DT, tests)
+    bracket, tests = _kernel("sarsa", P)
     logp = -0.5 * 0.25 / 0.01 - 0.5 * math.log(2.0 * math.pi * 0.01)
     want = -0.125 - 0.1 * logp * 0.1 - (-0.5) + R * 0.1 - 0.03
     assert np.allclose(bracket, want, atol=1e-12)
-    assert np.allclose(tests, [[1.0, -2.0], [1.0, -1.0], [0.5, 0.5],
-                               [1.0, 4.0], [1.0, 2.0], [1.0, 1.0]], atol=1e-15)
+    assert np.allclose(tests, [[1.0, 4.0], [1.0, 2.0], [1.0, -2.0],
+                               [1.0, -1.0], [0.5, 0.5], [1.0, 1.0]], atol=1e-15)
+
+
+def _sarsa_step(P, x, a, r, x2, dt):
+    """One SARSA update in plain floats: P is (s4, s5, s1, s2, s3, V) and
+    the rates are 0.2 on the Q rows and 0.1 on V."""
+    s4, s5, s1, s2, s3, V = P
+    dev = a - s1 * x - s2
+    prec = math.exp(-s3)
+    q_now = -0.5 * prec * dev * dev + s4 * x * x + s5 * x
+    v_next = s4 * x2 * x2 + s5 * x2 + 0.5 * GAMMA * dt * (
+        math.log(2.0 * math.pi * GAMMA * dt) + s3)
+    bracket = v_next - q_now + r * dt - V * dt
+    tests = (x * x, x, prec * dev * x, prec * dev, 0.5 * prec * dev * dev, 1.0)
+    return [p + rate * bracket * t
+            for p, rate, t in zip(P, (0.2,) * 5 + (0.1,), tests)]
+
+
+def _sarsa_replay(mode, act):
+    """Two driver steps of SARSA from x0 = 0.5 against the same steps in
+    plain floats: each step takes its action from column 0 of its own row
+    of the stream's (n, 2) block, act(P, x, z0), and its Brownian increment
+    from column 1."""
+    cfg = ErgodicExperimentConfig(gamma=GAMMA, dt=DT, horizon=2 * DT, x0=0.5,
+                                  behavior_mean=0.5, behavior_var=4.0,
+                                  alpha_psi=0.2, alpha_v=0.1)
+    rec = run_ergodic(cfg, "sarsa", mode, RngStream(6, (1, 0)))
+    block = RngStream(6, (1, 0)).generator().standard_normal((2, 2))
+    # s3 starts at log(1 / (gamma dt)), where the policy variance is 1
+    P = [0.0, 0.0, 0.0, 0.0, math.log(1.0 / (GAMMA * DT)), 0.0]
+    x = 0.5
+    for z0, z1 in block.tolist():
+        a = act(P, x, z0)
+        x2 = x - x * DT + a * math.sqrt(DT) * z1
+        r = -(x * x + x * a + a * a + x + 2.0 * a)
+        P = _sarsa_step(P, x, a, r, x2, DT)
+        x = x2
+    assert rec.status == "ok"
+    for i, key in enumerate(("s4", "s5", "s1", "s2", "s3", "V")):
+        assert rec.final_params[key] == pytest.approx(P[i], abs=1e-13)
 
 
 def test_sarsa_bracket_accepts_external_policy():
     # off-policy SARSA plays the behaviour policy N(0.5, 4) and scores each
-    # next action under its own policy N(s1 x + s2, gamma dt e^{s3}).  The
-    # first action takes one draw of the data stream, and each next action
-    # comes from column 0 of the step's row of the stream's (n, 2) block.
-    # The bracket is free of the next action, so two driver steps are
-    # replayed: the second step plays the first step's next action
-    cfg = ErgodicExperimentConfig(gamma=GAMMA, dt=DT, horizon=2 * DT, x0=0.5,
-                                  behavior_mean=0.5, behavior_var=4.0,
-                                  alpha_psi=0.2, alpha_v=0.1)
-    rec = run_ergodic(cfg, "sarsa", "off-policy", RngStream(6, (1, 0)))
-    data = RngStream(6, (1, 0)).generator()
-    a = 0.5 + 2.0 * data.standard_normal()
-    block = data.standard_normal((2, 2))
-    # s3 starts at log(1 / (gamma dt)), where the policy variance is 1
-    P = np.array([0.0, 0.0, math.log(1.0 / (GAMMA * DT)), 0.0, 0.0, 0.0])[:, None]
-    rates = np.array([0.2] * 5 + [0.1])[:, None]
-    x = 0.5
-    for z0, z1 in block:
-        a2 = 0.5 + 2.0 * z0
-        x2 = x - x * DT + a * math.sqrt(DT) * z1
-        r = -(x * x + x * a + a * a + x + 2.0 * a)
-        tests = np.ones((6, 1))
-        P = P + rates * sarsa_kernel(P, x, a, r, x2, GAMMA, DT, tests) * tests
-        x, a = x2, a2
-    assert rec.status == "ok"
-    for i, key in enumerate(("s1", "s2", "s3", "s4", "s5", "V")):
-        assert rec.final_params[key] == pytest.approx(P[i, 0], abs=1e-13)
+    # next action under its own policy N(s1 x + s2, gamma dt e^{s3}); the
+    # bracket is free of that action, so no draw is spent on it
+    _sarsa_replay("off-policy", lambda P, x, z0: 0.5 + 2.0 * z0)
+
+
+def test_onpolicy_sarsa_acts_from_its_own_step():
+    # on-policy SARSA draws its action when it acts, at that step's state and
+    # parameters, from N(s1 x + s2, gamma dt e^{s3})
+    _sarsa_replay("on-policy", lambda P, x, z0: P[2] * x + P[3] + math.sqrt(
+        GAMMA * DT * math.exp(P[4])) * z0)
 
 
 def test_pg_update_hand_value():

@@ -22,7 +22,7 @@ from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
 from ctql.experiments import checks, ergodic, mv
 from ctql.experiments.checks import (check_gibbs_consistency,
                                     check_gibbs_normalization,
-                                    check_sarsa_target)
+                                    check_sarsa_bracket)
 from ctql.experiments.cli import main
 from ctql.experiments.ergodic import (ALGOS, MODES, ErgodicExperimentConfig,
                                       run_ergodic, run_ergodic_replications)
@@ -158,13 +158,10 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
 
     data = RngStream(seed, (0, 0)).generator()
     b_std = math.sqrt(b_var)
-    # SARSA's first action takes one draw of the stream before the blocks
-    first = [b_mean + b_std * data.standard_normal()] if algo == "sarsa" else []
     noise = np.concatenate([data.standard_normal((chunk, 2)),
                             data.standard_normal((steps - chunk, 2))])
-    # column 0 draws each step's action; SARSA draws it one step ahead, as
-    # the next action, and never plays the last one
-    actions = first + [b_mean + b_std * v for v in noise[:, 0].tolist()]
+    # column 0 draws each step's action
+    actions = [b_mean + b_std * v for v in noise[:, 0].tolist()]
     co = cfg.coef
     sqdt = math.sqrt(dt)
     x, total, want = 0.0, 0.0, []
@@ -233,10 +230,8 @@ def test_driver_stops_drawing_the_streams_of_a_dead_lane(algo, mode):
     drawn = np.where(out["div_step"] < 0, blocks,
                      out["div_step"] // ergodic._BLOCK + 1)
     assert drawn.min() < blocks == drawn.max()  # some lanes die, some live
-    sarsa = algo == "sarsa"
     assert [s.opens for s in data] == [1] * lanes
-    # SARSA's first action takes one more draw
-    assert [s.draws for s in data] == (drawn + sarsa).tolist()
+    assert [s.draws for s in data] == drawn.tolist()
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.001])
@@ -623,7 +618,7 @@ def test_cli_check_suite_passes(capsys):
 def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
     # move one running term's log constant in the driver's kernel, or the
     # portfolio q's, by 0.1: the Gibbs checks evaluate those, and the SARSA
-    # check the SARSA kernel, so they must fail
+    # check the kernel's "sarsa" rule, so they must fail
     if rule == "log_normal":
         # gamma log pi of both families is written out in the check: moved
         # by gamma 0.1, it misses q, and for the regulator also -gamma H
@@ -655,7 +650,7 @@ def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
     monkeypatch.setattr(ergodic, "_constants", moved)
     if rule == "sarsa":
         # the bracket moves by gamma dt 0.1 / 2 = 5e-4
-        assert not check_sarsa_target().passed
+        assert not check_sarsa_bracket().passed
         return
     assert not check_gibbs_consistency().passed
     # exp(q/gamma) still integrates to one unless the q route's constant moved

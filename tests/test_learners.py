@@ -1,4 +1,4 @@
-"""Update rules of the learners: the ergodic lane kernels, the episode
+"""Update rules of the learners: the ergodic lane kernel, the episode
 residuals of the mean-variance driver, zero-rate no-ops and schedules."""
 
 import math
