@@ -45,12 +45,15 @@ drawing its stream; the lane's record keeps its frozen parameters, and the
 driver stops once every lane has diverged, so a lane's record does not
 depend on the lanes beside it either.
 
-Off-policy, the observed actions, states and rewards do not depend on the
-learner's parameters, so the driver computes them for the whole block from
-its noise; the per-step loop then runs only the kernel, the guard, the
-update and the trace.  The block uses the same state and reward expressions
-as the on-policy step (`_euler`, `_reward`), so a lane's numbers do not
-depend on the block length.
+Every term that the data fix is computed once per block.  The Euler step
+is x' = alpha x + beta a, with alpha = 1 + A dt + C sqrt(dt) z1 and
+beta = B dt + D sqrt(dt) z1 from the block's draws, and r dt is one
+quadratic form in x and a (`_reward_dt`) in both modes.  Off-policy the
+states and rewards do not depend on the learner's parameters, so the block
+also holds x^2, x' - x, (x' + x)(x' - x) and r dt, the transition part of
+the kernel, and the per-step loop runs only its parameter part (`_step`),
+the guard, the update and the trace.  Every expression is elementwise in
+the step, so a lane's numbers do not depend on the block length.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ from ..envsim import LqCoefficients, RngStream, STATE_GUARD
 from .records import RunRecord, packed
 
 # Steps whose noise, learning rates and, off-policy, behaviour data are
-# computed at once.  A block's arrays hold about a dozen doubles per
-# lane-step, so a run's working memory depends on its lanes, not on its
-# horizon.
+# computed at once.  A block's arrays hold three doubles per lane-step, or
+# seven off-policy, so a run's working memory depends on its lanes, not on
+# its horizon.
 _BLOCK = 512
 # A sum of squared states at most this bounds every state by STATE_GUARD.
 _STATE_GUARD2 = STATE_GUARD ** 2
@@ -123,6 +126,8 @@ class ErgodicExperimentConfig:
             raise ValueError("dt, horizon and gamma must be positive")
         if not 0 < self.behavior_var < math.inf:
             raise ValueError("behavior variance must be positive")
+        if not math.isfinite(self.x0):
+            raise ValueError("x0 must be finite")
         if int(round(self.horizon / self.dt)) < 1:
             raise ValueError("horizon shorter than one step")
 
@@ -159,30 +164,35 @@ def _init_params(cfg: ErgodicExperimentConfig, algo: str, lanes: int):
 @lru_cache(maxsize=32)
 def _constants(gamma: float, dt: float, rule: str):
     """The scalar constants of a step as read-only 0-d float64 arrays:
-    (dt, gamma, 0.5, -0.5, half temperature, log constant, test offset,
-    temperature).
+    (dt, log-precision shift, 0.5, advantage weight, psi3 weight, log
+    constant, test offset, temperature).
 
     A 0-d array operand costs numpy less than a Python float and gives the
     same float64 result.  `rule` is "q", "entropy" or "sarsa".  The
     temperature is gamma, or gamma dt for "sarsa", whose policy variance
     carries the step; the log constant is log 2 pi times the temperature,
-    plus 1 for "entropy".  The offset of the psi3 test row is gamma for "q",
-    1 for policy gradient and 0 for "sarsa", whose Q(dt) has no normalizer
-    term.
+    plus 1 for "entropy".  The running term is weighted by dt, or by 1 for
+    "sarsa", whose Q(dt) carries the step: the advantage weight is half
+    that (0 for "entropy", which has no advantage term) and the psi3 weight
+    half the temperature times it.  The precision is e^{shift - psi3}, with
+    shift -log gamma for "entropy" and 0 otherwise.  The offset of the psi3
+    test row is gamma for "q", 1 for policy gradient and 0 for "sarsa",
+    whose Q(dt) has no normalizer term.
     """
     temp = gamma * dt if rule == "sarsa" else gamma
     logc = (LOG_2PI + 1.0 + math.log(gamma) if rule == "entropy"
             else LOG_2PI + math.log(temp))
     off = {"q": gamma, "entropy": 1.0, "sarsa": 0.0}[rule]
+    w = 0.5 if rule == "sarsa" else 0.5 * dt
     out = tuple(np.array(v) for v in (
-        dt, gamma, 0.5, -0.5, 0.5 * temp, logc, off, temp))
+        dt, -math.log(gamma) if rule == "entropy" else 0.0, 0.5,
+        0.0 if rule == "entropy" else w, w * temp, logc, off, temp))
     for c in out:
         c.flags.writeable = False
     return out
 
 
-def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
-                mean=None):
+def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
     """Ergodic residual dJ + (r + running term) dt - V dt of every learner.
 
     P rows are (theta1, theta2, psi1, psi2, psi3, V), as a (6, lanes) array
@@ -203,33 +213,43 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests,
         entropy bonus gamma H, tested against the score d log pi / dpsi,
         which is dq/dpsi / gamma.
 
-    `mean` is the policy mean psi1 x + psi2; a caller that drew the action
-    from it passes it in, otherwise it is computed here by the same
-    expression.  Writes the test vectors (dJ/dtheta, dq/dpsi or score, 1)
-    into the (6, lanes) buffer `tests` and returns the residual.
+    It composes the terms the transition alone fixes (`_transition`, and
+    r dt plus the running term's constant) and the parameter part
+    (`_step`).  Writes the test vectors (dJ/dtheta, dq/dpsi or score, 1)
+    into the (6, lanes) buffer `tests`, whose row 5 it leaves alone, and
+    returns the residual.
     """
-    th1, th2, p1, p2, p3, V = P
-    dt, gamma, half, mhalf, htemp, logc, off, _ = _constants(gamma, dt,
-                                                             running)
-    prec = np.exp(-p3)
-    if running == "entropy":
-        prec = prec / gamma
-    if mean is None:
-        mean = p1 * x + p2
-    dev = a - mean
-    np.multiply(x, x, out=tests[0])
-    tests[1] = x
-    pdev = np.multiply(prec, dev, out=tests[3])
-    np.multiply(pdev, x, out=tests[2])
+    c = _constants(gamma, dt, running)
+    dev = a - (P[2] * x + P[3])
+    return _step(P, x, dev, *_transition(x, x2), r * c[0] + c[4] * c[5], c, tests)
+
+
+def _transition(x, x2):
+    """x^2, x' - x and (x' + x)(x' - x) of the transitions x -> x2."""
+    d = x2 - x
+    return x * x, d, (x2 + x) * d
+
+
+def _step(P, x, dev, xx, d, s2, rk, c, tests):
+    """The parameter part of `rate_kernel` at dev = a - psi1 x - psi2 and
+    the constants c of `_constants`: with pdd = prec dev^2, the residual is
+    theta1 s2 + theta2 d + rk + advantage weight pdd + psi3 weight psi3
+    - V dt, summed in the order written, where rk = r dt + psi3 weight
+    log constant and J(x') - J(x) = theta1 s2 + theta2 d."""
+    th1, th2, _, _, p3, V = P
+    t0, t1, t2, t3, t4, _ = tests
+    dt, shift, half, ku, kc, _, off, _ = c
+    pdev = np.exp(shift - p3) * dev
     pdd = pdev * dev
-    np.multiply(pdd - off, half, out=tests[4])
-    if running == "entropy":
-        gain = (r + htemp * (logc + p3)) * dt
-    else:
-        q = mhalf * pdd - htemp * (logc + p3)
-        gain = (r - q) * dt if running == "q" else r * dt - q
-    return ((th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x)
-            + gain - V * dt)
+    t0[...] = xx
+    t1[...] = x
+    t2[...] = pdev * x
+    t3[...] = pdev
+    t4[...] = (pdd - off) * half
+    resid = th1 * s2 + th2 * d + rk
+    if ku:
+        resid = resid + ku * pdd
+    return resid + kc * p3 - V * dt
 
 
 # ---------------------------------------------------------------------------
@@ -274,37 +294,10 @@ def _record(algo, mode, out, lane, rep_id, master_seed) -> RunRecord:
     )
 
 
-def _euler(x, px, pa, z1, h, out=None):
-    """x + (A x + B a) dt + (C x + D a) sqrt(dt) z1 from the stacked
-    products px = [A x, C x] and pa = [B a, D a]; h is the column
-    [dt, sqrt(dt)].  The terms are added in the order written."""
-    inc = px + pa
-    inc *= h
-    return np.add(x + inc[0], inc[1] * z1, out=out)
-
-
-def _reward(px, pa, x, a):
-    """-(M/2 x^2 + R x a + N/2 a^2 + P x + Q a) from the stacked products
-    px = [M/2 x, R x, P x] and pa = [N/2 a, Q a], summed in the order
-    written."""
-    return -(px[0] * x + px[1] * a + pa[0] * a + px[2] + pa[1])
-
-
-def _behaviour_path(x, a, z1, cx, ca, h):
-    """States and rewards of n off-policy steps from the state x under the
-    actions a and the Brownian draws z1, both (n, lanes).
-
-    cx and ca are the coefficient columns [A, C, M/2, R, P] and
-    [B, D, N/2, Q].  Returns the states (n + 1, lanes), starting at x, and
-    the rewards (n, lanes), from the same expressions as the per-step path.
-    """
-    pa = ca.reshape(4, 1, 1) * a
-    X = np.empty((len(a) + 1,) + x.shape)
-    X[0] = x
-    for m in range(len(a)):
-        _euler(X[m], cx[:2] * X[m], pa[:2, m], z1[m], h, out=X[m + 1])
-    xs = X[:-1]
-    return X, _reward(cx[2:].reshape(3, 1, 1) * xs, pa[2:], xs, a)
+def _reward_dt(x, a, xx, k):
+    """r dt = k0 x^2 + x (k1 a + k2) + a (k3 a + k4) at xx = x^2 with
+    k = -dt (M/2, R, P, N/2, Q), summed in the order written."""
+    return k[0] * xx + x * (k[1] * a + k[2]) + a * (k[3] * a + k[4])
 
 
 def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
@@ -316,21 +309,19 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     lanes = len(streams)
     steps = cfg.steps
     dt = cfg.dt
-    co = cfg.coef
     off_policy = (mode == "off-policy")
     b_mean, b_std = cfg.behavior_mean, math.sqrt(cfg.behavior_var)
     running = {"qlearn-online": "q", "sarsa": "sarsa", "pg": "entropy"}[algo]
-    dt0, _, _, _, _, _, _, temp = _constants(cfg.gamma, dt, running)
-    # coefficients of the stacked products with the state and the action
-    cx = np.array([co.A, co.C, 0.5 * co.M, co.R, co.P]).reshape(5, 1)
-    ca = np.array([co.B, co.D, 0.5 * co.N, co.Q]).reshape(4, 1)
-    h = np.array([dt, math.sqrt(dt)]).reshape(2, 1)
+    c = _constants(cfg.gamma, dt, running)
+    k_run = c[4] * c[5]  # the constant of the running term
+    co = cfg.coef
+    k_reward = tuple(np.array(-dt * v) for v in (0.5 * co.M, co.R, co.P, 0.5 * co.N, co.Q))
 
     # The working arrays hold the live lanes only: `live` maps their columns
     # to the caller's lanes, and a lane that dies leaves every working array
     # and the generator list, and its frozen parameters go into `params`.
-    # `prows` holds P's row views for the kernel and is rebuilt when P is
-    # replaced by its live columns, since the old views would still read P
+    # `prows` and `trows` hold the row views of P and of the tests for the
+    # kernel and are rebuilt when those arrays are replaced by live columns
     live = np.arange(lanes)
     gens = [s.generator() for s in streams]
 
@@ -338,10 +329,14 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     prows = tuple(P)
     params = np.empty((6, lanes))
     tests = np.ones((6, lanes))  # the kernel leaves row 5, the V test, at 1
+    trows = tuple(tests)
     upd = np.empty((6, lanes))
     x = np.full(lanes, float(cfg.x0))
     reward_sum = np.zeros(lanes)
     div_step = np.full(lanes, -1, dtype=np.int64)
+    # a block's draws, then in place its actions and Euler factors (beta,
+    # alpha), and off-policy its states and transition terms; kept for reuse
+    buf = np.empty((7 if off_policy else 3, min(_BLOCK, steps) + 1, lanes))
 
     record_every = max(1, steps // max(1, cfg.trace_points))
     n_rec = steps // record_every
@@ -355,43 +350,62 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
         while k < steps and len(live):
             n = min(_BLOCK, steps - k)
             # filled a lane at a time from each lane's own stream
-            noise = np.empty((n, 2, len(live)))
             for lane, g in enumerate(gens):
-                noise[:, :, lane] = g.standard_normal((n, 2))
+                buf[:2, :n, lane] = g.standard_normal((n, 2)).T
+            # x' = alpha x + beta a: alpha = (1 + A dt) + C sqrt(dt) z1, then
+            # beta = B dt + D sqrt(dt) z1 in place of z1
+            Z, B, Al = buf[:3, :n]
+            np.multiply(B, co.C * math.sqrt(dt), out=Al)
+            Al += 1.0 + co.A * dt
+            B *= co.D * math.sqrt(dt)
+            B += co.B * dt
             lr = (np.array([cfg.schedule((k + i) * dt) for i in range(n)])
                   .reshape(n, 1, 1) * rates)
             if off_policy:
-                A = b_mean + b_std * noise[:, 0]
-                X, R = _behaviour_path(x, A, noise[:, 1], cx, ca, h)
-                RDT = R * dt
-                OK = np.abs(X[1:]) <= STATE_GUARD
-                block_ok = OK.all(1)
+                # the behaviour data and every term they alone fix, 64
+                # steps at a time so that the temporaries stay small; r dt
+                # and r dt + k take the spent rows of alpha and beta a
+                Z *= b_std
+                Z += b_mean
+                B *= Z
+                X, XX, D, S2 = buf[3:, :n + 1]
+                X[0] = x
+                for m in range(n):
+                    X[m + 1] = Al[m] * X[m] + B[m]
+                RS, RK = Al, B
+                for j in range(0, n, 64):
+                    e = min(j + 64, n)
+                    XX[j:e], D[j:e], S2[j:e] = _transition(X[j:e], X[j + 1:e + 1])
+                    RS[j:e] = _reward_dt(X[j:e], Z[j:e], XX[j:e], k_reward)
+                    RK[j:e] = RS[j:e] + k_run
+                RS[0] += reward_sum
+                np.cumsum(RS, 0, out=RS)  # the running reward sums
+            else:
+                Z *= math.sqrt(c[7])
             for i in range(n):
-                mean = None
                 if off_policy:
-                    a, x2, r, rdt = A[i], X[i + 1], R[i], RDT[i]
+                    x, x2 = X[i], X[i + 1]
+                    dev = Z[i] - (prows[2] * x + prows[3])
+                    xx, d, s2, rk = XX[i], D[i], S2[i], RK[i]
                 else:
                     mean = prows[2] * x + prows[3]
-                    a = mean + np.sqrt(temp * np.exp(prows[4])) * noise[i, 0]
-                    px = cx * x
-                    pa = ca * a
-                    x2 = _euler(x, px[:2], pa[:2], noise[i, 1], h)
-                    r = _reward(px[2:], pa[2:], x, a)
-                    rdt = r * dt0
-                resid = rate_kernel(prows, x, a, r, x2, cfg.gamma, dt,
-                                    running, tests, mean)
+                    dev = np.exp(c[2] * prows[4]) * Z[i]
+                    a = mean + dev
+                    x2 = Al[i] * x + B[i] * a
+                    xx, d, s2 = _transition(x, x2)
+                    rdt = _reward_dt(x, a, xx, k_reward)
+                    rk = rdt + k_run
+                resid = _step(prows, x, dev, xx, d, s2, rk, c, trows)
 
                 # one guard, update and trace block for every learner; the
                 # comparisons are written so that NaN fails them.  One test
                 # over all lanes that implies the per-lane one stands in for
                 # it; when it fails, the per-lane test decides
                 keep = None
-                if not ((block_ok[i] if off_policy
-                         else x2.dot(x2) <= _STATE_GUARD2)
-                        and np.abs(P).max() <= PARAM_GUARD
+                if not (x2.dot(x2) <= _STATE_GUARD2
+                        and np.maximum.reduce(np.abs(P), None) <= PARAM_GUARD
                         and math.isfinite(resid.dot(resid))):
-                    state_ok = OK[i] if off_policy else np.abs(x2) <= STATE_GUARD
-                    healthy = (state_ok & np.isfinite(resid)
+                    healthy = ((np.abs(x2) <= STATE_GUARD) & np.isfinite(resid)
                                & (np.abs(P) <= PARAM_GUARD).all(0))
                     if not healthy.all():
                         # the lanes that die keep the parameters they had
@@ -412,22 +426,26 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 np.multiply(lr[i], resid, out=upd)
                 upd *= tests
                 P += upd
-                reward_sum = reward_sum + rdt
-                x = x2
+                if not off_policy:
+                    reward_sum = reward_sum + rdt
+                    x = x2
                 if keep is not None:
-                    P, x, reward_sum, tests, noise = (
-                        v[..., keep] for v in (P, x, reward_sum, tests, noise))
-                    prows = tuple(P)
+                    P, x, reward_sum, tests, buf = (
+                        v[..., keep] for v in (P, x, reward_sum, tests, buf))
+                    prows, trows = tuple(P), tuple(tests)
                     upd = np.empty_like(P)
                     gens = list(compress(gens, keep))
+                    Z, B, Al = buf[:3, :n]
                     if off_policy:
-                        A, X, RDT, R, OK = (
-                            v[..., keep] for v in (A, X, RDT, R, OK))
-                        block_ok = OK.all(1)
+                        X, XX, D, S2 = buf[3:, :n + 1]
+                        RS, RK = Al, B
                 if (k + i + 1) % record_every == 0:
                     p_trace[rec_i][:, live] = P
-                    r_trace[rec_i, live] = reward_sum / t_trace[rec_i]
+                    r_trace[rec_i, live] = (RS[i] if off_policy
+                                            else reward_sum) / t_trace[rec_i]
                     rec_i += 1
+            if off_policy and len(live):
+                x, reward_sum = X[n].copy(), RS[n - 1].copy()
             k += n
 
     # a dead lane's trace ends at the first record after it dies (frozen

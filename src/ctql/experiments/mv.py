@@ -98,6 +98,8 @@ class MvExperimentConfig:
             raise ValueError("sigma and gamma must be positive")
         if not (0 < self.T < math.inf and 0 < self.dt < math.inf):
             raise ValueError("T and dt must be positive")
+        if not all(map(math.isfinite, (self.mu, self.rfree, self.x0, self.z))):
+            raise ValueError("mu, rfree, x0 and z must be finite")
         if self.updates < 0 or self.batch < 1 or self.multiplier_every < 1:
             raise ValueError("bad updates/batch/multiplier_every")
         if self.eval_runs < 2:

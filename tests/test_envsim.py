@@ -113,27 +113,19 @@ def test_behavior_stream_is_tagged():
 
 
 def test_lq_reward_helper_matches_model():
-    # the driver's reward and Euler helpers, fed the stacked products of
-    # their docstrings, against LqCoefficients.reward and the drift
-    # A x + B a and diffusion C x + D a; B and C are nonzero so that a
-    # swapped field shows
+    # the driver's quadratic form of r dt against LqCoefficients.reward
+    # times dt; the Euler factors are checked through the driver by
+    # test_step_euler_lq_hand_value
     co = LqCoefficients(A=-1.3, B=0.7, C=0.4, D=0.9, M=1.5, N=2.5, R=0.6,
                         P=-0.8, Q=1.1)
     dt = 0.05
-    h = np.array([dt, math.sqrt(dt)]).reshape(2, 1)
     x = np.array([0.0, 1.5, -0.3, 2.2])
     a = np.array([0.0, -2.0, 0.7, 0.4])
-    z1 = np.array([0.3, -1.1, 0.8, 2.0])
-    px = np.array([co.A, co.C, 0.5 * co.M, co.R, co.P]).reshape(5, 1) * x
-    pa = np.array([co.B, co.D, 0.5 * co.N, co.Q]).reshape(4, 1) * a
-    r = ergodic._reward(px[2:], pa[2:], x, a)
-    x2 = ergodic._euler(x, px[:2], pa[:2], z1, h)
+    k = tuple(-dt * v for v in (0.5 * co.M, co.R, co.P, 0.5 * co.N, co.Q))
+    rdt = ergodic._reward_dt(x, a, x * x, k)
     for i in range(len(x)):
-        xi, ai = float(x[i]), float(a[i])
-        assert r[i] == pytest.approx(co.reward(xi, ai), abs=1e-14)
-        want = (xi + (co.A * xi + co.B * ai) * dt
-                + (co.C * xi + co.D * ai) * math.sqrt(dt) * float(z1[i]))
-        assert x2[i] == pytest.approx(want, abs=1e-14)
+        assert rdt[i] == pytest.approx(co.reward(float(x[i]), float(a[i])) * dt,
+                                       abs=1e-14)
 
 
 def test_distinct_stream_children_decorrelate():

@@ -142,7 +142,9 @@ def test_dead_lane_traces_end_at_the_next_record_or_the_last(seed, div):
 @pytest.mark.parametrize("algo", ["qlearn-online", "sarsa"])
 def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
     # at zero rates the running reward average of an off-policy run depends
-    # on the behaviour data alone; replay them in plain floats.  The driver
+    # on the behaviour data alone; replay them in plain floats, in the
+    # driver's order of operations: r dt as one quadratic form and the
+    # Euler step as x' = alpha x + beta a.  The driver
     # draws its noise 512 steps at a time, so the run crosses 66 draw
     # boundaries; the replay draws the same streams in two pieces of 32,768
     # and 1,300 steps
@@ -164,13 +166,15 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
     actions = [b_mean + b_std * v for v in noise[:, 0].tolist()]
     co = cfg.coef
     sqdt = math.sqrt(dt)
+    kxx, kxa, kx, kaa, ka = (-dt * c for c in (0.5 * co.M, co.R, co.P,
+                                                0.5 * co.N, co.Q))
     x, total, want = 0.0, 0.0, []
     for k, (a, z1) in enumerate(zip(actions, noise[:, 1].tolist())):
-        r = -(0.5 * co.M * x * x + co.R * x * a + 0.5 * co.N * a * a
-              + co.P * x + co.Q * a)
-        total += r * dt
+        total += kxx * (x * x) + x * (kxa * a + kx) + a * (kaa * a + ka)
         want.append(total / ((k + 1) * dt))
-        x = x + (co.A * x + co.B * a) * dt + (co.C * x + co.D * a) * sqdt * z1
+        alpha = co.C * sqdt * z1 + (1.0 + co.A * dt)
+        beta = co.D * sqdt * z1 + co.B * dt
+        x = alpha * x + beta * a
     assert rec.status == "ok"
     assert len(rec.trace["reward_avg"]) == steps
     assert rec.trace["reward_avg"].tolist() == want
@@ -789,7 +793,11 @@ def test_cli_config_file_values_are_checked_like_flags(tmp_path, capsys, text, l
      "sigma and gamma must be positive"),
     (["mv", "--sigma", "nan", "--episodes", "1", "--reps", "1"],
      "sigma and gamma must be positive"),
-    (["mv", "--dt", "inf", "--episodes", "1", "--reps", "1"], "T and dt must be positive")])
+    (["mv", "--dt", "inf", "--episodes", "1", "--reps", "1"], "T and dt must be positive"),
+    (["mv", "--mu", "nan", "--episodes", "1", "--reps", "1"],
+     "mu, rfree, x0 and z must be finite"),
+    (["mv", "--mu", "inf", "--episodes", "1", "--reps", "1"],
+     "mu, rfree, x0 and z must be finite")])
 def test_cli_rejects_invalid_values_with_a_usage_error(tmp_path, capsys, argv, message):
     out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
@@ -797,6 +805,19 @@ def test_cli_rejects_invalid_values_with_a_usage_error(tmp_path, capsys, argv, m
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"ctql {argv[0]}: error: {message}"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_configs_reject_nonfinite_levels(value):
+    # the market's drift and rate, the start wealth and the target, and the
+    # regulator's start state; the behaviour mean may stay infinite, which
+    # diverges every off-policy lane at step 0
+    for field in ("mu", "rfree", "x0", "z"):
+        with pytest.raises(ValueError, match="mu, rfree, x0 and z must be finite"):
+            MvExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        ErgodicExperimentConfig(x0=value)
+    ErgodicExperimentConfig(behavior_mean=value)
 
 
 def test_mv_table_rejects_nonpositive_reps(capsys):

@@ -157,6 +157,55 @@ def test_episode_and_step_routes_agree_on_simulated_data():
     assert np.allclose(g, np.flip(np.cumsum(np.flip(delta))), atol=1e-10)
 
 
+def _written_out_rule(P, x, a, r, x2, gamma, dt, running):
+    """The residual and five test rows of one lane in plain floats, in the
+    kernel's earlier arithmetic: J(x') - J(x) as the difference of the two
+    values, and each running term on its own."""
+    th1, th2, p1, p2, p3, V = P
+    temp = gamma * dt if running == "sarsa" else gamma
+    logc = (LOG_2PI + 1.0 + math.log(gamma) if running == "entropy"
+            else LOG_2PI + math.log(temp))
+    off = {"q": gamma, "entropy": 1.0, "sarsa": 0.0}[running]
+    prec = math.exp(-p3)
+    if running == "entropy":
+        prec = prec / gamma
+    dev = a - (p1 * x + p2)
+    pdev = prec * dev
+    pdd = pdev * dev
+    tests = [x * x, x, pdev * x, pdev, (pdd - off) * 0.5]
+    if running == "entropy":
+        gain = (r + 0.5 * temp * (logc + p3)) * dt
+    else:
+        q = -0.5 * pdd - 0.5 * temp * (logc + p3)
+        gain = (r - q) * dt if running == "q" else r * dt - q
+    resid = ((th1 * x2 * x2 + th2 * x2) - (th1 * x * x + th2 * x)
+             + gain - V * dt)
+    return resid, tests
+
+
+@pytest.mark.parametrize("lanes", [1, 20])
+@pytest.mark.parametrize("running", ["q", "entropy", "sarsa"])
+def test_rate_kernel_keeps_the_written_out_rules(running, lanes):
+    # seeded points with |x| up to 1e3, the model's reward, and x' = x in
+    # every odd lane, where J(x') - J(x) is exactly zero both ways
+    gamma, dt = 0.1, 0.1
+    rng = np.random.default_rng(lanes)
+    x = rng.uniform(-1.0, 1.0, lanes) * 10.0 ** rng.uniform(-2.0, 3.0, lanes)
+    x2 = x + rng.normal(scale=0.3, size=lanes) * np.abs(x)
+    x2[1::2] = x[1::2]
+    a = rng.normal(size=lanes) * (1.0 + np.abs(x))
+    r = LqCoefficients().reward(x, a)
+    P = rng.normal(scale=0.5, size=(6, lanes))
+    tests = np.ones((6, lanes))
+    resid = rate_kernel(P, x, a, r, x2, gamma, dt, running, tests)
+    for i in range(lanes):
+        lane = [float(v) for v in (x[i], a[i], r[i], x2[i])]
+        want, rows = _written_out_rule(P[:, i].tolist(), *lane, gamma, dt, running)
+        assert resid[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert tests[:5, i] == pytest.approx(rows, rel=1e-12, abs=0.0)
+    assert (tests[5] == 1.0).all()
+
+
 def test_zero_rates_are_no_ops():
     cfg = ErgodicExperimentConfig(horizon=2.0, alpha_theta=0.0, alpha_psi=0.0,
                                   alpha_v=0.0, alpha_phi=0.0)
