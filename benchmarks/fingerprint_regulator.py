@@ -14,7 +14,8 @@ replay whether it equals its lane bit for bit:
 `compare` reads two such files, for example from a commit and its parent,
 and prints the number of lanes whose record moved, the largest relative
 change of a final parameter among `ok` lanes (off-policy policy gradient's,
-whose runaway lanes can end `ok`, apart) and among diverged lanes, every
+whose runaway lanes can end `ok`, apart) and among diverged lanes, the
+largest relative change of each metric among the other `ok` lanes, every
 change of status or divergence step, and every solo replay that differs
 from its lane:
 
@@ -109,6 +110,7 @@ def compare(before_path, after_path) -> int:
         return 1
     lanes = moved = 0
     worst = {"ok": (0.0, ""), "ok, pg off-policy": (0.0, ""), "NA": (0.0, "")}
+    worst_metric = {}
     changes, replays = [], []
     for key in sorted(before):
         for side, cell in (("before", before[key]), ("after", after[key])):
@@ -128,10 +130,18 @@ def compare(before_path, after_path) -> int:
                 rel = _relative(b["params"][name], a["params"][name])
                 if rel > worst[group][0]:
                     worst[group] = (rel, f"{key} lane {r} {name}")
+            if group == "ok":
+                for name in b["metrics"]:
+                    rel = _relative(b["metrics"][name], a["metrics"][name])
+                    if rel >= worst_metric.get(name, (0.0, ""))[0]:
+                        worst_metric[name] = (rel, f"{key} lane {r}")
     print(f"cells {len(before)}, lanes {lanes}, moved {moved}")
     for status, (rel, where) in worst.items():
         print(f"largest relative parameter change, {status} lanes: {rel:.2e}"
               + (f" ({where})" if where else ""))
+    for name, (rel, where) in sorted(worst_metric.items()):
+        print(f"largest relative {name} change, ok lanes: {rel:.2e}"
+              + (f" ({where})" if rel else ""))
     print(f"status or divergence step changes: {len(changes)}")
     for line in changes:
         print("  " + line)

@@ -10,14 +10,28 @@ matching the expected terminal wealth to the target z.  After training the
 learned policy is evaluated out of sample on fresh market noise.
 
 The driver holds every lane's parameters in one (P, lanes) array whose last
-row is w (`MV_PARAM_NAMES`), and lanes lead every per-update array: wealth
-paths, actions and residuals are (lanes, K + 1, batch), so each lane's
-contraction sums its own contiguous block.  Each algorithm turns its residual
-and test vectors into parameter increments (`_increments`) with the fused
-value-and-gradient helpers of `approx` and `baselines`, which write every
-full-shape array into one workspace allocated per call; one block guards,
-freezes, updates and traces the array for all four.  Policy gradient is
-qlearn-td's update with the actor rate alpha_phi / gamma: its sampled bonus
+row is w (`MV_PARAM_NAMES`).  An update rolls each lane's wealth out as its
+distance to the multiplier, y = x - w: the action a = -gain y + noise makes
+y' = y m + c with m = 1 - gain rho and c = noise rho, both formed for the
+whole (K, lanes, batch) block of market increments rho, so each step is one
+multiply and one add; the actions follow from the path in one pass.  Steps
+lead every per-update array (paths, actions and residuals are
+(K + 1, lanes, batch)), so the rollout, the grid differences and the running
+sums step through contiguous blocks.
+
+Each family of `approx` and `baselines` is written once in factored form,
+per-(step, lane) factors (e, c, the precision, the log constant, T - t)
+times per-sample terms ((x-w)^2, dev^2, dev (x-w), a^2, a (x-w)), and each
+algorithm (`_increments`) forms its residual from the parts and contracts
+every gradient row p as sum_k f_p(k) sum_b h(k, b) resid(k, b): one fused
+product and sum over the contiguous batch axis per distinct term, then the
+factors, then one sum over the steps of a lanes-leading copy, so a lane's
+numbers do not depend on the other lanes and the time-only rows need no
+full-shape product.  qlearn-ml meets its q rows' tail sums with the running
+sums of its residual instead.  Every full-shape array lives in buffers
+allocated once per call, and one block guards, freezes, updates and traces
+the parameters for all four algorithms.  Policy gradient is qlearn-td's
+update with the actor rate alpha_phi / gamma: its sampled bonus
 -gamma log pi is -q, and its score rows are the q rows over gamma.
 
 Noise consumption per replication stream, in order: pool draws
@@ -34,12 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..approx import mv_q_eval_grad, mv_value_eval_grad
-from ..baselines import qdt_mv_eval_grad
+from ..approx import mv_q_factors, mv_q_terms, mv_value_factors, mv_value_terms
+from ..baselines import qdt_mv_factors, qdt_mv_terms
 # perfbench's traced pass wraps these thin names on this module
 from ..approx import (mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad,  # noqa: F401
                       pg_mv_logp, pg_mv_score)
@@ -207,32 +222,55 @@ def martingale_residuals(terminal, js, running, dt: float, axis: int = 0, out=No
     The deviation between the realized payoff and the value at every grid
     point, from one reversed cumulative sum; js holds J at the K left grid
     points, running the K running terms, and terminal broadcasts against
-    them (the driver's (lanes, K, batch) arrays step along axis 1).  G is
+    them (the driver's (K, lanes, batch) arrays step along axis 0).  G is
     written to `out` and the tail sums overwrite `running`; without `out`
     both are fresh arrays and the caller's `running` is left as it was.
     """
     if out is None:
         running = np.array(running, float)
         out = np.empty(np.broadcast_shapes(np.shape(terminal), np.shape(js), running.shape))
-    tail = np.flip(running, axis)
-    np.cumsum(tail, axis, out=tail)
+    _cumulate(np.moveaxis(running, axis, 0), reverse=True)
     running *= dt
     np.subtract(terminal, js, out=out)
     out += running
     return out
 
 
-def _contract(rows, resid, out):
-    """Sum rows[p][r, k, b] * resid[r, k, b] over the step and batch axes.
+def _cumulate(a, reverse=False):
+    """Cumulative sums along the leading axis, in place, from the last entry
+    if `reverse`.  np.cumsum runs one inner loop per column, a loop of
+    whole-slice adds one op per entry; both add in the same order, and the
+    loop costs less from about 160 elements a slice on."""
+    if a[0].size < 160:
+        view = np.flip(a, 0) if reverse else a
+        np.cumsum(view, 0, out=view)
+        return a
+    for k in (range(len(a) - 2, -1, -1) if reverse else range(1, len(a))):
+        a[k] += a[k + 1 if reverse else k - 1]
+    return a
 
-    Each row is multiplied into out[p], (rows, lanes, K, batch), last to
-    first so that resid may be out[0].  Lanes lead, so each lane's K * batch
-    products form one contiguous block, which the sum reduces in order: lane
-    r gets bit-identical sums no matter how many other lanes run with it.
+
+def _contract(rows, terms, resid):
+    """Sum each row times the residual over the steps and the batch.
+
+    A row is a {term: per-(step, lane) factor} dict over `terms`, "1" the
+    residual alone; the terms and the residual are (K, lanes, batch).  For
+    each distinct term one fused product and sum over the contiguous batch
+    axis gives its (step, lane) sums, the rows' factors meet those sums,
+    and one sum over the step axis of a lanes-leading copy ends each row.
+    Each sum runs along a contiguous axis, so lane r gets bit-identical
+    sums no matter how many other lanes run with it.
     """
-    for p in range(len(out) - 1, -1, -1):
-        np.multiply(rows[p], resid, out=out[p])
-    return out.reshape(out.shape[:2] + (-1,)).sum(axis=-1)
+    sums = {h: np.einsum("klb,klb->kl", terms[h], resid)[..., None]
+            for h in {h for r in rows for h in r} - {"1"}}
+    sums["1"] = resid.sum(axis=-1, keepdims=True)
+    per_step = np.stack([reduce(np.add, (f * sums[h] for h, f in r.items())) for r in rows])
+    return np.ascontiguousarray(per_step[..., 0].transpose(0, 2, 1)).sum(axis=-1)
+
+
+def _left(rows):
+    """A family's rows on the K + 1 grid points at the K left ones."""
+    return [{h: f[:-1] for h, f in r.items()} for r in rows]
 
 
 def _policy(algo: str, P, cfg: MvExperimentConfig, t):
@@ -246,53 +284,63 @@ def _policy(algo: str, P, cfg: MvExperimentConfig, t):
     return gain, cfg.gamma * np.exp(c1 + c3 * tau)
 
 
-def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, xs, acts,
-                gain, var, full, tests):
+def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, ys, acts,
+                gain, var, work):
     """One update's (P - 1, lanes) parameter increments before the rates:
     the algorithm's residual contracted with its test vectors.
 
-    P holds the rows as (lanes, 1, 1) columns, tcol the K + 1 grid times,
-    xs the wealth paths (lanes, K + 1, batch) and acts their actions; gain
-    and var are the policy's, from `_policy`.  The value family and Q(dt)
-    write their values and rows on the K + 1 grid points to the workspace
-    `full`; the running term and the residual go to the first two product
-    rows `tests`, and the q rows straight into the rest.
+    P holds the rows as (1, lanes, 1) columns, tcol the K + 1 grid times as
+    a (K + 1, 1, 1) column, ys the wealth paths' distances y = x - w to the
+    multiplier and acts their actions, both (K + 1, lanes, batch) (the last
+    action is padding except for sarsa); gain and var are the policy's, from
+    `_policy`.  Each family comes as per-(step, lane) factors and
+    per-sample terms: the terms go to the first slots of the workspace
+    `work` (slots, K + 1, lanes, batch), the residual, formed from the
+    parts, to the last, and `_contract` meets the two.
     """
     K, dt, gamma, T, z = cfg.steps, cfg.dt, cfg.gamma, cfg.T, cfg.z
     w = P[-1]
-    resid, run = tests[0], tests[1]
+    resid, tmp = work[-1, :K], work[-2]
     if algo == "sarsa":
-        qv, rows = qdt_mv_eval_grad(*P[:5], w, z, T, tcol, xs, acts, out=full)
-        # gamma dt log pi of the next actions (k >= 1), pi = N(-gain (x - w), var)
-        lp = np.subtract(xs[:, 1:], w, out=run)
-        lp *= gain
-        lp += acts[:, 1:]
-        lp **= 2
-        lp *= -0.5
-        lp /= var[:, 1:]
-        lp -= (0.5 * np.log(2.0 * np.pi * var))[:, 1:]
-        lp *= gamma
-        lp *= dt
-        np.subtract(qv[:, 1:], lp, out=resid)
-        resid -= qv[:, :-1]
-        return _contract([r[:, :-1] for r in rows], resid, tests)
+        value, rows = qdt_mv_factors(P[0], *P[2:5], w, z, T, tcol)
+        terms = qdt_mv_terms(P[0], P[1], ys, acts, out=work[:3])
+        # Q(k + 1) - Q(k): -e quad on the grid, then the constant
+        vq = np.multiply(value["quad"], terms["quad"], out=tmp)
+        np.subtract(vq[1:], vq[:-1], out=resid)
+        c = value["1"]
+        # minus gamma dt log pi of the next action, pi = N(-gain (x - w), var)
+        dev = np.add(acts[1:], np.multiply(gain, ys[1:], out=tmp[:K]), out=tmp[:K])
+        dev *= dev
+        dev *= (0.5 * gamma * dt) / var[1:]
+        resid += dev
+        resid += (c[1:] - c[:-1]) + 0.5 * gamma * dt * np.log(2.0 * np.pi * var[1:])
+        return _contract(_left(rows), {h: v[:K] for h, v in terms.items()}, resid)
     th, pol = P[:3], P[3:6]
-    js, rows = mv_value_eval_grad(*th, w, z, T, tcol, xs, out=full)
-    tl, xl = tcol[:, :-1], xs[:, :-1]
-    running, q_rows = mv_q_eval_grad(*pol, w, gamma, T, tl, xl, acts,
-                                     out=(run, *tests[3:]))
+    value, v_rows = mv_value_factors(*th, w, z, T, tcol)
+    q, q_rows = mv_q_factors(pol[0], pol[2], gamma, T, tcol[:K])
+    sq = mv_value_terms(ys, out=work[0])["sq"]
+    terms = mv_q_terms(pol[1], ys[:K], acts[:K], out=work[1:3, :K])
+    terms["sq"] = sq[:K]
+    c = value["1"]
     if algo == "qlearn-ml":
-        term = mv_value_eval(*th, w, z, T, T, xs[:, K:])
-        martingale_residuals(term, js[:, :-1], running, dt, axis=1, out=resid)
-        q_tests = tests[3:]
-        np.cumsum(np.flip(q_tests, 2), axis=2, out=np.flip(q_tests, 2))
-        q_tests *= dt
-    else:
-        np.subtract(js[:, 1:], js[:, :-1], out=resid)
-        running *= dt
-        resid += running
-    d = _contract([r[:, :-1] for r in rows] + list(q_rows), resid, tests)
-    return d * dt if algo == "qlearn-ml" else d
+        # G: terminal payoff minus J plus the running q's tail sums, the
+        # sample terms' and the constants' martingale residuals apart
+        js = np.multiply(value["sq"][:K], terms["sq"], out=work[3, :K])
+        running = np.multiply(q["dev2"], terms["dev2"], out=tmp[:K])
+        martingale_residuals(value["sq"][K] * sq[K], js, running, dt, out=resid)
+        resid += martingale_residuals(c[K], c[:K], q["1"], dt)
+        # the q rows' tail sums meet the residual as its running sums
+        cum = work[3, :K]
+        np.copyto(cum, resid)
+        _cumulate(cum)
+        d = _contract(_left(v_rows), terms, resid)
+        return np.concatenate([d, dt * _contract(q_rows, terms, cum)]) * dt
+    # J(k + 1) - J(k) + q(k) dt: e (x - w)^2 on the grid, then the rest
+    vq = np.multiply(value["sq"], sq, out=tmp)
+    np.subtract(vq[1:], vq[:-1], out=resid)
+    resid += np.multiply(dt * q["dev2"], terms["dev2"], out=tmp[:K])
+    resid += (c[1:] - c[:-1]) + dt * q["1"]
+    return _contract(_left(v_rows) + list(q_rows), terms, resid)
 
 
 def _drive_mv(cfg: MvExperimentConfig, algo: str,
@@ -326,7 +374,7 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
     base = (np.arange(lanes) * cfg.pool_size)[:, None]
     seg = np.arange(K)[:, None, None]
 
-    cols = P[:, :, None, None]  # the rows as (lanes, 1, 1) columns
+    cols = P[:, None, :, None]  # the rows as (1, lanes, 1) columns
     w = P[-1, :, None]
     tw = np.empty((lanes, cfg.multiplier_every, B))
 
@@ -334,26 +382,28 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
     n_rec = cfg.updates // record_every
     p_trace = np.empty((n_rec, len(P), lanes))
 
-    tcol = (np.arange(K + 1) * cfg.dt).reshape(1, K + 1, 1)
+    # the grid's last time is T itself, where the value is the payoff
+    tcol = (np.arange(K + 1) * cfg.dt).reshape(K + 1, 1, 1)
+    tcol[K] = cfg.T
     starts = np.empty((lanes, B), np.int64)
     n_starts = cfg.pool_size - K + 1  # segments of K steps that fit the pool
     # Every full-shape array of an update is allocated once per call: an
     # array allocated per update can land in mmap and fault its pages in
-    # again every time.  `_increments` writes the value family's or Q(dt)'s
-    # value and rows to `full` and the rest to the test rows `tests`.
-    full = np.empty((4 if algo == "sarsa" else 2, lanes, K + 1, B))
-    tests = np.empty((len(P) - 1, lanes, K, B))
+    # again every time.  Steps lead, so that the rollout, the grid
+    # differences and the running sums step through one contiguous
+    # (lanes, batch) block per grid point; `_increments` writes its terms
+    # and residual to the workspace `work`.
+    work = np.empty((6 if algo == "qlearn-ml" else 5, K + 1, lanes, B))
     idx = np.empty((K, lanes, B), np.int64)
     rho = np.empty((K, lanes, B))
     znoise = np.empty((lanes, n_act, B))
-    # the rollout steps through one contiguous (lanes, batch) block per grid
-    # point, which costs less than stepping strided lanes-first slices; the
-    # update reads lanes-first copies
-    xk = np.empty((K + 1, lanes, B))
-    ak = np.empty((n_act, lanes, B))
-    noise = np.empty((n_act, lanes, B))
-    xs = np.empty((lanes, K + 1, B))
-    acts = np.empty((lanes, n_act, B))
+    ys = np.empty((K + 1, lanes, B))
+    shift = np.empty((K, lanes, B))
+    # the action at the last grid point is padding except for sarsa, and
+    # its noise stays 0
+    noise = np.zeros((K + 1, lanes, B))
+    neg = np.empty((lanes, B))
+    acts = np.empty((K + 1, lanes, B))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(1, cfg.updates + 1):
@@ -364,30 +414,32 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
             # is in range, and "clip" takes without an intermediate copy
             pool.take(np.add(starts + base, seg, out=idx), out=rho, mode="clip")
 
-            gain, var = _policy(algo, cols, cfg, tcol[:, :n_act])
-            np.multiply(np.sqrt(var), znoise, out=noise.transpose(1, 0, 2))
-            neg = -gain[:, 0]
-            xk[0] = cfg.x0
-            for k in range(n_act):
-                a = ak[k]
-                np.subtract(xk[k], w, out=a)
-                a *= neg
-                a += noise[k]
-                if k < K:
-                    np.multiply(a, rho[k], out=xk[k + 1])
-                    xk[k + 1] += xk[k]
-            np.copyto(xs, xk.transpose(1, 0, 2))
-            np.copyto(acts, ak.transpose(1, 0, 2))
+            # a = -gain y + noise steps y = x - w as y' = y m + c, with
+            # m = 1 - gain rho and c = noise rho formed for the whole block
+            gain, var = _policy(algo, cols, cfg, tcol[:n_act])
+            np.multiply(np.sqrt(var), znoise.transpose(1, 0, 2), out=noise[:n_act])
+            np.multiply(noise[:K], rho, out=shift)
+            np.negative(gain[0], out=neg)  # one (lanes, batch) block
+            rho *= neg
+            rho += 1.0
+            np.subtract(cfg.x0, w, out=ys[0])
+            for k in range(K):
+                np.multiply(ys[k], rho[k], out=ys[k + 1])
+                ys[k + 1] += shift[k]
+            np.multiply(ys, neg, out=acts)
+            acts += noise
 
-            # NaN fails the comparison; |x| goes to the value buffer, which
-            # `_increments` overwrites
-            bad = ~(np.abs(xs, out=full[0]) <= STATE_GUARD).all(axis=(1, 2))
+            # every wealth x = y + w within STATE_GUARD, NaN failing the
+            # comparisons; x rounds monotonically in y, so y's extremes decide
+            hi = ys.max(axis=0).max(axis=1) + P[-1]
+            lo = ys.min(axis=0).min(axis=1) + P[-1]
+            bad = ~((hi <= STATE_GUARD) & (lo >= -STATE_GUARD))
             if algo == "sarsa":
-                bad |= ~np.isfinite(acts).all(axis=(1, 2))
+                bad |= ~np.isfinite(acts).all(axis=(0, 2))
             if bad.any():
-                xs[bad] = 0.0
-                acts[bad] = 0.0
-            d = _increments(algo, cfg, cols, tcol, xs, acts, gain, var, full, tests)
+                ys[:, bad] = 0.0
+                acts[:, bad] = 0.0
+            d = _increments(algo, cfg, cols, tcol, ys, acts, gain, var, work)
 
             # one guard, freeze, update and trace block for every algorithm
             bad |= ~np.isfinite(d).all(axis=0)
@@ -400,7 +452,7 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
             div_step[bad & active] = j
             active &= ~bad
 
-            tw[:, (j - 1) % cfg.multiplier_every] = np.where(active[:, None], xk[K], np.nan)
+            tw[:, (j - 1) % cfg.multiplier_every] = np.where(active[:, None], ys[K] + w, np.nan)
             if j % cfg.multiplier_every == 0:
                 w_new = lagrange_update(P[-1], tw.reshape(lanes, -1), cfg.alpha_w, cfg.z)
                 P[-1] = np.where(active & np.isfinite(w_new), w_new, P[-1])
@@ -424,18 +476,20 @@ def _evaluate(cfg: MvExperimentConfig, algo: str, P: np.ndarray, gens,
     noise = np.empty((len(gens), cfg.eval_runs, K, 2))
     for g, buf in zip(gens, noise):
         g.standard_normal(out=buf)
-    explore = 1.0 if cfg.eval_exploratory else 0.0
     w = P[-1, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
         gain, var = _policy(algo, P[:, :, None, None], cfg, np.arange(K) * dt)
         neg = -gain[:, 0]
-        eps = explore * np.sqrt(var) * noise[..., 0]
+        # the mean readout leaves the exploration term out, so a lane
+        # whose policy variance overflows is still read at its mean
+        eps = np.sqrt(var) * noise[..., 0] if cfg.eval_exploratory else None
         dw = (cfg.mu - cfg.rfree) * dt + cfg.sigma * math.sqrt(dt) * noise[..., 1]
-        x = np.full(eps.shape[:2], float(cfg.x0))
+        x = np.full(dw.shape[:2], float(cfg.x0))
         for k in range(K):
             a = x - w
             a *= neg
-            a += eps[..., k]
+            if eps is not None:
+                a += eps[..., k]
             a *= dw[..., k]
             x += a
         terminal = np.where(np.abs(x) <= STATE_GUARD, x, np.nan)

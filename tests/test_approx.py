@@ -1,6 +1,7 @@
-"""Parametric families: the portfolio's value and q helpers, and the
-regulator's normalized q and entropy bonus as its q-learning and
-policy-gradient kernel evaluates them."""
+"""Parametric families: the portfolio's value and q helpers and the
+mean-variance driver's contraction of their parts, and the regulator's
+normalized q and entropy bonus as its q-learning and policy-gradient kernel
+evaluates them."""
 
 import math
 
@@ -12,7 +13,9 @@ from scipy import integrate, stats
 
 from ctql.approx import (LOG_2PI, mv_q_eval_grad, mv_value_eval,
                          mv_value_eval_grad)
+from ctql.experiments import mv
 from ctql.experiments.checks import _kernel_terms
+from ctql.experiments.mv import MV_ALGOS, MvExperimentConfig
 
 params = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -122,43 +125,46 @@ def test_q_gradients_match_finite_differences():
         assert np.allclose(np.asarray(rows, float), want, atol=1e-6)
 
 
-# The separate value and gradient expressions the fused helpers replaced,
-# kept as the reference for their arithmetic: each fused helper must give
-# the same bytes, in the layout the mean-variance driver calls it with.
+# Each family written out in the order its factors and per-sample terms
+# compose, kept as the reference for their arithmetic: each fused helper
+# must give the same bytes, at full shape and at scalar points.
 def _ref_value(th1, th2, th3, w, z, T, t, x):
-    return ((x - w) ** 2 * np.exp(-th3 * (T - t))
-            + th2 * (t ** 2 - T ** 2) + th1 * (t - T) - (w - z) ** 2)
+    return (np.exp(-th3 * (T - t)) * ((x - w) * (x - w))
+            + (th2 * (t ** 2 - T ** 2) + th1 * (t - T) - (w - z) ** 2))
 
 
 def _ref_value_grad(th1, th2, th3, w, z, T, t, x):
     e = np.exp(-th3 * (T - t))
-    return (t - T, t ** 2 - T ** 2, -(T - t) * (x - w) ** 2 * e)
+    return (t - T, t ** 2 - T ** 2, (-(T - t) * e) * ((x - w) * (x - w)))
 
 
 def _ref_q(p1, p2, p3, w, gamma, T, t, x, a):
-    prec = np.exp(-p1 - p3 * (T - t))
+    half = 0.5 * np.exp(-p1 - p3 * (T - t))
     dev = a + p2 * (x - w)
-    return -0.5 * prec * dev ** 2 - 0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * (T - t))
+    return -half * (dev * dev) - 0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * (T - t))
 
 
 def _ref_q_grad(p1, p2, p3, w, gamma, T, t, x, a):
-    prec = np.exp(-p1 - p3 * (T - t))
+    half = 0.5 * np.exp(-p1 - p3 * (T - t))
     dev = a + p2 * (x - w)
-    g1 = 0.5 * prec * dev ** 2 - 0.5 * gamma
-    return (g1, -prec * dev * (x - w), (T - t) * g1)
+    return (half * (dev * dev) - 0.5 * gamma, (-2.0 * half) * (dev * (x - w)),
+            ((T - t) * half) * (dev * dev) + (T - t) * (-0.5 * gamma))
+
+
+def _ref_quad(p1, p2, w, x, a):
+    return (x - w) * (x - w) + p2 * a * (x - w) + 0.5 * np.exp(-p1) * (a * a)
 
 
 def _ref_qdt(p1, p2, p3, p4, p5, w, z, T, t, x, a):
     e = np.exp(-p3 * (T - t))
-    quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
-    return -e * quad + p4 * (t ** 2 - T ** 2) + p5 * (t - T) + (w - z) ** 2
+    return (-e * _ref_quad(p1, p2, w, x, a)
+            + (p4 * (t ** 2 - T ** 2) + p5 * (t - T) + (w - z) ** 2))
 
 
 def _ref_qdt_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
     e = np.exp(-p3 * (T - t))
-    quad = (x - w) ** 2 + p2 * a * (x - w) + 0.5 * np.exp(-p1) * a ** 2
-    return (0.5 * e * np.exp(-p1) * a ** 2, -e * a * (x - w), (T - t) * e * quad,
-            t ** 2 - T ** 2, t - T)
+    return ((0.5 * np.exp(-p1) * e) * (a * a), -e * (a * (x - w)),
+            ((T - t) * e) * _ref_quad(p1, p2, w, x, a), t ** 2 - T ** 2, t - T)
 
 
 def _same_bytes(got, want, shape):
@@ -182,22 +188,18 @@ def test_fused_helpers_keep_the_reference_arithmetic(lanes):
     tl, xl, al = tcol[:, :-1], xs[:, :-1], acts[:, :-1]
     full, left = (lanes, K + 1, B), (lanes, K, B)
 
-    # the value family and Q(dt) run on the K + 1 grid points into buffers,
-    # and the driver reads their rows at the K left points
-    value, rows = mv_value_eval_grad(*P[:3], w, z, T, tcol, xs,
-                                     out=tuple(np.empty((2,) + full)))
+    # the value family and Q(dt) run on the K + 1 grid points, the
+    # q-function on the left ones
+    value, rows = mv_value_eval_grad(*P[:3], w, z, T, tcol, xs)
     _same_bytes([value], [_ref_value(*P[:3], w, z, T, tcol, xs)], full)
-    _same_bytes([r[:, :-1] for r in rows], _ref_value_grad(*P[:3], w, z, T, tl, xl), left)
-    value, rows = qdt_mv_eval_grad(*P[:5], w, z, T, tcol, xs, acts,
-                                   out=tuple(np.empty((4,) + full)))
+    _same_bytes(rows, _ref_value_grad(*P[:3], w, z, T, tcol, xs), full)
+    value, rows = qdt_mv_eval_grad(*P[:5], w, z, T, tcol, xs, acts)
     _same_bytes([value], [_ref_qdt(*P[:5], w, z, T, tcol, xs, acts)], full)
-    _same_bytes([r[:, :-1] for r in rows], _ref_qdt_grad(*P[:5], w, z, T, tl, xl, al), left)
-    # the q-function runs on the left points
-    value, rows = mv_q_eval_grad(*P[3:6], w, gamma, T, tl, xl, al,
-                                 out=tuple(np.empty((4,) + left)))
+    _same_bytes(rows, _ref_qdt_grad(*P[:5], w, z, T, tcol, xs, acts), full)
+    value, rows = mv_q_eval_grad(*P[3:6], w, gamma, T, tl, xl, al)
     _same_bytes([value], [_ref_q(*P[3:6], w, gamma, T, tl, xl, al)], left)
     _same_bytes(rows, _ref_q_grad(*P[3:6], w, gamma, T, tl, xl, al), left)
-    # without buffers, at scalar points as the property suite calls them
+    # at scalar points, as the property suite calls them
     p = [float(v) for v in P[:, 0, 0, 0]]
     t, x, a = 0.3, float(xs[0, 1, 0]), float(acts[0, 1, 0])
     for fused, ref, ref_grad, n, args in (
@@ -207,3 +209,64 @@ def test_fused_helpers_keep_the_reference_arithmetic(lanes):
         value, rows = fused(*p[:n], *args)
         _same_bytes([value], [ref(*p[:n], *args)], ())
         _same_bytes(rows, ref_grad(*p[:n], *args), ())
+
+
+def _reference_increments(algo, cfg, P, ys, acts):
+    """Each lane's increments from the written-out families at full shape:
+    the value and the rows on a lanes-leading grid, the residual, and the
+    sum of row times residual over the steps and the batch; also the sum of
+    the products' magnitudes, the scale of their roundoff."""
+    K, dt, gamma, T, z = cfg.steps, cfg.dt, cfg.gamma, cfg.T, cfg.z
+    cols = P[:, :, None, None]
+    w = cols[-1]
+    t = np.arange(K + 1) * dt
+    t[K] = T
+    t = t.reshape(1, K + 1, 1)
+    x, a = ys.transpose(1, 0, 2) + w, acts.transpose(1, 0, 2)
+
+    def tail_sums(v):
+        return np.flip(np.cumsum(np.flip(v, 1), 1), 1)
+
+    if algo == "sarsa":
+        Q, rows = (f(*cols[:5], w, z, T, t, x, a) for f in (_ref_qdt, _ref_qdt_grad))
+        gain, var = mv._policy(algo, cols, cfg, t)
+        logp = -0.5 * (a + gain * (x - w)) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
+        resid = Q[:, 1:] - gamma * dt * logp[:, 1:] - Q[:, :-1]
+        rows = [np.broadcast_to(r, x.shape)[:, :-1] for r in rows]
+    else:
+        J, v_rows = (f(*cols[:3], w, z, T, t, x) for f in (_ref_value, _ref_value_grad))
+        q_args = (*cols[3:6], w, gamma, T, t[:, :K], x[:, :K], a[:, :K])
+        q, q_rows = _ref_q(*q_args), _ref_q_grad(*q_args)
+        rows = [np.broadcast_to(r, x.shape)[:, :-1] for r in v_rows]
+        if algo == "qlearn-ml":
+            resid = J[:, K:] - J[:, :K] + dt * tail_sums(q)
+            rows += [dt * tail_sums(r) for r in q_rows]
+        else:
+            resid = J[:, 1:] - J[:, :K] + dt * q
+            rows += list(q_rows)
+    prods = np.stack([r * resid for r in rows])
+    scale = 1.0 if algo != "qlearn-ml" else dt
+    return scale * prods.sum(axis=(2, 3)), scale * np.abs(prods).sum(axis=(2, 3))
+
+
+@pytest.mark.parametrize("lanes", (1, 3))
+@pytest.mark.parametrize("algo", MV_ALGOS)
+def test_factored_increments_match_the_full_shape_contraction(algo, lanes):
+    cfg = MvExperimentConfig(dt=1.0 / 7, batch=5)
+    K, B = cfg.steps, cfg.batch
+    rng = np.random.default_rng(lanes)
+    P, _ = mv._init_mv_params(cfg, algo, lanes)
+    P[:-1] = rng.normal(scale=0.6, size=(len(P) - 1, lanes))
+    P[-1] += 0.1 * rng.normal(size=lanes)
+    ys = rng.normal(scale=0.3, size=(K + 1, lanes, B))
+    acts = rng.normal(scale=0.5, size=(K + 1, lanes, B))
+    # the driver's layout: steps lead, the rows are (1, lanes, 1) columns
+    cols = P[:, None, :, None]
+    tcol = (np.arange(K + 1) * cfg.dt).reshape(K + 1, 1, 1)
+    tcol[K] = cfg.T
+    gain, var = mv._policy(algo, cols, cfg, tcol if algo == "sarsa" else tcol[:K])
+    work = np.empty((6, K + 1, lanes, B))
+    got = mv._increments(algo, cfg, cols, tcol, ys, acts, gain, var, work)
+    want, scale = _reference_increments(algo, cfg, P, ys, acts)
+    assert got.shape == want.shape == (len(P) - 1, lanes)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), (got, want)

@@ -429,6 +429,31 @@ def test_evaluation_only_divergence_is_reported_after_training(updates, seed):
             _same_record(run_mv(lane_cfg, algo, RngStream(seed, (r, 0))), rec)
 
 
+def test_mean_readout_ignores_an_overflowing_policy_variance():
+    # the mean readout never uses the policy's variance, so a lane whose
+    # variance gamma e^{p1} overflows reads the same wealths as a lane with
+    # the same stream and gain whose variance does not
+    cfg = small_mv(updates=0, eval_runs=10)
+    P, _ = mv._init_mv_params(cfg, "qlearn-td", 2)
+    P[4] = 0.5
+    P[3, 1] = 800.0
+    gens = [RngStream(0, (0, 0)).generator() for _ in range(2)]
+    terminal = mv._evaluate(cfg, "qlearn-td", P, gens, np.ones(2, bool))
+    assert np.isfinite(terminal).all()
+    assert terminal[1].tobytes() == terminal[0].tobytes()
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("width", (4, 400))
+def test_cumulative_sums_add_in_cumsums_order(width, reverse):
+    # small slices take np.cumsum, large ones a loop of slice adds; either
+    # gives np.cumsum's bits, so a lane's sums do not depend on the lanes
+    a = np.random.default_rng(width).normal(size=(9, width))
+    want = np.flip(np.cumsum(np.flip(a, 0), 0), 0) if reverse else np.cumsum(a, 0)
+    assert mv._cumulate(a, reverse) is a
+    assert a.tobytes() == want.tobytes()
+
+
 @settings(max_examples=12, deadline=None)
 @given(algo=st.sampled_from(MV_ALGOS), lane=_lane_of(3), seed=st.integers(0, 50))
 def test_scalar_and_lane_mv_drivers_agree(algo, lane, seed):
