@@ -4,8 +4,9 @@ Every family is a plain closed-form expression, written once in factored
 form: a sum of per-(lane, step) factors, functions of the parameters and the
 time, times per-sample terms, functions of the wealth and the action.  A
 family's *_factors function gives its value and each gradient row as a
-{term: factor} dict, "1" naming the constant term, and its *_terms function
-the per-sample terms, optionally into `out` buffers.  The fused *_eval_grad
+{term: factor} dict, "1" naming the constant term, from the parameters and
+the time-only factors of `time_factors`, and its *_terms function the
+per-sample terms, optionally into `out` buffers.  The fused *_eval_grad
 helper composes the two into the value and the gradient rows; the
 mean-variance driver contracts the parts without forming the rows.  The
 *_eval / *_grad names call the fused helper.  The ergodic regulator's value
@@ -45,15 +46,22 @@ def split_fused(fused):
     return (lambda *args: fused(*args)[0]), (lambda *args: fused(*args)[1])
 
 
-def mv_value_factors(th1, th2, th3, w, z, T, t):
+def time_factors(T, t):
+    """The families' time-only factors at the times t: T-t, t-T and
+    t^2-T^2.  A caller that evaluates a family at the same times again and
+    again forms them once."""
+    return T - t, t - T, t ** 2 - T ** 2
+
+
+def mv_value_factors(th1, th2, th3, w, z, times):
     """Wealth value J = e (x-w)^2 + c with e = e^{-theta3 (T-t)} and
     c = theta2 (t^2-T^2) + theta1 (t-T) - (w-z)^2, pinned at t = T for every
-    theta, and its rows (t-T, t^2-T^2, -(T-t) e (x-w)^2)."""
-    tau = T - t
+    theta, and its rows (t-T, t^2-T^2, -(T-t) e (x-w)^2); `times` holds the
+    time factors of `time_factors`."""
+    tau, t_T, t2 = times
     e = np.exp(-th3 * tau)
-    t2 = t ** 2 - T ** 2
-    return ({"sq": e, "1": th2 * t2 + th1 * (t - T) - (w - z) ** 2},
-            ({"1": t - T}, {"1": t2}, {"sq": -tau * e}))
+    return ({"sq": e, "1": th2 * t2 + th1 * t_T - (w - z) ** 2},
+            ({"1": t_T}, {"1": t2}, {"sq": -tau * e}))
 
 
 def mv_value_terms(xw, out=None):
@@ -64,19 +72,19 @@ def mv_value_terms(xw, out=None):
 def mv_value_eval_grad(th1, th2, th3, w, z, T, t, x):
     """The value family's J and its rows; the time-only rows are returned as
     they broadcast."""
-    return compose(mv_value_factors(th1, th2, th3, w, z, T, t),
+    return compose(mv_value_factors(th1, th2, th3, w, z, time_factors(T, t)),
                    mv_value_terms(np.subtract(x, w)))
 
 
 mv_value_eval, mv_value_grad = split_fused(mv_value_eval_grad)
 
 
-def mv_q_factors(p1, p3, gamma, T, t):
+def mv_q_factors(p1, p3, gamma, tau):
     """Normalized q = -(prec/2) dev^2 - (gamma/2)(log 2 pi gamma + psi1 +
     psi3 (T-t)), prec = e^{-psi1 - psi3 (T-t)}, dev = a + psi2 (x-w), whose
     Gibbs policy is N(-psi2 (x-w), gamma / prec), and its rows
-    (g1, -prec dev (x-w), (T-t) g1), g1 = (prec dev^2 - gamma) / 2."""
-    tau = T - t
+    (g1, -prec dev (x-w), (T-t) g1), g1 = (prec dev^2 - gamma) / 2, with
+    tau = T - t."""
     half = 0.5 * np.exp(-p1 - p3 * tau)
     log_c = 0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * tau)
     g1 = {"dev2": half, "1": -0.5 * gamma}
@@ -96,7 +104,7 @@ def mv_q_terms(p2, xw, a, out=(None, None)):
 
 def mv_q_eval_grad(p1, p2, p3, w, gamma, T, t, x, a):
     """The q family's q and its rows."""
-    return compose(mv_q_factors(p1, p3, gamma, T, t), mv_q_terms(p2, np.subtract(x, w), a))
+    return compose(mv_q_factors(p1, p3, gamma, T - t), mv_q_terms(p2, np.subtract(x, w), a))
 
 
 mv_q_eval, mv_q_grad = split_fused(mv_q_eval_grad)

@@ -15,22 +15,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .approx import compose, split_fused
+from .approx import compose, split_fused, time_factors
 
 
-def qdt_mv_factors(p1, p3, p4, p5, w, z, T, t):
+def qdt_mv_factors(p1, p3, p4, p5, w, z, times):
     """Wealth-targeting Q-function for the terminal-variance problem,
     Q = -e quad + p4 (t^2 - T^2) + p5 (t - T) + (w - z)^2 with
     e = e^{-p3 (T-t)}, whose policy is N(-p2 e^{p1} (x - w),
     gamma dt e^{p3 (T-t) + p1}), and its exact gradient rows
     (e e^{-p1} a^2 / 2, -e a (x-w), (T-t) e quad, t^2 - T^2, t - T); one
-    published component carries a stray e^{-p1} factor."""
-    tau = T - t
+    published component carries a stray e^{-p1} factor; `times` holds the
+    time factors of `approx.time_factors`."""
+    tau, t_T, t2 = times
     e = np.exp(-p3 * tau)
-    t2 = t ** 2 - T ** 2
-    return ({"quad": -e, "1": p4 * t2 + p5 * (t - T) + (w - z) ** 2},
+    return ({"quad": -e, "1": p4 * t2 + p5 * t_T + (w - z) ** 2},
             ({"a2": 0.5 * np.exp(-p1) * e}, {"axw": -e}, {"quad": tau * e},
-             {"1": t2}, {"1": t - T}))
+             {"1": t2}, {"1": t_T}))
 
 
 def qdt_mv_terms(p1, p2, xw, a, out=(None,) * 3):
@@ -48,7 +48,7 @@ def qdt_mv_terms(p1, p2, xw, a, out=(None,) * 3):
 
 def qdt_mv_eval_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
     """Q(dt)'s Q and its rows."""
-    return compose(qdt_mv_factors(p1, p3, p4, p5, w, z, T, t),
+    return compose(qdt_mv_factors(p1, p3, p4, p5, w, z, time_factors(T, t)),
                    qdt_mv_terms(p1, p2, np.subtract(x, w), a))
 
 

@@ -20,19 +20,20 @@ lead every per-update array (paths, actions and residuals are
 sums step through contiguous blocks.
 
 Each family of `approx` and `baselines` is written once in factored form,
-per-(step, lane) factors (e, c, the precision, the log constant, T - t)
-times per-sample terms ((x-w)^2, dev^2, dev (x-w), a^2, a (x-w)), and each
-algorithm (`_increments`) forms its residual from the parts and contracts
-every gradient row p as sum_k f_p(k) sum_b h(k, b) resid(k, b): one fused
-product and sum over the contiguous batch axis per distinct term, then the
-factors, then one sum over the steps of a lanes-leading copy, so a lane's
-numbers do not depend on the other lanes and the time-only rows need no
-full-shape product.  qlearn-ml meets its q rows' tail sums with the running
-sums of its residual instead.  Every full-shape array lives in buffers
-allocated once per call, and one block guards, freezes, updates and traces
-the parameters for all four algorithms.  Policy gradient is qlearn-td's
-update with the actor rate alpha_phi / gamma: its sampled bonus
--gamma log pi is -q, and its score rows are the q rows over gamma.
+per-(step, lane) factors (e, c, the precision, the log constant, T - t;
+the time-only ones formed once per run) times per-sample terms ((x-w)^2,
+dev^2, dev (x-w), a^2, a (x-w)), and each algorithm (`_increments`) forms
+its residual from the parts and contracts every gradient row p as
+sum_k f_p(k) sum_b h(k, b) resid(k, b): one fused product and sum over the
+contiguous batch axis per distinct term, then the factors, then one sum
+over the steps of a lanes-leading block, so a lane's numbers do not depend
+on the other lanes and the time-only rows need no full-shape product.
+qlearn-ml meets its q rows' tail sums with the running sums of its residual
+instead.  Every full-shape array lives in buffers allocated once per call,
+and one block guards, freezes, updates and traces the parameters for all
+four algorithms.  Policy gradient is qlearn-td's update with the actor
+rate alpha_phi / gamma: its sampled bonus -gamma log pi is -q, and its
+score rows are the q rows over gamma.
 
 Noise consumption per replication stream, in order: pool draws
 (standard_normal(pool_size)), then per update the segment starts
@@ -48,12 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..approx import mv_q_factors, mv_q_terms, mv_value_factors, mv_value_terms
+from ..approx import (mv_q_factors, mv_q_terms, mv_value_factors, mv_value_terms,
+                      time_factors)
 from ..baselines import qdt_mv_factors, qdt_mv_terms
 # perfbench's traced pass wraps these thin names on this module
 from ..approx import (mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad,  # noqa: F401
@@ -236,12 +237,20 @@ def martingale_residuals(terminal, js, running, dt: float, axis: int = 0, out=No
     return out
 
 
+# Slices smaller than this take np.cumsum in `_cumulate`, larger ones the
+# loop of slice adds, each the cheaper route there: over 25 steps on a
+# 2-core Xeon VM, np.cumsum takes 4.9 us against the loop's 16 at 32
+# elements a slice, 15 against 20 at 140, 20 against 17 at 224 and 54
+# against 20 at 640 (benchmarks/bench_cumulate.py).
+CUMSUM_BELOW = 160
+
+
 def _cumulate(a, reverse=False):
     """Cumulative sums along the leading axis, in place, from the last entry
     if `reverse`.  np.cumsum runs one inner loop per column, a loop of
-    whole-slice adds one op per entry; both add in the same order, and the
-    loop costs less from about 160 elements a slice on."""
-    if a[0].size < 160:
+    whole-slice adds one op per entry; both add in the same order, so they
+    give the same bits, and the cheaper one runs (`CUMSUM_BELOW`)."""
+    if a[0].size < CUMSUM_BELOW:
         view = np.flip(a, 0) if reverse else a
         np.cumsum(view, 0, out=view)
         return a
@@ -256,16 +265,23 @@ def _contract(rows, terms, resid):
     A row is a {term: per-(step, lane) factor} dict over `terms`, "1" the
     residual alone; the terms and the residual are (K, lanes, batch).  For
     each distinct term one fused product and sum over the contiguous batch
-    axis gives its (step, lane) sums, the rows' factors meet those sums,
-    and one sum over the step axis of a lanes-leading copy ends each row.
+    axis gives its (step, lane) sums, the rows' factors meet those sums in
+    a lanes-leading block, and one sum over its step axis ends each row.
     Each sum runs along a contiguous axis, so lane r gets bit-identical
     sums no matter how many other lanes run with it.
     """
     sums = {h: np.einsum("klb,klb->kl", terms[h], resid)[..., None]
             for h in {h for r in rows for h in r} - {"1"}}
     sums["1"] = resid.sum(axis=-1, keepdims=True)
-    per_step = np.stack([reduce(np.add, (f * sums[h] for h, f in r.items())) for r in rows])
-    return np.ascontiguousarray(per_step[..., 0].transpose(0, 2, 1)).sum(axis=-1)
+    K, lanes = resid.shape[:2]
+    per_step = np.empty((len(rows), lanes, K))
+    # each row's (step, lane) sums go to a lanes-leading block
+    for r, out in zip(rows, per_step.transpose(0, 2, 1)[..., None]):
+        (h, f), *rest = r.items()
+        np.multiply(f, sums[h], out=out)
+        for h, f in rest:
+            out += f * sums[h]
+    return per_step.sum(axis=-1)
 
 
 def _left(rows):
@@ -273,10 +289,9 @@ def _left(rows):
     return [{h: f[:-1] for h, f in r.items()} for r in rows]
 
 
-def _policy(algo: str, P, cfg: MvExperimentConfig, t):
+def _policy(algo: str, P, cfg: MvExperimentConfig, tau):
     """Gain g and variance of the lanes' Gaussian policy N(-g (x - w), var)
-    at the times t; the rows of P broadcast against t."""
-    tau = cfg.T - t
+    at the times to go tau = T - t; the rows of P broadcast against tau."""
     if algo == "sarsa":
         s1, s2, s3 = P[:3]
         return s2 * np.exp(s1), cfg.gamma * cfg.dt * np.exp(s3 * tau + s1)
@@ -284,25 +299,26 @@ def _policy(algo: str, P, cfg: MvExperimentConfig, t):
     return gain, cfg.gamma * np.exp(c1 + c3 * tau)
 
 
-def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, ys, acts,
+def _increments(algo: str, cfg: MvExperimentConfig, P, times, ys, acts,
                 gain, var, work):
     """One update's (P - 1, lanes) parameter increments before the rates:
     the algorithm's residual contracted with its test vectors.
 
-    P holds the rows as (1, lanes, 1) columns, tcol the K + 1 grid times as
-    a (K + 1, 1, 1) column, ys the wealth paths' distances y = x - w to the
-    multiplier and acts their actions, both (K + 1, lanes, batch) (the last
-    action is padding except for sarsa); gain and var are the policy's, from
-    `_policy`.  Each family comes as per-(step, lane) factors and
-    per-sample terms: the terms go to the first slots of the workspace
-    `work` (slots, K + 1, lanes, batch), the residual, formed from the
-    parts, to the last, and `_contract` meets the two.
+    P holds the rows as (1, lanes, 1) columns, times the time factors
+    (`time_factors`) of the K + 1 grid times as (K + 1, 1, 1) columns, ys
+    the wealth paths' distances y = x - w to the multiplier and acts their
+    actions, both (K + 1, lanes, batch) (the last action is padding except
+    for sarsa); gain and var are the policy's, from `_policy`.  Each family
+    comes as per-(step, lane) factors and per-sample terms: the terms go to
+    the first slots of the workspace `work` (slots, K + 1, lanes, batch),
+    the residual, formed from the parts, to the last, and `_contract` meets
+    the two.
     """
-    K, dt, gamma, T, z = cfg.steps, cfg.dt, cfg.gamma, cfg.T, cfg.z
+    K, dt, gamma, z = cfg.steps, cfg.dt, cfg.gamma, cfg.z
     w = P[-1]
     resid, tmp = work[-1, :K], work[-2]
     if algo == "sarsa":
-        value, rows = qdt_mv_factors(P[0], *P[2:5], w, z, T, tcol)
+        value, rows = qdt_mv_factors(P[0], *P[2:5], w, z, times)
         terms = qdt_mv_terms(P[0], P[1], ys, acts, out=work[:3])
         # Q(k + 1) - Q(k): -e quad on the grid, then the constant
         vq = np.multiply(value["quad"], terms["quad"], out=tmp)
@@ -316,8 +332,8 @@ def _increments(algo: str, cfg: MvExperimentConfig, P, tcol, ys, acts,
         resid += (c[1:] - c[:-1]) + 0.5 * gamma * dt * np.log(2.0 * np.pi * var[1:])
         return _contract(_left(rows), {h: v[:K] for h, v in terms.items()}, resid)
     th, pol = P[:3], P[3:6]
-    value, v_rows = mv_value_factors(*th, w, z, T, tcol)
-    q, q_rows = mv_q_factors(pol[0], pol[2], gamma, T, tcol[:K])
+    value, v_rows = mv_value_factors(*th, w, z, times)
+    q, q_rows = mv_q_factors(pol[0], pol[2], gamma, times[0][:K])
     sq = mv_value_terms(ys, out=work[0])["sq"]
     terms = mv_q_terms(pol[1], ys[:K], acts[:K], out=work[1:3, :K])
     terms["sq"] = sq[:K]
@@ -382,9 +398,11 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
     n_rec = cfg.updates // record_every
     p_trace = np.empty((n_rec, len(P), lanes))
 
-    # the grid's last time is T itself, where the value is the payoff
+    # the grid's last time is T itself, where the value is the payoff; the
+    # families' time-only factors are formed once
     tcol = (np.arange(K + 1) * cfg.dt).reshape(K + 1, 1, 1)
     tcol[K] = cfg.T
+    times = time_factors(cfg.T, tcol)
     starts = np.empty((lanes, B), np.int64)
     n_starts = cfg.pool_size - K + 1  # segments of K steps that fit the pool
     # Every full-shape array of an update is allocated once per call: an
@@ -416,7 +434,7 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
 
             # a = -gain y + noise steps y = x - w as y' = y m + c, with
             # m = 1 - gain rho and c = noise rho formed for the whole block
-            gain, var = _policy(algo, cols, cfg, tcol[:n_act])
+            gain, var = _policy(algo, cols, cfg, times[0][:n_act])
             np.multiply(np.sqrt(var), znoise.transpose(1, 0, 2), out=noise[:n_act])
             np.multiply(noise[:K], rho, out=shift)
             np.negative(gain[0], out=neg)  # one (lanes, batch) block
@@ -439,7 +457,7 @@ def _train(cfg: MvExperimentConfig, algo: str, gens, P, rates, active, div_step)
             if bad.any():
                 ys[:, bad] = 0.0
                 acts[:, bad] = 0.0
-            d = _increments(algo, cfg, cols, tcol, ys, acts, gain, var, work)
+            d = _increments(algo, cfg, cols, times, ys, acts, gain, var, work)
 
             # one guard, freeze, update and trace block for every algorithm
             bad |= ~np.isfinite(d).all(axis=0)
@@ -478,7 +496,7 @@ def _evaluate(cfg: MvExperimentConfig, algo: str, P: np.ndarray, gens,
         g.standard_normal(out=buf)
     w = P[-1, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        gain, var = _policy(algo, P[:, :, None, None], cfg, np.arange(K) * dt)
+        gain, var = _policy(algo, P[:, :, None, None], cfg, cfg.T - np.arange(K) * dt)
         neg = -gain[:, 0]
         # the mean readout leaves the exploration term out, so a lane
         # whose policy variance overflows is still read at its mean

@@ -4,10 +4,10 @@ Sweeps every market configuration (mu in {0, +-0.1, +-0.3, +-0.5}, sigma in
 {0.1, 0.2, 0.3, 0.4}) for all four algorithms at a chosen step size and
 prints mean / variance / Sharpe of terminal wealth per cell.  This is a
 long-running reproduction script, not part of the test suite: at the
-defaults one market cell (mu 0, sigma 0.1, all four algorithms) took 87 s
-on a 2-core Xeon VM, so the 28 cells take about 40 minutes (still derived
-from that one cell, not timed as a sweep).  Reduce --reps or pass a
-coarser --dt for a quicker pass.
+defaults one market cell (mu 0, sigma 0.1, all four algorithms) took 77 to
+87 s on a 2-core Xeon VM, so the 28 cells take about 36 to 41 minutes
+(still derived from that one cell, not timed as a sweep).  Reduce --reps
+or pass a coarser --dt for a quicker pass.
 
 Run as:  python -m ctql.experiments.mv_table --dt 0.04 --reps 20
 """

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ctql.approx import (LOG_2PI, mv_q_eval_grad, mv_value_eval,
-                         mv_value_eval_grad)
+                         mv_value_eval_grad, time_factors)
 from ctql.experiments import mv
 from ctql.experiments.checks import _kernel_terms
 from ctql.experiments.mv import MV_ALGOS, MvExperimentConfig
@@ -229,7 +229,7 @@ def _reference_increments(algo, cfg, P, ys, acts):
 
     if algo == "sarsa":
         Q, rows = (f(*cols[:5], w, z, T, t, x, a) for f in (_ref_qdt, _ref_qdt_grad))
-        gain, var = mv._policy(algo, cols, cfg, t)
+        gain, var = mv._policy(algo, cols, cfg, T - t)
         logp = -0.5 * (a + gain * (x - w)) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
         resid = Q[:, 1:] - gamma * dt * logp[:, 1:] - Q[:, :-1]
         rows = [np.broadcast_to(r, x.shape)[:, :-1] for r in rows]
@@ -264,9 +264,10 @@ def test_factored_increments_match_the_full_shape_contraction(algo, lanes):
     cols = P[:, None, :, None]
     tcol = (np.arange(K + 1) * cfg.dt).reshape(K + 1, 1, 1)
     tcol[K] = cfg.T
-    gain, var = mv._policy(algo, cols, cfg, tcol if algo == "sarsa" else tcol[:K])
+    times = time_factors(cfg.T, tcol)
+    gain, var = mv._policy(algo, cols, cfg, times[0] if algo == "sarsa" else times[0][:K])
     work = np.empty((6, K + 1, lanes, B))
-    got = mv._increments(algo, cfg, cols, tcol, ys, acts, gain, var, work)
+    got = mv._increments(algo, cfg, cols, times, ys, acts, gain, var, work)
     want, scale = _reference_increments(algo, cfg, P, ys, acts)
     assert got.shape == want.shape == (len(P) - 1, lanes)
     assert np.all(np.abs(got - want) <= 1e-12 * scale), (got, want)
