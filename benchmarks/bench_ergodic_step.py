@@ -1,12 +1,13 @@
 """Per-step cost of the ergodic driver, one call per algo x mode x lanes.
 
 Each benchmark times one `run_ergodic_replications` call of 2,000 steps
-(dt 0.1, horizon 200) at a fixed seed, and records the steps it ran, so the
-per-step time is the call time over `extra_info["steps"]`.  One more row,
-the dead-lane row, runs off-policy policy gradient at 20 lanes for 12,000
-steps (horizon 1,200), over which 19 of its 20 lanes diverge, between steps
-6,786 and 8,348 at the seed used here.  Every timed call
-sits between two runs of perfbench's host-speed kernel
+(dt 0.1, horizon 200) at a fixed seed, at 1, 20, 200 and 400 lanes (the
+last is `ctql lq`'s width in perfbench's lq-wide), and records the steps it
+ran, so the per-step time is the call time over `extra_info["steps"]`.  One
+more row, the dead-lane row, runs off-policy policy gradient at 20 lanes for
+12,000 steps (horizon 1,200), over which 19 of its 20 lanes diverge, between
+steps 6,786 and 8,348 at the seed used here.  Every timed call sits between
+two runs of perfbench's host-speed kernel
 (`perfbench/hostspeed.py`), and its wall time is rescaled to the reference
 speed (`extra_info["rescaled_s"]`; pytest-benchmark's own statistics include
 the kernel runs).  After the timed rounds it runs the call once more at
@@ -41,7 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 import hostspeed  # noqa: E402
 
-LANES = (1, 20, 200)
+LANES = (1, 20, 200, 400)
 SEED = 3
 HORIZON = 200.0
 DEAD_HORIZON = 1200.0

@@ -48,12 +48,25 @@ depend on the lanes beside it either.
 Every term that the data fix is computed once per block.  The Euler step
 is x' = alpha x + beta a, with alpha = 1 + A dt + C sqrt(dt) z1 and
 beta = B dt + D sqrt(dt) z1 from the block's draws, and r dt is one
-quadratic form in x and a (`_reward_dt`) in both modes.  Off-policy the
-states and rewards do not depend on the learner's parameters, so the block
-also holds x^2, x' - x, (x' + x)(x' - x) and r dt, the transition part of
-the kernel, and the per-step loop runs only its parameter part (`_step`),
-the guard, the update and the trace.  Every expression is elementwise in
-the step, so a lane's numbers do not depend on the block length.
+quadratic form in x and a (`_reward_dt`) in both modes.  On-policy the
+action is drawn from the Gibbs policy of the q being learned,
+a = psi1 x + psi2 + e^{psi3/2} sqrt(T) z0, so the precision-weighted
+squared deviation w = prec (a - psi1 x - psi2)^2 = e^{shift} T z0^2 is the
+draw's alone: the block holds the psi3 test row (w - offset)/2 and the
+running term's data part, its constant plus the advantage term
+(`_gibbs_terms`), and the score prec dev = e^{shift} sqrt(T) z0 /
+e^{psi3/2} reuses the action's e^{psi3/2}.  Off-policy the states and
+rewards do not depend on the learner's parameters, so the block also holds
+x^2 and r dt, and the per-step loop runs only the rule's deviation terms,
+its parameter part (`_step`), the guard, the update and the trace.  In both
+modes the residual's parameter-linear part theta1 (x' + x)(x' - x)
++ theta2 (x' - x) + psi3 weight psi3 - V dt is one sum over the rows of
+P Y, where the rows Y (`_data_rows`) hold (x' + x)(x' - x), x' - x, the
+psi3 weight and -dt, and the rows that meet psi1 and psi2 carry the data
+terms instead; off-policy the block holds every step's Y.  Every expression
+is elementwise in the step, and P Y sums its rows in the same order at any
+width, so a lane's numbers depend neither on the block length nor on the
+lanes beside it.
 """
 
 from __future__ import annotations
@@ -70,11 +83,11 @@ from ..approx import LOG_2PI
 from ..envsim import LqCoefficients, RngStream, STATE_GUARD
 from .records import RunRecord, packed
 
-# Steps whose noise, learning rates and, off-policy, behaviour data are
-# computed at once.  A block's arrays hold three doubles per lane-step, or
-# seven off-policy, so a run's working memory depends on its lanes, not on
-# its horizon.
-_BLOCK = 512
+# Steps whose noise, learning rates and the terms their data fix are
+# computed at once.  A block's arrays hold six doubles per lane-step, or
+# eleven off-policy, so a run's working memory depends on its lanes, not on
+# its horizon; a lane's numbers do not depend on the block length.
+_BLOCK = 256
 # A sum of squared states at most this bounds every state by STATE_GUARD.
 _STATE_GUARD2 = STATE_GUARD ** 2
 
@@ -84,6 +97,7 @@ _STATE_GUARD2 = STATE_GUARD ** 2
 # legitimate value is the SARSA log-precision log(1/(gamma dt)) ~ 6.9 at
 # dt=0.01); observed runaways freeze at 50+.
 PARAM_GUARD = 25.0
+_PARAM_GUARD2 = PARAM_GUARD ** 2
 
 ALGOS = ("qlearn-online", "sarsa", "pg")
 MODES = ("on-policy", "off-policy")
@@ -177,7 +191,10 @@ def _constants(gamma: float, dt: float, rule: str):
     half the temperature times it.  The precision is e^{shift - psi3}, with
     shift -log gamma for "entropy" and 0 otherwise.  The offset of the psi3
     test row is gamma for "q", 1 for policy gradient and 0 for "sarsa",
-    whose Q(dt) has no normalizer term.
+    whose Q(dt) has no normalizer term.  `_gibbs_terms` applies the offset
+    and the advantage weight; the psi3 weight times the log constant is the
+    running term's constant; `_data_rows` puts the psi3 weight and -dt in
+    the rows that meet psi3 and V.
     """
     temp = gamma * dt if rule == "sarsa" else gamma
     logc = (LOG_2PI + 1.0 + math.log(gamma) if rule == "entropy"
@@ -213,43 +230,71 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
         entropy bonus gamma H, tested against the score d log pi / dpsi,
         which is dq/dpsi / gamma.
 
-    It composes the terms the transition alone fixes (`_transition`, and
-    r dt plus the running term's constant) and the parameter part
-    (`_step`).  Writes the test vectors (dJ/dtheta, dq/dpsi or score, 1)
-    into the (6, lanes) buffer `tests`, whose row 5 it leaves alone, and
-    returns the residual.
+    It composes the terms the transition alone fixes (`_transition`), the
+    Gibbs terms of the deviation a - psi1 x - psi2 (`_gibbs_terms`), and
+    the parameter part (`_step`).  Writes the test vectors (dJ/dtheta,
+    dq/dpsi or score, 1) into the (6, lanes) buffer `tests`, whose row 5 it
+    leaves alone, and returns the residual.
     """
     c = _constants(gamma, dt, running)
+    P = np.asarray(P, float)
     dev = a - (P[2] * x + P[3])
-    return _step(P, x, dev, *_transition(x, x2), r * c[0] + c[4] * c[5], c, tests)
+    pdev = np.exp(c[1] - P[4]) * dev
+    t4, adv = _gibbs_terms(pdev * dev, c)
+    rk = r * c[0] + c[4] * c[5]
+    xx, d, s2 = _transition(x, x2)
+    Y = _data_rows(np.broadcast(P[0], rk, adv, d).shape, c)
+    Y[0], Y[1] = s2, d
+    P = P.reshape(P.shape + (1,) * (Y.ndim - P.ndim))
+    return _step(P, Y, x, xx, pdev, t4, rk, adv, tests)
 
 
-def _transition(x, x2):
-    """x^2, x' - x and (x' + x)(x' - x) of the transitions x -> x2."""
-    d = x2 - x
-    return x * x, d, (x2 + x) * d
+def _transition(x, x2, xx=None, d=None, s2=None):
+    """x^2, x' - x and (x' + x)(x' - x) of the transitions x -> x2, into
+    the given buffers if any."""
+    d = np.subtract(x2, x, d)
+    s2 = np.add(x2, x, s2)
+    s2 *= d
+    return np.multiply(x, x, xx), d, s2
 
 
-def _step(P, x, dev, xx, d, s2, rk, c, tests):
-    """The parameter part of `rate_kernel` at dev = a - psi1 x - psi2 and
-    the constants c of `_constants`: with pdd = prec dev^2, the residual is
-    theta1 s2 + theta2 d + rk + advantage weight pdd + psi3 weight psi3
-    - V dt, summed in the order written, where rk = r dt + psi3 weight
-    log constant and J(x') - J(x) = theta1 s2 + theta2 d."""
-    th1, th2, _, _, p3, V = P
+def _gibbs_terms(w, c, t4=None, adv=None):
+    """The psi3 test row (w - offset)/2 and the advantage term (advantage
+    weight) w of the precision-weighted squared deviation
+    w = prec (a - psi1 x - psi2)^2, at the constants c of `_constants`,
+    into the given buffers if any (`adv` may be w itself)."""
+    t4 = np.subtract(w, c[6], t4)
+    t4 *= c[2]
+    return t4, np.multiply(w, c[3], adv)
+
+
+def _data_rows(shape, c):
+    """The rows Y that the parameters meet in the residual, (6,) + shape:
+    (x' + x)(x' - x) and x' - x, which the caller writes into rows 0 and 1,
+    zero for psi1 and psi2, which enter the residual only through the
+    deviation, the psi3 weight and -dt."""
+    Y = np.zeros((6,) + tuple(shape))
+    Y[4], Y[5] = c[4], -c[0]
+    return Y
+
+
+def _step(P, Y, x, xx, pdev, psi3_test, r0, r1, tests, work=None):
+    """The parameter part of `rate_kernel`: writes the test rows (x^2, x,
+    prec dev x, prec dev, psi3_test) into `tests` and returns the residual
+    theta1 s2 + theta2 d + r0 + r1 + psi3 weight psi3 - V dt, summed in the
+    order written, as one sum over the rows of P Y (`_data_rows`; into the
+    buffer `work` if given) with the zero rows 2 and 3 replaced by r0 and
+    r1.  J(x') - J(x) = theta1 s2 + theta2 d, dev = a - psi1 x - psi2 and
+    r0 + r1 = r dt + the running term's constant + the advantage term."""
     t0, t1, t2, t3, t4, _ = tests
-    dt, shift, half, ku, kc, _, off, _ = c
-    pdev = np.exp(shift - p3) * dev
-    pdd = pdev * dev
     t0[...] = xx
     t1[...] = x
-    t2[...] = pdev * x
+    np.multiply(pdev, x, t2)
     t3[...] = pdev
-    t4[...] = (pdd - off) * half
-    resid = th1 * s2 + th2 * d + rk
-    if ku:
-        resid = resid + ku * pdd
-    return resid + kc * p3 - V * dt
+    t4[...] = psi3_test
+    terms = np.multiply(P, Y, work)
+    terms[2], terms[3] = r0, r1
+    return np.add.reduce(terms, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +365,14 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     # The working arrays hold the live lanes only: `live` maps their columns
     # to the caller's lanes, and a lane that dies leaves every working array
     # and the generator list, and its frozen parameters go into `params`.
-    # `prows` and `trows` hold the row views of P and of the tests for the
-    # kernel and are rebuilt when those arrays are replaced by live columns
+    # `prows`, `trows` and `Pf` hold the row views of P and of the tests for
+    # the kernel and P's flat view for the guard, and are rebuilt when those
+    # arrays are replaced by live columns
     live = np.arange(lanes)
     gens = [s.generator() for s in streams]
 
     P, rates = _init_params(cfg, algo, lanes)
-    prows = tuple(P)
+    prows, Pf = tuple(P), P.reshape(-1)
     params = np.empty((6, lanes))
     tests = np.ones((6, lanes))  # the kernel leaves row 5, the V test, at 1
     trows = tuple(tests)
@@ -334,9 +380,26 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     x = np.full(lanes, float(cfg.x0))
     reward_sum = np.zeros(lanes)
     div_step = np.full(lanes, -1, dtype=np.int64)
-    # a block's draws, then in place its actions and Euler factors (beta,
-    # alpha), and off-policy its states and transition terms; kept for reuse
-    buf = np.empty((7 if off_policy else 3, min(_BLOCK, steps) + 1, lanes))
+    # A block's draws, then in place its actions and Euler factors (beta,
+    # alpha), and on-policy the draw's Gibbs terms, off-policy its states,
+    # x^2 and rewards; kept for reuse.  Y holds the rows that P meets in the
+    # residual (`_data_rows`): one (6, lanes) block on-policy, whose rows 0
+    # and 1 each step writes, and off-policy one per step of the block
+    m = min(_BLOCK, steps)
+    if off_policy:
+        buf = np.empty((5, m + 1, lanes))
+        Y = np.empty((m, 6, lanes))
+        Y[:] = _data_rows((lanes,), c)
+    else:
+        buf = np.empty((6, m, lanes))
+        Y = _data_rows((lanes,), c)
+        Y0, Y1 = Y[:2]
+    # on-policy the action's deviation is e^{psi3/2} sqrt(T) z0, so
+    # prec dev = e^{shift} sqrt(T) z0 / e^{psi3/2} and w = prec dev^2
+    # = e^{shift} T z0^2 are the draw's alone
+    sqrt_t = math.sqrt(c[7])
+    pscale = math.exp(c[1]) * sqrt_t
+    by_sum = True  # whether the guard tries the sum of squares of P first
 
     record_every = max(1, steps // max(1, cfg.trace_points))
     n_rec = steps // record_every
@@ -345,13 +408,27 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     r_trace = np.empty((n_rec, lanes))
     rec_i = 0
 
+    def block_rows(buf, n):
+        """The block's row views; off-policy r dt and r dt + k take the
+        spent rows of alpha and beta a, and `calm` says for each step
+        whether every lane's next state lies within STATE_GUARD."""
+        if not off_policy:
+            return tuple(buf[:, :n])
+        Z, B, Al, X, XX = buf[:, :n + 1]
+        calm = (np.abs(X[1:n + 1]) <= STATE_GUARD).all(1).tolist()
+        return Z[:n], B[:n], Al[:n], X, XX, Al[:n], B[:n], calm
+
     k = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while k < steps and len(live):
             n = min(_BLOCK, steps - k)
-            # filled a lane at a time from each lane's own stream
-            for lane, g in enumerate(gens):
-                buf[:2, :n, lane] = g.standard_normal((n, 2)).T
+            # each lane's (n, 2) draws from its own stream, written lane by
+            # lane into the spent rows 3 and 4 and moved to rows 0 and 1 in
+            # one copy
+            draws = buf[3:5].reshape(-1)[:2 * n * len(live)].reshape(-1, n, 2)
+            for g, out in zip(gens, draws):
+                g.standard_normal(out=out)
+            buf[:2, :n] = draws.transpose(2, 1, 0)
             # x' = alpha x + beta a: alpha = (1 + A dt) + C sqrt(dt) z1, then
             # beta = B dt + D sqrt(dt) z1 in place of z1
             Z, B, Al = buf[:3, :n]
@@ -359,52 +436,69 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
             Al += 1.0 + co.A * dt
             B *= co.D * math.sqrt(dt)
             B += co.B * dt
-            lr = (np.array([cfg.schedule((k + i) * dt) for i in range(n)])
-                  .reshape(n, 1, 1) * rates)
+            times = ((k + np.arange(n)) * dt).tolist()
+            lr = np.array(list(map(cfg.schedule, times))).reshape(n, 1, 1) * rates
             if off_policy:
                 # the behaviour data and every term they alone fix, 64
-                # steps at a time so that the temporaries stay small; r dt
-                # and r dt + k take the spent rows of alpha and beta a
+                # steps at a time so that the temporaries stay small
                 Z *= b_std
                 Z += b_mean
                 B *= Z
-                X, XX, D, S2 = buf[3:, :n + 1]
+                X = buf[3, :n + 1]
                 X[0] = x
-                for m in range(n):
-                    X[m + 1] = Al[m] * X[m] + B[m]
-                RS, RK = Al, B
+                for al, b, x0, x1 in zip(Al, B, X, X[1:]):
+                    np.multiply(al, x0, x1)
+                    np.add(x1, b, x1)
+                Z, B, Al, X, XX, RS, RK, calm = block_rows(buf, n)
                 for j in range(0, n, 64):
-                    e = min(j + 64, n)
-                    XX[j:e], D[j:e], S2[j:e] = _transition(X[j:e], X[j + 1:e + 1])
-                    RS[j:e] = _reward_dt(X[j:e], Z[j:e], XX[j:e], k_reward)
-                    RK[j:e] = RS[j:e] + k_run
+                    cut = slice(j, min(j + 64, n))
+                    x0, x1 = X[cut], X[cut.start + 1:cut.stop + 1]
+                    _transition(x0, x1, XX[cut], Y[cut, 1], Y[cut, 0])
+                    RS[cut] = _reward_dt(x0, Z[cut], XX[cut], k_reward)
+                    np.add(RS[cut], k_run, out=RK[cut])
                 RS[0] += reward_sum
                 np.cumsum(RS, 0, out=RS)  # the running reward sums
             else:
-                Z *= math.sqrt(c[7])
+                # the action's draw sqrt(T) z0, prec dev's e^{shift} sqrt(T)
+                # z0, the psi3 test row and the running term's data part
+                # k + advantage term, all from w = e^{shift} T z0^2
+                Z, B, Al, Zp, W4, K = block_rows(buf, n)
+                np.multiply(Z, pscale, out=Zp)
+                Z *= sqrt_t
+                np.multiply(Zp, Z, out=K)
+                _gibbs_terms(K, c, W4, K)
+                K += k_run
             for i in range(n):
                 if off_policy:
                     x, x2 = X[i], X[i + 1]
                     dev = Z[i] - (prows[2] * x + prows[3])
-                    xx, d, s2, rk = XX[i], D[i], S2[i], RK[i]
+                    pdev = np.exp(c[1] - prows[4]) * dev
+                    t4, adv = _gibbs_terms(pdev * dev, c)
+                    resid = _step(P, Y[i], x, XX[i], pdev, t4, RK[i], adv,
+                                  trows, upd)
+                    ok = calm[i]
                 else:
-                    mean = prows[2] * x + prows[3]
-                    dev = np.exp(c[2] * prows[4]) * Z[i]
-                    a = mean + dev
+                    e = np.exp(c[2] * prows[4])
+                    a = prows[2] * x + prows[3] + e * Z[i]
                     x2 = Al[i] * x + B[i] * a
-                    xx, d, s2 = _transition(x, x2)
+                    xx = _transition(x, x2, None, Y1, Y0)[0]
                     rdt = _reward_dt(x, a, xx, k_reward)
-                    rk = rdt + k_run
-                resid = _step(prows, x, dev, xx, d, s2, rk, c, trows)
+                    resid = _step(P, Y, x, xx, Zp[i] / e, W4[i], rdt, K[i],
+                                  trows, upd)
+                    ok = x2.dot(x2) <= _STATE_GUARD2
 
                 # one guard, update and trace block for every learner; the
                 # comparisons are written so that NaN fails them.  One test
                 # over all lanes that implies the per-lane one stands in for
-                # it; when it fails, the per-lane test decides
+                # it; when it fails, the per-lane test decides.  A sum of
+                # squares of P at most PARAM_GUARD^2 bounds every |P|; while
+                # it exceeds that with every |P| in bounds (wide or SARSA
+                # runs), the max test alone runs until a lane fails it
                 keep = None
-                if not (x2.dot(x2) <= _STATE_GUARD2
-                        and np.maximum.reduce(np.abs(P), None) <= PARAM_GUARD
-                        and math.isfinite(resid.dot(resid))):
+                if ok and not (by_sum and Pf.dot(Pf) <= _PARAM_GUARD2):
+                    ok = np.maximum.reduce(np.abs(P), None) <= PARAM_GUARD
+                    by_sum = not ok
+                if not (ok and math.isfinite(resid.dot(resid))):
                     healthy = ((np.abs(x2) <= STATE_GUARD) & np.isfinite(resid)
                                & (np.abs(P) <= PARAM_GUARD).all(0))
                     if not healthy.all():
@@ -423,22 +517,26 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                         keep = healthy
                 # the lanes that die here take the update with the rest and
                 # are then dropped; their parameters were saved above
-                np.multiply(lr[i], resid, out=upd)
+                np.multiply(lr[i], resid, upd)
                 upd *= tests
                 P += upd
                 if not off_policy:
                     reward_sum = reward_sum + rdt
                     x = x2
                 if keep is not None:
-                    P, x, reward_sum, tests, buf = (
-                        v[..., keep] for v in (P, x, reward_sum, tests, buf))
-                    prows, trows = tuple(P), tuple(tests)
+                    # compress keeps the arrays C-contiguous (indexing by
+                    # `keep` would not), so that Pf is a view of P and the
+                    # draws' rows of buf are one run of memory
+                    P, x, reward_sum, tests, Y, buf = (
+                        v.compress(keep, -1) for v in (P, x, reward_sum, tests, Y, buf))
+                    prows, trows, Pf = tuple(P), tuple(tests), P.reshape(-1)
                     upd = np.empty_like(P)
                     gens = list(compress(gens, keep))
-                    Z, B, Al = buf[:3, :n]
                     if off_policy:
-                        X, XX, D, S2 = buf[3:, :n + 1]
-                        RS, RK = Al, B
+                        Z, B, Al, X, XX, RS, RK, calm = block_rows(buf, n)
+                    else:
+                        Z, B, Al, Zp, W4, K = block_rows(buf, n)
+                        Y0, Y1 = Y[:2]
                 if (k + i + 1) % record_every == 0:
                     p_trace[rec_i][:, live] = P
                     r_trace[rec_i, live] = (RS[i] if off_policy

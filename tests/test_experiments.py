@@ -145,7 +145,7 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
     # on the behaviour data alone; replay them in plain floats, in the
     # driver's order of operations: r dt as one quadratic form and the
     # Euler step as x' = alpha x + beta a.  The driver
-    # draws its noise 512 steps at a time, so the run crosses 66 draw
+    # draws its noise 256 steps at a time, so the run crosses 133 draw
     # boundaries; the replay draws the same streams in two pieces of 32,768
     # and 1,300 steps
     chunk, dt, seed = 32768, 0.1, 9
@@ -185,9 +185,11 @@ def test_offpolicy_reward_average_replays_the_behaviour_data(algo):
 # test fails; a lane that dies leaves the working arrays.  So a lane run solo
 # and the same lane in a batch can reach their steps through different guard
 # paths and beside different lanes.  Hot rates make lanes die at different
-# steps; the pinned lanes die at the first or the last step of a 512-step
+# steps; the pinned lanes die at the first or the last step of a 256-step
 # block, or, at seed 57, lanes 1 and 15 die in the same step while the rest
-# live on.
+# live on.  The all-lanes test of the parameters is their sum of squares,
+# and their largest |P| once that sum exceeds PARAM_GUARD^2; the tests
+# below this one reach each of those paths.
 @pytest.mark.parametrize("mode, seed, lane, div", [
     ("off-policy", 2, 19, 512),
     ("off-policy", 11, 6, 511),
@@ -204,6 +206,71 @@ def test_guard_paths_agree_on_divergence_at_block_edges(mode, seed, lane, div):
                                  RngStream(seed, (r, 0))), recs[r])
 
 
+def test_guard_paths_agree_across_the_parameter_guard():
+    # at seed 2 every lane dies when a parameter crosses PARAM_GUARD, each at
+    # a step of its own, with its state and residual still finite
+    recs = run_ergodic_replications(HOT, "qlearn-online", "on-policy", 2, 8)
+    div = [rec.divergence_step for rec in recs]
+    assert None not in div and len(set(div)) == 8
+    for r, rec in enumerate(recs):
+        assert max(abs(v) for v in rec.final_params.values()) > ergodic.PARAM_GUARD
+        _same_record(run_ergodic(HOT, "qlearn-online", "on-policy",
+                                 RngStream(2, (r, 0))), rec)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_guard_paths_agree_for_healthy_lanes_over_the_sum_bound(mode):
+    # SARSA at dt 0.01 starts its log-precision at log(1/(gamma dt)), so the
+    # squares of 20 healthy lanes' parameters sum to more than PARAM_GUARD^2
+    # from the first step: the batch tests them by their largest |P| while
+    # each lane alone passes the sum of squares
+    cfg = ErgodicExperimentConfig(dt=0.01, horizon=20.0)
+    assert 20 * math.log(1.0 / (cfg.gamma * cfg.dt)) ** 2 > ergodic.PARAM_GUARD ** 2
+    recs = run_ergodic_replications(cfg, "sarsa", mode, 6, 20)
+    assert all(rec.status == "ok" for rec in recs)
+    for r in (0, 7, 19):
+        _same_record(run_ergodic(cfg, "sarsa", mode, RngStream(6, (r, 0))), recs[r])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_guard_paths_agree_on_a_nan_parameter(monkeypatch, algo, mode):
+    # a NaN parameter fails the sum of squares, the largest |P| and the
+    # per-lane test alike: its lane dies at step 0 with its parameters, and
+    # the lanes beside it run on as they do alone
+    init_params = ergodic._init_params
+
+    def nan_in(lane):
+        def init(cfg, algo, lanes):
+            P, rates = init_params(cfg, algo, lanes)
+            if lane is not None:
+                P[3, lane] = math.nan
+            return P, rates
+        return init
+
+    monkeypatch.setattr(ergodic, "_init_params", nan_in(2))
+    recs = run_ergodic_replications(HOT, algo, mode, 3, 5)
+    assert (recs[2].status, recs[2].divergence_step) == ("NA", 0)
+    assert math.isnan(recs[2].final_params[ergodic.PARAM_NAMES[algo][3]])
+    for r in range(5):
+        monkeypatch.setattr(ergodic, "_init_params", nan_in(0 if r == 2 else None))
+        _same_record(run_ergodic(HOT, algo, mode, RngStream(3, (r, 0))), recs[r])
+
+
+@pytest.mark.parametrize("block", [37, 10 ** 6])
+def test_block_length_does_not_change_a_record(monkeypatch, block):
+    # every term a block computes is elementwise in the step, so a run in
+    # 37-step blocks, or in one block longer than the horizon, writes the
+    # same bits as one in the default blocks, lanes that die included
+    default = {(algo, mode): run_ergodic_replications(HOT, algo, mode, 1, 8)
+               for algo in ALGOS for mode in MODES}
+    assert all(any(rec.status == "NA" for rec in recs) for recs in default.values())
+    monkeypatch.setattr(ergodic, "_BLOCK", block)
+    for (algo, mode), recs in default.items():
+        for a, b in zip(recs, run_ergodic_replications(HOT, algo, mode, 1, 8)):
+            _same_record(a, b)
+
+
 class _CountingStream:
     """A noise stream that counts its generators and their `standard_normal`
     calls."""
@@ -215,9 +282,9 @@ class _CountingStream:
         self.opens += 1
         gen = self.stream.generator()
 
-        def standard_normal(*size):
+        def standard_normal(*size, **kw):
             self.draws += 1
-            return gen.standard_normal(*size)
+            return gen.standard_normal(*size, **kw)
 
         return types.SimpleNamespace(standard_normal=standard_normal)
 
@@ -225,7 +292,7 @@ class _CountingStream:
 @pytest.mark.parametrize("algo, mode", [("qlearn-online", "on-policy"),
                                         ("sarsa", "off-policy")])
 def test_driver_stops_drawing_the_streams_of_a_dead_lane(algo, mode):
-    # a lane opens one stream and draws each 512-step block's data from it
+    # a lane opens one stream and draws each 256-step block's data from it
     # up to the block it dies in, and nothing after
     lanes, seed = 20, 10
     data = [_CountingStream(RngStream(seed, (r, 0))) for r in range(lanes)]

@@ -80,6 +80,49 @@ def test_online_td_update_matches_first_step():
         assert rec.final_params[key] == pytest.approx(val, abs=1e-14)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_driver_steps_are_the_kernels_rule(algo, mode):
+    # 700 driver steps of one lane, across several block edges, replayed
+    # from the lane's stream: the action from column 0 of each step's draws
+    # (the policy N(psi1 x + psi2, T e^{psi3}) on-policy, the behaviour
+    # policy off-policy), the Euler step x' = alpha x + beta a from column
+    # 1, and the update P += l rates delta tests with delta and the tests
+    # from `rate_kernel`.  The driver takes the on-policy draw's own terms
+    # from its blocks, so this pins them to the kernel's rule
+    gamma, dt, steps, seed = 0.1, 0.1, 700, 12
+    cfg = ErgodicExperimentConfig(gamma=gamma, dt=dt, horizon=steps * dt, x0=0.3,
+                                  alpha_theta=0.008, alpha_psi=0.01, alpha_phi=0.006,
+                                  alpha_v=0.004, behavior_mean=0.2, behavior_var=0.7)
+    rec = run_ergodic(cfg, algo, mode, RngStream(seed, (0, 0)))
+    assert rec.status == "ok"
+
+    running, temp, policy = {"qlearn-online": ("q", gamma, 0.01),
+                             "sarsa": ("sarsa", gamma * dt, 0.01),
+                             "pg": ("entropy", gamma, 0.006)}[algo]
+    value = 0.01 if algo == "sarsa" else 0.008
+    rates = np.array([value, value, policy, policy, policy, 0.004]).reshape(6, 1)
+    P = np.array([0.0, 0.0, 0.0, 0.0, -math.log(temp), 0.0]).reshape(6, 1)
+    co, sqdt, x = cfg.coef, math.sqrt(dt), cfg.x0
+    noise = RngStream(seed, (0, 0)).generator().standard_normal((steps, 2))
+    for k, (z0, z1) in enumerate(noise.tolist()):
+        if mode == "on-policy":
+            psi1, psi2, psi3 = P[2:5, 0].tolist()
+            a = psi1 * x + psi2 + math.sqrt(temp * math.exp(psi3)) * z0
+        else:
+            a = 0.2 + math.sqrt(0.7) * z0
+        alpha = 1.0 + co.A * dt + co.C * sqdt * z1
+        beta = co.B * dt + co.D * sqdt * z1
+        x2 = alpha * x + beta * a
+        tests = np.ones((6, 1))
+        delta = rate_kernel(P, x, a, co.reward(x, a), x2, gamma, dt, running, tests)
+        P = P + sqrt_log_schedule(k * dt) * rates * delta * tests
+        x = x2
+    assert sqrt_log_schedule(steps * dt) < 0.5  # the schedule has moved
+    for name, want in zip(PARAM_NAMES[algo], P[:, 0].tolist()):
+        assert rec.final_params[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
 def test_ergodic_update_learns_rate():
     # one update at unit rates (0.2 for V) on x 1 -> 2 under a = 1, r = 2
     # from V = 0.5: the rate enters the residual as -V dt and moves by its
