@@ -10,12 +10,16 @@ from its key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # A lane is marked diverged once its state passes this bound.
 STATE_GUARD = 1.0e8
+# The Gaussian log-density's constant log(2 pi), which both drivers' q
+# families read.
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,14 @@ from typing import Callable, List
 
 import numpy as np
 
-from ..approx import mv_q_eval_grad, mv_value_eval_grad
-from ..baselines import qdt_mv_eval_grad
 from ..envsim import LqCoefficients, RngStream
 from ..oracle import (lq_ergodic_fixed_point, lq_policy_value,
                       policy_improvement_map, q_from_value, qdt_expansion_check)
 from .ergodic import (ALGOS, MODES, PARAM_NAMES, ErgodicExperimentConfig,
                       _init_params, rate_kernel, run_ergodic_replications)
 from .mv import (MV_ALGOS, MV_PARAM_NAMES, MvExperimentConfig,
-                 _init_mv_params, martingale_residuals, run_mv_replications)
+                 _init_mv_params, martingale_residuals, mv_q_eval_grad,
+                 mv_value_eval_grad, qdt_mv_eval_grad, run_mv_replications)
 
 
 @dataclass(frozen=True)
@@ -208,21 +207,26 @@ def check_gradients(seed: int = 0) -> CheckResult:
 
 def check_loss_recursion(seed: int = 0) -> CheckResult:
     """The mean-variance driver's backward recursion for the episode
-    residuals against a double loop, on its (lanes, K, batch) layout."""
+    residuals against a double loop, called as the driver calls it: on its
+    (K, lanes, batch) layout, into a buffer, at 6 elements a step, which
+    `_cumulate` sums with np.cumsum, and at 640, a 20-lane batch-32 update
+    at or above `CUMSUM_BELOW`, which it sums by its loop of slice adds."""
     rng = np.random.default_rng(seed)
-    L, K, B = 2, 64, 3
+    K = 64
     dt = 1.0 / K
-    terminal = rng.normal(size=(L, 1, B))
-    js = rng.normal(size=(L, K, B))
-    running = rng.normal(size=(L, K, B))
-    g_fast = martingale_residuals(terminal, js, running, dt, axis=1)
-    g_slow = np.empty((L, K, B))
-    for k in range(K):
-        g_slow[:, k] = terminal[:, 0] - js[:, k] + sum(running[:, i] * dt
-                                                      for i in range(k, K))
-    worst = float(np.max(np.abs(g_fast - g_slow)))
+    worst = 0.0
+    for L, B in ((2, 3), (20, 32)):
+        terminal = rng.normal(size=(L, B))
+        js = rng.normal(size=(K, L, B))
+        running = rng.normal(size=(K, L, B))
+        g_slow = np.empty((K, L, B))
+        for k in range(K):
+            g_slow[k] = terminal - js[k] + sum(running[i] * dt for i in range(k, K))
+        g_fast = martingale_residuals(terminal, js, running, dt, out=np.empty((K, L, B)))
+        worst = max(worst, float(np.max(np.abs(g_fast - g_slow))))
     return CheckResult("loss-recursion", worst < 1e-12,
-                       f"max |recursive - brute force| = {worst:.3e} (tol 1e-12)")
+                       f"max |recursive - brute force| = {worst:.3e} at 6 and 640 "
+                       f"elements a step (tol 1e-12)")
 
 
 def check_zero_rate(seed: int = 0) -> CheckResult:

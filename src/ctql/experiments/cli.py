@@ -16,8 +16,8 @@ import sys
 from ..envsim import LqCoefficients
 from ..oracle import lq_ergodic_fixed_point
 from .checks import run_all_checks
-from .ergodic import ErgodicExperimentConfig, run_ergodic_replications
-from .mv import MvExperimentConfig, run_mv_replications
+from .ergodic import ALGOS, ErgodicExperimentConfig, run_ergodic_replications
+from .mv import MV_ALGOS, MvExperimentConfig, run_mv_replications
 from .records import aggregate_metrics, config_dict, write_summary
 
 LQ_FIELDS = ("A", "B", "C", "D", "M", "N", "R", "P", "Q")
@@ -48,31 +48,36 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _parse_config_file(path: str, parser: argparse.ArgumentParser, args) -> None:
     """Apply FILE overrides onto the parsed namespace, each value converted by
-    its flag's type and checked against its flag's choices."""
+    its flag's type and checked against its flag's choices.  A file that
+    cannot be read is a usage error too."""
     actions = {a.dest: a for a in parser._actions if a.dest != "help"}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                parser.error(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            action = actions.get(key.replace("-", "_"))
-            if action is None:
-                parser.error(f"{path}:{lineno}: unknown option {key!r}")
-            value = val
-            if action.type is not None:
-                try:
-                    value = action.type(val)
-                except (TypeError, ValueError):
-                    parser.error(f"{path}:{lineno}: {key}: invalid "
-                                 f"{action.type.__name__} value {val!r}")
-            if action.choices is not None and value not in action.choices:
-                choices = ", ".join(map(repr, action.choices))
-                parser.error(f"{path}:{lineno}: {key}: invalid choice "
-                             f"{value!r} (choose from {choices})")
-            setattr(args, action.dest, value)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"{path}: {getattr(exc, 'strerror', None) or exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            parser.error(f"{path}:{lineno}: unknown option {key!r}")
+        value = val
+        if action.type is not None:
+            try:
+                value = action.type(val)
+            except (TypeError, ValueError):
+                parser.error(f"{path}:{lineno}: {key}: invalid "
+                             f"{action.type.__name__} value {val!r}")
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            parser.error(f"{path}:{lineno}: {key}: invalid choice "
+                         f"{value!r} (choose from {choices})")
+        setattr(args, action.dest, value)
 
 
 def _finish(out_dir, cfg_dict, records) -> int:
@@ -90,8 +95,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     mv_p = sub.add_parser("mv", help="mean-variance portfolio learning")
-    mv_p.add_argument("--algo", default="qlearn-td",
-                      choices=("qlearn-td", "qlearn-ml", "sarsa", "pg"))
+    mv_p.add_argument("--algo", default="qlearn-td", choices=MV_ALGOS)
     mv_p.add_argument("--mu", type=float, default=-0.5)
     mv_p.add_argument("--sigma", type=float, default=0.1)
     mv_p.add_argument("--dt", type=float, default=1.0 / 25.0)
@@ -103,8 +107,7 @@ def main(argv=None) -> int:
     _add_common(mv_p)
 
     def lq_flags(p):
-        p.add_argument("--algo", default="qlearn-online",
-                       choices=("qlearn-online", "sarsa", "pg"))
+        p.add_argument("--algo", default="qlearn-online", choices=ALGOS)
         p.add_argument("--dt", type=float, default=0.1)
         p.add_argument("--horizon", type=float, default=1.0e5,
                        help="trajectory length in time units")

@@ -20,11 +20,12 @@ The policy-gradient arm realizes the exploration bonus as the policy's
 entropy, which is the benchmark convention.  With the paper's other bonus,
 -gamma log pi at the taken action, the update for this normalized Gaussian
 family is the q-learner's with the actor rate alpha_phi / gamma: that
-policy gradient is `qlearn-online` run at alpha_psi = alpha_phi / gamma.
-On-policy the two bonuses agree in the conditional mean of the residual,
-but not of the actor's update residual * score: the entropy is free of the
-action, so the entropy route lacks the bonus's own gradient
-gamma dH/dpsi3 = gamma/2 per unit time.  Measured at the oracle's
+policy gradient is `qlearn-online` run at alpha_psi = alpha_phi / gamma,
+and it is the portfolio's policy gradient (`experiments.mv`).  On-policy
+the two bonuses agree in the conditional mean of the residual, but not of
+the actor's update residual * score: the entropy is free of the action, so
+the entropy route lacks the bonus's own gradient gamma dH/dpsi3 = gamma/2
+per unit time.  Measured at the oracle's
 parameters on an on-policy path (dt 0.01, 1e6 steps), the psi3 row's mean
 of residual * score reads -10.9 standard errors on the entropy route and
 1.1 with the log-density bonus.  Adding the term moves every
@@ -79,8 +80,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..approx import LOG_2PI
-from ..envsim import LqCoefficients, RngStream, STATE_GUARD
+from ..envsim import LOG_2PI, LqCoefficients, RngStream, STATE_GUARD
 from .records import RunRecord, packed
 
 # Steps whose noise, learning rates and the terms their data fix are

@@ -19,11 +19,26 @@ lead every per-update array (paths, actions and residuals are
 (K + 1, lanes, batch)), so the rollout, the grid differences and the running
 sums step through contiguous blocks.
 
-Each family of `approx` and `baselines` is written once in factored form,
-per-(step, lane) factors (e, c, the precision, the log constant, T - t;
-the time-only ones formed once per run) times per-sample terms ((x-w)^2,
-dev^2, dev (x-w), a^2, a (x-w)), and each algorithm (`_increments`) forms
-its residual from the parts and contracts every gradient row p as
+The families above the driver are each written once in factored form, a
+sum of per-(step, lane) factors (e, c, the precision, the log constant,
+T - t; functions of the parameters and the time) times per-sample terms
+((x-w)^2, dev^2, dev (x-w), a^2, a (x-w); functions of the wealth and the
+action).  A family's *_factors function gives its value and each gradient
+row as a {term: factor} dict, "1" naming the constant term, from the
+parameters and the time-only factors of `time_factors`, which the driver
+forms once per run; its *_terms function gives the per-sample terms,
+optionally into `out` buffers.  The fused *_eval_grad helper composes the
+two for the property suite and the tests, and the *_eval / *_grad names
+call it.  The q family is normalized: exp(q/gamma) integrates to one over
+actions, so gamma log pi equals q for the induced policy, and the policy
+gradient's log-density and score rows are q and its rows over gamma
+(`pg_mv_logp`, `pg_mv_score`).  The SARSA baseline's step-size Q(dt)
+family (`qdt_mv_*`) parameterizes Q directly at a fixed dt; its Boltzmann
+policy's variance is proportional to gamma dt, the step-size sensitivity
+the rate-based learner avoids.
+
+Each algorithm (`_increments`) forms its residual from the families' parts
+and contracts every gradient row p as
 sum_k f_p(k) sum_b h(k, b) resid(k, b): one fused product and sum over the
 contiguous batch axis per distinct term, then the factors, then one sum
 over the steps of a lanes-leading block, so a lane's numbers do not depend
@@ -33,7 +48,8 @@ instead.  Every full-shape array lives in buffers allocated once per call,
 and one block guards, freezes, updates and traces the parameters for all
 four algorithms.  Policy gradient is qlearn-td's update with the actor
 rate alpha_phi / gamma: its sampled bonus -gamma log pi is -q, and its
-score rows are the q rows over gamma.
+score rows are the q rows over gamma.  (The regulator's policy gradient
+takes the entropy bonus instead; see `experiments.ergodic`.)
 
 Noise consumption per replication stream, in order: pool draws
 (standard_normal(pool_size)), then per update the segment starts
@@ -49,19 +65,143 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..approx import (mv_q_factors, mv_q_terms, mv_value_factors, mv_value_terms,
-                      time_factors)
-from ..baselines import qdt_mv_factors, qdt_mv_terms
-# perfbench's traced pass wraps these thin names on this module
-from ..approx import (mv_q_eval, mv_q_grad, mv_value_eval, mv_value_grad,  # noqa: F401
-                      pg_mv_logp, pg_mv_score)
-from ..baselines import qdt_mv_eval, qdt_mv_grad  # noqa: F401
-from ..envsim import RngStream, STATE_GUARD
+from ..envsim import LOG_2PI, RngStream, STATE_GUARD
 from .records import RunRecord, packed
+
+# ---------------------------------------------------------------------------
+# The families: value, normalized q and step-size Q(dt) (episodic, horizon
+# T, moving target w)
+
+def compose(parts, terms):
+    """A family's value and gradient rows from its (value, rows) factors
+    and its per-sample terms: each the sum of factor * term over a
+    {term: factor} dict, in its order, the "1" term the factor alone."""
+    def total(factors):
+        return reduce(np.add, (f if h == "1" else f * terms[h] for h, f in factors.items()))
+
+    value, rows = parts
+    return total(value), tuple(total(r) for r in rows)
+
+
+# The thin *_eval / *_grad and pg_mv_* names serve the tests and perfbench's
+# traced pass, which wraps them on this module.
+def split_fused(fused):
+    """The value and the gradient rows of a fused helper as two callables."""
+    return (lambda *args: fused(*args)[0]), (lambda *args: fused(*args)[1])
+
+
+def time_factors(T, t):
+    """The families' time-only factors at the times t: T-t, t-T and
+    t^2-T^2.  A caller that evaluates a family at the same times again and
+    again forms them once."""
+    return T - t, t - T, t ** 2 - T ** 2
+
+
+def mv_value_factors(th1, th2, th3, w, z, times):
+    """Wealth value J = e (x-w)^2 + c with e = e^{-theta3 (T-t)} and
+    c = theta2 (t^2-T^2) + theta1 (t-T) - (w-z)^2, pinned at t = T for every
+    theta, and its rows (t-T, t^2-T^2, -(T-t) e (x-w)^2); `times` holds the
+    time factors of `time_factors`."""
+    tau, t_T, t2 = times
+    e = np.exp(-th3 * tau)
+    return ({"sq": e, "1": th2 * t2 + th1 * t_T - (w - z) ** 2},
+            ({"1": t_T}, {"1": t2}, {"sq": -tau * e}))
+
+
+def mv_value_terms(xw, out=None):
+    """The value family's per-sample term (x-w)^2, from xw = x - w."""
+    return {"sq": np.multiply(xw, xw, out=out)}
+
+
+def mv_value_eval_grad(th1, th2, th3, w, z, T, t, x):
+    """The value family's J and its rows; the time-only rows are returned as
+    they broadcast."""
+    return compose(mv_value_factors(th1, th2, th3, w, z, time_factors(T, t)),
+                   mv_value_terms(np.subtract(x, w)))
+
+
+mv_value_eval, mv_value_grad = split_fused(mv_value_eval_grad)
+
+
+def mv_q_factors(p1, p3, gamma, tau):
+    """Normalized q = -(prec/2) dev^2 - (gamma/2)(log 2 pi gamma + psi1 +
+    psi3 (T-t)), prec = e^{-psi1 - psi3 (T-t)}, dev = a + psi2 (x-w), whose
+    Gibbs policy is N(-psi2 (x-w), gamma / prec), and its rows
+    (g1, -prec dev (x-w), (T-t) g1), g1 = (prec dev^2 - gamma) / 2, with
+    tau = T - t."""
+    half = 0.5 * np.exp(-p1 - p3 * tau)
+    log_c = 0.5 * gamma * (LOG_2PI + np.log(gamma) + p1 + p3 * tau)
+    g1 = {"dev2": half, "1": -0.5 * gamma}
+    return ({"dev2": -half, "1": -log_c},
+            (g1, {"dxw": -2.0 * half}, {h: tau * f for h, f in g1.items()}))
+
+
+def mv_q_terms(p2, xw, a, out=(None, None)):
+    """The q family's per-sample terms dev^2 and dev (x-w), from xw = x - w;
+    the deviation dev = a + psi2 (x-w) from the policy mean is squared as it
+    is, never expanded in a and x - w."""
+    buf, dxw = out
+    dev = np.add(a, np.multiply(p2, xw, out=buf), out=buf)
+    dxw = np.multiply(dev, xw, out=dxw)
+    return {"dev2": np.multiply(dev, dev, out=buf), "dxw": dxw}
+
+
+def mv_q_eval_grad(p1, p2, p3, w, gamma, T, t, x, a):
+    """The q family's q and its rows."""
+    return compose(mv_q_factors(p1, p3, gamma, T - t), mv_q_terms(p2, np.subtract(x, w), a))
+
+
+mv_q_eval, mv_q_grad = split_fused(mv_q_eval_grad)
+# log pi of the q family's Gibbs policy and its score rows d log pi / dphi:
+# q and its rows over gamma, the fifth argument
+pg_mv_logp = lambda *args: mv_q_eval(*args) / args[4]  # noqa: E731
+pg_mv_score = lambda *args: tuple(r / args[4] for r in mv_q_grad(*args))  # noqa: E731
+
+
+def qdt_mv_factors(p1, p3, p4, p5, w, z, times):
+    """Wealth-targeting Q-function for the terminal-variance problem,
+    Q = -e quad + p4 (t^2 - T^2) + p5 (t - T) + (w - z)^2 with
+    e = e^{-p3 (T-t)}, whose policy is N(-p2 e^{p1} (x - w),
+    gamma dt e^{p3 (T-t) + p1}), and its exact gradient rows
+    (e e^{-p1} a^2 / 2, -e a (x-w), (T-t) e quad, t^2 - T^2, t - T); one
+    published component carries a stray e^{-p1} factor; `times` holds the
+    time factors of `time_factors`."""
+    tau, t_T, t2 = times
+    e = np.exp(-p3 * tau)
+    return ({"quad": -e, "1": p4 * t2 + p5 * t_T + (w - z) ** 2},
+            ({"a2": 0.5 * np.exp(-p1) * e}, {"axw": -e}, {"quad": tau * e},
+             {"1": t2}, {"1": t_T}))
+
+
+def qdt_mv_terms(p1, p2, xw, a, out=(None,) * 3):
+    """Q(dt)'s per-sample terms a^2, a (x-w) and
+    quad = (x-w)^2 + p2 a (x-w) + e^{-p1} a^2 / 2, from xw = x - w."""
+    a2_buf, axw_buf, quad_buf = out
+    a2 = np.multiply(a, a, out=a2_buf)
+    quad = np.multiply(xw, xw, out=quad_buf)
+    # axw's buffer holds quad's other two terms before axw itself
+    quad = np.add(quad, np.multiply(np.multiply(p2, a, out=axw_buf), xw, out=axw_buf),
+                  out=quad_buf)
+    quad = np.add(quad, np.multiply(0.5 * np.exp(-p1), a2, out=axw_buf), out=quad_buf)
+    return {"a2": a2, "axw": np.multiply(a, xw, out=axw_buf), "quad": quad}
+
+
+def qdt_mv_eval_grad(p1, p2, p3, p4, p5, w, z, T, t, x, a):
+    """Q(dt)'s Q and its rows."""
+    return compose(qdt_mv_factors(p1, p3, p4, p5, w, z, time_factors(T, t)),
+                   qdt_mv_terms(p1, p2, np.subtract(x, w), a))
+
+
+qdt_mv_eval, qdt_mv_grad = split_fused(qdt_mv_eval_grad)
+
+
+# ---------------------------------------------------------------------------
+# The driver
 
 MV_ALGOS = ("qlearn-td", "qlearn-ml", "sarsa", "pg")
 
@@ -217,8 +357,9 @@ def _init_mv_params(cfg: MvExperimentConfig, algo: str, lanes: int):
     return P, np.array(rates).reshape(-1, 1)
 
 
-def martingale_residuals(terminal, js, running, dt: float, axis: int = 0, out=None):
-    """G_k = h(x_K) - J(t_k, x_k) + sum_{i>=k} running_i dt along `axis`.
+def martingale_residuals(terminal, js, running, dt: float, out=None):
+    """G_k = h(x_K) - J(t_k, x_k) + sum_{i>=k} running_i dt along the
+    leading axis.
 
     The deviation between the realized payoff and the value at every grid
     point, from one reversed cumulative sum; js holds J at the K left grid
@@ -230,7 +371,7 @@ def martingale_residuals(terminal, js, running, dt: float, axis: int = 0, out=No
     if out is None:
         running = np.array(running, float)
         out = np.empty(np.broadcast_shapes(np.shape(terminal), np.shape(js), running.shape))
-    _cumulate(np.moveaxis(running, axis, 0), reverse=True)
+    _cumulate(running, reverse=True)
     running *= dt
     np.subtract(terminal, js, out=out)
     out += running

@@ -4,7 +4,8 @@ Everything here is meant to check the learning code from the outside: exact
 fixed points by coefficient matching, the Hamiltonian formed from the
 regulator's `LqCoefficients` and a quadratic value theta1 x^2 + theta2 x,
 quadrature identities, and a brute-force small-step expansion of the
-action-value function.  Nothing imports from the learner modules.
+action-value function.  Nothing imports from the learner modules.  The
+two exceptions below are what the references raise on ill-posed inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .envsim import LqCoefficients, RngStream
-from .errors import ImprovementUndefined, InfeasibleProblem
+
+
+class InfeasibleProblem(ValueError):
+    """No admissible solution exists for the requested model coefficients."""
+
+
+class ImprovementUndefined(ValueError):
+    """The one-step policy improvement target is not a proper Gaussian."""
 
 
 def _value_derivs(theta, x):

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ctql.approx import (LOG_2PI, mv_q_eval_grad, mv_value_eval,
-                         mv_value_eval_grad, time_factors)
+from ctql.envsim import LOG_2PI
 from ctql.experiments import mv
 from ctql.experiments.checks import _kernel_terms
-from ctql.experiments.mv import MV_ALGOS, MvExperimentConfig
+from ctql.experiments.mv import (MV_ALGOS, MvExperimentConfig, mv_q_eval_grad,
+                                 mv_value_eval, mv_value_eval_grad,
+                                 qdt_mv_eval_grad, time_factors)
 
 params = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -176,8 +177,6 @@ def _same_bytes(got, want, shape):
 
 @pytest.mark.parametrize("lanes", (1, 3))
 def test_fused_helpers_keep_the_reference_arithmetic(lanes):
-    from ctql.baselines import qdt_mv_eval_grad
-
     rng = np.random.default_rng(lanes)
     K, B, gamma, T, z, dt = 7, 5, 0.1, 1.0, 1.4, 1.0 / 7
     tcol = (np.arange(K + 1) * dt).reshape(1, K + 1, 1)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctql.approx import mv_q_eval_grad, pg_mv_logp, pg_mv_score
-from ctql.baselines import qdt_mv_eval, qdt_mv_eval_grad
 from ctql.envsim import RngStream
 from ctql.experiments.ergodic import (ErgodicExperimentConfig, rate_kernel,
                                       run_ergodic)
+from ctql.experiments.mv import (mv_q_eval_grad, pg_mv_logp, pg_mv_score,
+                                 qdt_mv_eval, qdt_mv_eval_grad)
 
 GAMMA, DT = 0.1, 0.1
 # a fixed 2-lane transition with value x^2: x 1 -> 2 under a = 1, r = 2 and

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctql
-from ctql import approx
 from ctql.envsim import STATE_GUARD, LqCoefficients, RngStream
 from ctql.experiments import checks, ergodic, mv
 from ctql.experiments.checks import (check_gibbs_consistency,
@@ -729,7 +728,7 @@ def test_gibbs_checks_see_a_moved_kernel_constant(monkeypatch, rule):
     if rule == "portfolio":
         # q moves by -gamma 0.1 / 2, which the check's own log-density of the
         # portfolio policy does not, and exp(q/gamma) integrates to e^{-0.05}
-        monkeypatch.setattr(approx, "LOG_2PI", approx.LOG_2PI + 0.1)
+        monkeypatch.setattr(mv, "LOG_2PI", mv.LOG_2PI + 0.1)
         consistency, normalization = check_gibbs_consistency(), check_gibbs_normalization()
         assert not consistency.passed and not normalization.passed
         assert consistency.detail.startswith("max |E_pi[q - gamma log pi]| = 5.000e-03,")
@@ -859,6 +858,24 @@ def test_cli_config_file_values_are_checked_like_flags(tmp_path, capsys, text, l
     assert exc.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"ctql lq: error: {cfgfile}:{lineno}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ("missing", "directory", "not-utf8"))
+def test_cli_unreadable_config_file_is_a_usage_error(tmp_path, capsys, kind):
+    cfgfile = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfgfile.mkdir()
+    elif kind == "not-utf8":
+        cfgfile.write_bytes(b"horizon = 50\n\xff\xfe = 1\n")
+    reason = {"missing": "No such file or directory", "directory": "Is a directory",
+              "not-utf8": "'utf-8' codec can't decode byte 0xff in position 13: "
+                          "invalid start byte"}[kind]
+    with pytest.raises(SystemExit) as exc:
+        main(["lq", "--out", str(tmp_path / "out"), "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == f"ctql lq: error: {cfgfile}: {reason}")
     assert not (tmp_path / "out").exists()
 
 

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ctql.approx import LOG_2PI
-from ctql.envsim import LqCoefficients, RngStream
+from ctql.envsim import LOG_2PI, LqCoefficients, RngStream
 from ctql.experiments.ergodic import (ALGOS, MODES, PARAM_NAMES,
                                       ErgodicExperimentConfig, rate_kernel,
                                       run_ergodic, run_ergodic_replications,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ctql.envsim import LqCoefficients, RngStream
-from ctql.errors import ImprovementUndefined, InfeasibleProblem
 from ctql.experiments.checks import _kernel_terms
-from ctql.oracle import (_h_coeffs, _value_derivs, ergodic_identity_residual,
+from ctql.oracle import (ImprovementUndefined, InfeasibleProblem, _h_coeffs,
+                         _value_derivs, ergodic_identity_residual,
                          hamiltonian, lq_ergodic_fixed_point, lq_policy_value,
                          policy_improvement_map, q_from_value,
                          qdt_expansion_check)
