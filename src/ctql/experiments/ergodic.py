@@ -46,28 +46,40 @@ drawing its stream; the lane's record keeps its frozen parameters, and the
 driver stops once every lane has diverged, so a lane's record does not
 depend on the lanes beside it either.
 
-Every term that the data fix is computed once per block.  The Euler step
-is x' = alpha x + beta a, with alpha = 1 + A dt + C sqrt(dt) z1 and
-beta = B dt + D sqrt(dt) z1 from the block's draws, and r dt is one
-quadratic form in x and a (`_reward_dt`) in both modes.  On-policy the
-action is drawn from the Gibbs policy of the q being learned,
-a = psi1 x + psi2 + e^{psi3/2} sqrt(T) z0, so the precision-weighted
-squared deviation w = prec (a - psi1 x - psi2)^2 = e^{shift} T z0^2 is the
-draw's alone: the block holds the psi3 test row (w - offset)/2 and the
-running term's data part, its constant plus the advantage term
-(`_gibbs_terms`), and the score prec dev = e^{shift} sqrt(T) z0 /
-e^{psi3/2} reuses the action's e^{psi3/2}.  Off-policy the states and
-rewards do not depend on the learner's parameters, so the block also holds
-x^2 and r dt, and the per-step loop runs only the rule's deviation terms,
-its parameter part (`_step`), the guard, the update and the trace.  In both
-modes the residual's parameter-linear part theta1 (x' + x)(x' - x)
-+ theta2 (x' - x) + psi3 weight psi3 - V dt is one sum over the rows of
-P Y, where the rows Y (`_data_rows`) hold (x' + x)(x' - x), x' - x, the
-psi3 weight and -dt, and the rows that meet psi1 and psi2 carry the data
-terms instead; off-policy the block holds every step's Y.  Every expression
-is elementwise in the step, and P Y sums its rows in the same order at any
-width, so a lane's numbers depend neither on the block length nor on the
-lanes beside it.
+Every term that the data fix is computed once per block.  The Euler step is
+x' = alpha x + beta a, with alpha = 1 + A dt + C sqrt(dt) z1 and beta = B
+dt + D sqrt(dt) z1 from the block's draws, and r dt is k (a, a^2, x a, x^2,
+x), one product and one sum over those five rows with k = -dt (Q, N/2, R,
+M/2, P) (`_reward_dt`), in both modes.  On-policy the action is drawn from
+the Gibbs policy of the q being learned, a = psi1 x + psi2 + e^{psi3/2}
+sqrt(T) z0, so the precision-weighted squared deviation w = prec (a - psi1
+x - psi2)^2 = e^{shift} T z0^2 is the draw's alone: the block holds the
+psi3 test row (w - offset)/2 (`_gibbs_terms`) and the running term's data
+part, its constant plus the advantage term, and the score prec dev =
+e^{shift} sqrt(T) z0 / e^{psi3/2} reuses the action's e^{psi3/2}.  Each
+step writes its rows in place, into one of two slots of a (2, 9, lanes)
+block that alternate from step to step: r dt's rows (a, a^2, x a, x^2, x),
+then the tests (x^2, x, prec dev x, prec dev, psi3 test, 1), which share
+the x^2 and x rows; the Euler step writes x' into the other slot's x row.
+Off-policy the states and rewards do not depend on the learner's
+parameters, so the block also holds x^2 and r dt, and the per-step loop
+runs only the rule's deviation terms, computed into their test rows, its
+parameter part, the guard, the update and the trace.  In both modes the
+residual's parameter-linear part theta1 (x' + x)(x' - x) + theta2 (x' - x)
++ psi3 weight psi3 - V dt is one sum over the rows of P Y, where the rows Y
+(`_data_rows`) hold (x' + x)(x' - x), x' - x, the psi3 weight and -dt, and
+the rows that meet psi1 and psi2 carry the data terms instead; off-policy
+the advantage term is multiplied straight into its row, and skipped where
+its weight is 0 (policy gradient), and the block holds every step's Y.  The
+sum lands in the last row of a (7, lanes) array whose first six rows are P,
+so that one dot, sum P^2 + sum delta^2 <= PARAM_GUARD^2, bounds every |P|
+and shows the residual finite; the residual's own dot runs only when that
+sum fails.  No sum along the row axis takes more than seven rows: numpy
+sums eight or more values pairwise when they lie in one run of memory, as a
+lone lane's rows do, and one after another beside other lanes.  Every
+expression is elementwise in the step, and every sum over rows adds them in
+the same order at any width, so a lane's numbers depend neither on the
+block length nor on the lanes beside it.
 """
 
 from __future__ import annotations
@@ -231,70 +243,69 @@ def rate_kernel(P, x, a, r, x2, gamma: float, dt: float, running: str, tests):
         which is dq/dpsi / gamma.
 
     It composes the terms the transition alone fixes (`_transition`), the
-    Gibbs terms of the deviation a - psi1 x - psi2 (`_gibbs_terms`), and
-    the parameter part (`_step`).  Writes the test vectors (dJ/dtheta,
-    dq/dpsi or score, 1) into the (6, lanes) buffer `tests`, whose row 5 it
-    leaves alone, and returns the residual.
+    psi3 test row of the deviation a - psi1 x - psi2 (`_gibbs_terms`), and
+    the parameter part, P times the data rows (`_data_rows`).  Writes the
+    test vectors (dJ/dtheta, dq/dpsi or score, 1) into the (6, lanes)
+    buffer `tests`, whose row 5 it leaves alone, and returns the residual.
     """
     c = _constants(gamma, dt, running)
     P = np.asarray(P, float)
     dev = a - (P[2] * x + P[3])
     pdev = np.exp(c[1] - P[4]) * dev
-    t4, adv = _gibbs_terms(pdev * dev, c)
+    w = pdev * dev
     rk = r * c[0] + c[4] * c[5]
     xx, d, s2 = _transition(x, x2)
-    Y = _data_rows(np.broadcast(P[0], rk, adv, d).shape, c)
+    t0, t1, t2, t3, t4, _ = tests
+    t0[...], t1[...], t2[...], t3[...] = xx, x, pdev * x, pdev
+    _gibbs_terms(w, c, t4)
+    Y = _data_rows(np.broadcast(P[0], rk, w, d).shape, c)
     Y[0], Y[1] = s2, d
-    P = P.reshape(P.shape + (1,) * (Y.ndim - P.ndim))
-    return _step(P, Y, x, xx, pdev, t4, rk, adv, tests)
+    terms = P.reshape(P.shape + (1,) * (Y.ndim - P.ndim)) * Y
+    terms[2] = rk
+    np.multiply(w, c[3], terms[3])
+    return np.add.reduce(terms, 0)
 
 
 def _transition(x, x2, xx=None, d=None, s2=None):
     """x^2, x' - x and (x' + x)(x' - x) of the transitions x -> x2, into
     the given buffers if any."""
     d = np.subtract(x2, x, d)
-    s2 = np.add(x2, x, s2)
-    s2 *= d
-    return np.multiply(x, x, xx), d, s2
+    return np.multiply(x, x, xx), d, np.multiply(x2 + x, d, s2)
 
 
-def _gibbs_terms(w, c, t4=None, adv=None):
-    """The psi3 test row (w - offset)/2 and the advantage term (advantage
-    weight) w of the precision-weighted squared deviation
-    w = prec (a - psi1 x - psi2)^2, at the constants c of `_constants`,
-    into the given buffers if any (`adv` may be w itself)."""
+def _gibbs_terms(w, c, t4=None):
+    """The psi3 test row (w - offset)/2 of the precision-weighted squared
+    deviation w = prec (a - psi1 x - psi2)^2, at the constants c of
+    `_constants`, into the buffer t4 if given."""
     t4 = np.subtract(w, c[6], t4)
-    t4 *= c[2]
-    return t4, np.multiply(w, c[3], adv)
+    return np.multiply(t4, c[2], t4)
+
+
+def _reward_dt(rows, k, work=None, out=None):
+    """r dt = k (a, a^2, x a, x^2, x) from those five rows, with k = -dt (Q,
+    N/2, R, M/2, P) shaped to broadcast against them: one product, into
+    `work` if given, and one sum over its rows in the order written, into
+    `out` if given.  Five rows sum one after another at any width, where
+    numpy would sum eight or more pairwise for a lone lane."""
+    return np.add.reduce(np.multiply(k, rows, work), 0, out=out)
 
 
 def _data_rows(shape, c):
     """The rows Y that the parameters meet in the residual, (6,) + shape:
     (x' + x)(x' - x) and x' - x, which the caller writes into rows 0 and 1,
     zero for psi1 and psi2, which enter the residual only through the
-    deviation, the psi3 weight and -dt."""
+    deviation, the psi3 weight and -dt.
+
+    The parameter part of the residual is the terms P Y: theta1 s2,
+    theta2 d, two zero rows, psi3 weight psi3 and -V dt, with J(x') - J(x)
+    = theta1 s2 + theta2 d.  The caller writes r0 and r1 into the zero
+    rows, with r0 + r1 = r dt + the running term's constant + the
+    advantage term (a rule whose advantage weight is 0 may leave row 3 at
+    zero), and sums the rows in order, np.add.reduce(terms, 0): the
+    residual theta1 s2 + theta2 d + r0 + r1 + psi3 weight psi3 - V dt."""
     Y = np.zeros((6,) + tuple(shape))
     Y[4], Y[5] = c[4], -c[0]
     return Y
-
-
-def _step(P, Y, x, xx, pdev, psi3_test, r0, r1, tests, work=None):
-    """The parameter part of `rate_kernel`: writes the test rows (x^2, x,
-    prec dev x, prec dev, psi3_test) into `tests` and returns the residual
-    theta1 s2 + theta2 d + r0 + r1 + psi3 weight psi3 - V dt, summed in the
-    order written, as one sum over the rows of P Y (`_data_rows`; into the
-    buffer `work` if given) with the zero rows 2 and 3 replaced by r0 and
-    r1.  J(x') - J(x) = theta1 s2 + theta2 d, dev = a - psi1 x - psi2 and
-    r0 + r1 = r dt + the running term's constant + the advantage term."""
-    t0, t1, t2, t3, t4, _ = tests
-    t0[...] = xx
-    t1[...] = x
-    np.multiply(pdev, x, t2)
-    t3[...] = pdev
-    t4[...] = psi3_test
-    terms = np.multiply(P, Y, work)
-    terms[2], terms[3] = r0, r1
-    return np.add.reduce(terms, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +350,6 @@ def _record(algo, mode, out, lane, rep_id, master_seed) -> RunRecord:
     )
 
 
-def _reward_dt(x, a, xx, k):
-    """r dt = k0 x^2 + x (k1 a + k2) + a (k3 a + k4) at xx = x^2 with
-    k = -dt (M/2, R, P, N/2, Q), summed in the order written."""
-    return k[0] * xx + x * (k[1] * a + k[2]) + a * (k[3] * a + k[4])
-
-
 def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
            streams: Sequence[RngStream]) -> dict:
     if algo not in ALGOS:
@@ -360,46 +365,62 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     c = _constants(cfg.gamma, dt, running)
     k_run = c[4] * c[5]  # the constant of the running term
     co = cfg.coef
-    k_reward = tuple(np.array(-dt * v) for v in (0.5 * co.M, co.R, co.P, 0.5 * co.N, co.Q))
+    # r dt's weights of the rows (a, a^2, x a, x^2, x) (`_reward_dt`), shaped
+    # for a block's (5, steps, lanes) rows off-policy and a slot's (5, lanes)
+    k_reward = np.array([-dt * v for v in (co.Q, 0.5 * co.N, co.R, 0.5 * co.M, co.P)])
+    k_reward = k_reward.reshape((5, 1, 1) if off_policy else (5, 1))
 
     # The working arrays hold the live lanes only: `live` maps their columns
     # to the caller's lanes, and a lane that dies leaves every working array
     # and the generator list, and its frozen parameters go into `params`.
-    # `prows`, `trows` and `Pf` hold the row views of P and of the tests for
-    # the kernel and P's flat view for the guard, and are rebuilt when those
-    # arrays are replaced by live columns
+    # `cols` picks the live lanes' trace columns, a plain slice until a lane
+    # dies.  P is the first six rows of PR, whose last row takes each step's
+    # residual, so that one dot of PR's flat view PRf bounds every |P| and
+    # shows the residual finite.  The row views of the working arrays are
+    # rebuilt when those arrays are replaced by live columns
     live = np.arange(lanes)
+    cols = slice(None)
     gens = [s.generator() for s in streams]
 
-    P, rates = _init_params(cfg, algo, lanes)
-    prows, Pf = tuple(P), P.reshape(-1)
+    PR = np.empty((7, lanes))
+    PR[:6], rates = _init_params(cfg, algo, lanes)
+    P, resid, PRf = PR[:6], PR[6], PR.reshape(-1)
+    prows = tuple(P)
     params = np.empty((6, lanes))
-    tests = np.ones((6, lanes))  # the kernel leaves row 5, the V test, at 1
-    trows = tuple(tests)
-    upd = np.empty((6, lanes))
-    x = np.full(lanes, float(cfg.x0))
+    upd, terms = np.empty((6, lanes)), np.empty((6, lanes))
+    tr0, tr1 = terms[2:4]  # the rows of the residual's terms that take r0, r1
     reward_sum = np.zeros(lanes)
     div_step = np.full(lanes, -1, dtype=np.int64)
     # A block's draws, then in place its actions and Euler factors (beta,
     # alpha), and on-policy the draw's Gibbs terms, off-policy its states,
     # x^2 and rewards; kept for reuse.  Y holds the rows that P meets in the
     # residual (`_data_rows`): one (6, lanes) block on-policy, whose rows 0
-    # and 1 each step writes, and off-policy one per step of the block
+    # and 1 each step writes, and off-policy one per step of the block.
+    # Off-policy `rows` holds the test rows, whose row 5, the V test, stays
+    # at 1.  On-policy it holds two slots of rows that alternate from step
+    # to step: r dt's rows (a, a^2, x a, x^2, x), then the tests (x^2, x,
+    # prec dev x, prec dev, psi3 test, 1), which share x^2 and x; each step
+    # writes x' into the other slot's x row
     m = min(_BLOCK, steps)
     if off_policy:
         buf = np.empty((5, m + 1, lanes))
         Y = np.empty((m, 6, lanes))
         Y[:] = _data_rows((lanes,), c)
+        rows = np.ones((6, lanes))
+        x = np.full(lanes, float(cfg.x0))
     else:
         buf = np.empty((6, m, lanes))
         Y = _data_rows((lanes,), c)
-        Y0, Y1 = Y[:2]
+        rows = np.empty((2, 9, lanes))
+        rows[:, 8] = 1.0
+        rows[0, 4] = cfg.x0
     # on-policy the action's deviation is e^{psi3/2} sqrt(T) z0, so
     # prec dev = e^{shift} sqrt(T) z0 / e^{psi3/2} and w = prec dev^2
     # = e^{shift} T z0^2 are the draw's alone
     sqrt_t = math.sqrt(c[7])
     pscale = math.exp(c[1]) * sqrt_t
-    by_sum = True  # whether the guard tries the sum of squares of P first
+    advantage = bool(c[3])  # whether the rule has an advantage term
+    by_sum = True  # whether the guard tries the sum of squares of PR first
 
     record_every = max(1, steps // max(1, cfg.trace_points))
     n_rec = steps // record_every
@@ -418,6 +439,19 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
         calm = (np.abs(X[1:n + 1]) <= STATE_GUARD).all(1).tolist()
         return Z[:n], B[:n], Al[:n], X, XX, Al[:n], B[:n], calm
 
+    def slot_views(rows):
+        """Per on-policy slot: its rows a, a^2, x a, x^2, x, prec dev x,
+        prec dev and psi3 test, r dt's rows, the tests, the other slot's x
+        row and a (5, lanes) buffer for r dt's terms."""
+        work = np.empty((5, rows.shape[-1]))
+        return [tuple(s[:8]) + (s[:5], s[3:], o[4], work)
+                for s, o in zip(rows, rows[::-1])]
+
+    if off_policy:
+        T0, T1, T2, T3, T4, _ = tests = rows
+    else:
+        slots = slot_views(rows)
+        Y0, Y1 = Y[:2]
     k = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while k < steps and len(live):
@@ -452,9 +486,10 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 Z, B, Al, X, XX, RS, RK, calm = block_rows(buf, n)
                 for j in range(0, n, 64):
                     cut = slice(j, min(j + 64, n))
-                    x0, x1 = X[cut], X[cut.start + 1:cut.stop + 1]
+                    x0, x1, a = X[cut], X[cut.start + 1:cut.stop + 1], Z[cut]
                     _transition(x0, x1, XX[cut], Y[cut, 1], Y[cut, 0])
-                    RS[cut] = _reward_dt(x0, Z[cut], XX[cut], k_reward)
+                    reward_rows = np.stack((a, a * a, x0 * a, XX[cut], x0))
+                    _reward_dt(reward_rows, k_reward, reward_rows, RS[cut])
                     np.add(RS[cut], k_run, out=RK[cut])
                 RS[0] += reward_sum
                 np.cumsum(RS, 0, out=RS)  # the running reward sums
@@ -466,80 +501,100 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
                 np.multiply(Z, pscale, out=Zp)
                 Z *= sqrt_t
                 np.multiply(Zp, Z, out=K)
-                _gibbs_terms(K, c, W4, K)
+                _gibbs_terms(K, c, W4)
+                K *= c[3]
                 K += k_run
             for i in range(n):
                 if off_policy:
                     x, x2 = X[i], X[i + 1]
+                    np.multiply(P, Y[i], terms)
                     dev = Z[i] - (prows[2] * x + prows[3])
-                    pdev = np.exp(c[1] - prows[4]) * dev
-                    t4, adv = _gibbs_terms(pdev * dev, c)
-                    resid = _step(P, Y[i], x, XX[i], pdev, t4, RK[i], adv,
-                                  trows, upd)
+                    pdev = np.multiply(np.exp(c[1] - prows[4]), dev, T3)
+                    w = pdev * dev
+                    _gibbs_terms(w, c, T4)
+                    np.multiply(pdev, x, T2)
+                    T0[...], T1[...], tr0[...] = XX[i], x, RK[i]
+                    if advantage:
+                        np.multiply(w, c[3], tr1)
+                    np.add.reduce(terms, 0, out=resid)
                     ok = calm[i]
                 else:
+                    a, aa, xa, xx, x, px, pd, t4, rd, tests, x2, work = slots[(k + i) & 1]
                     e = np.exp(c[2] * prows[4])
-                    a = prows[2] * x + prows[3] + e * Z[i]
-                    x2 = Al[i] * x + B[i] * a
-                    xx = _transition(x, x2, None, Y1, Y0)[0]
-                    rdt = _reward_dt(x, a, xx, k_reward)
-                    resid = _step(P, Y, x, xx, Zp[i] / e, W4[i], rdt, K[i],
-                                  trows, upd)
+                    np.add(prows[2] * x + prows[3], e * Z[i], a)
+                    np.add(Al[i] * x, B[i] * a, x2)
+                    _transition(x, x2, xx, Y1, Y0)
+                    np.multiply(P, Y, terms)
+                    np.multiply(x, a, xa)
+                    np.multiply(a, a, aa)
+                    rdt = _reward_dt(rd, k_reward, work, tr0)
+                    tr1[...] = K[i]
+                    np.add.reduce(terms, 0, out=resid)
+                    np.divide(Zp[i], e, pd)
+                    np.multiply(pd, x, px)
+                    t4[...] = W4[i]
                     ok = x2.dot(x2) <= _STATE_GUARD2
 
                 # one guard, update and trace block for every learner; the
                 # comparisons are written so that NaN fails them.  One test
                 # over all lanes that implies the per-lane one stands in for
                 # it; when it fails, the per-lane test decides.  A sum of
-                # squares of P at most PARAM_GUARD^2 bounds every |P|; while
-                # it exceeds that with every |P| in bounds (wide or SARSA
-                # runs), the max test alone runs until a lane fails it
+                # squares of P and the residual at most PARAM_GUARD^2 bounds
+                # every |P| and shows the residual finite; while it exceeds
+                # that with every |P| in bounds and the residual finite (wide
+                # or SARSA runs), the max test and the residual's own dot run
+                # until a lane fails them
                 keep = None
-                if ok and not (by_sum and Pf.dot(Pf) <= _PARAM_GUARD2):
-                    ok = np.maximum.reduce(np.abs(P), None) <= PARAM_GUARD
-                    by_sum = not ok
-                if not (ok and math.isfinite(resid.dot(resid))):
-                    healthy = ((np.abs(x2) <= STATE_GUARD) & np.isfinite(resid)
-                               & (np.abs(P) <= PARAM_GUARD).all(0))
-                    if not healthy.all():
-                        # the lanes that die keep the parameters they had
-                        # before this step, in `params` and in every trace
-                        # row from here on
-                        dead = ~healthy
-                        lost = live[dead]
-                        div_step[lost] = k + i
-                        params[:, lost] = P[:, dead]
-                        p_trace[rec_i:, :, lost] = P[:, dead]
-                        r_trace[rec_i:, lost] = np.nan
-                        live = live[healthy]
-                        if not len(live):
-                            break
-                        keep = healthy
+                if not (ok and by_sum and PRf.dot(PRf) <= _PARAM_GUARD2):
+                    if ok:
+                        ok = (np.maximum.reduce(np.abs(P), None) <= PARAM_GUARD
+                              and math.isfinite(resid.dot(resid)))
+                        by_sum = not ok
+                    if not ok:
+                        healthy = ((np.abs(x2) <= STATE_GUARD) & np.isfinite(resid)
+                                   & (np.abs(P) <= PARAM_GUARD).all(0))
+                        if not healthy.all():
+                            # the lanes that die keep the parameters they had
+                            # before this step, in `params` and in every trace
+                            # row from here on
+                            dead = ~healthy
+                            lost = live[dead]
+                            div_step[lost] = k + i
+                            params[:, lost] = P[:, dead]
+                            p_trace[rec_i:, :, lost] = P[:, dead]
+                            r_trace[rec_i:, lost] = np.nan
+                            live = cols = live[healthy]
+                            if not len(live):
+                                break
+                            keep = healthy
                 # the lanes that die here take the update with the rest and
                 # are then dropped; their parameters were saved above
                 np.multiply(lr[i], resid, upd)
-                upd *= tests
-                P += upd
+                np.multiply(upd, tests, upd)
+                np.add(P, upd, P)
                 if not off_policy:
-                    reward_sum = reward_sum + rdt
-                    x = x2
+                    np.add(reward_sum, rdt, reward_sum)
                 if keep is not None:
                     # compress keeps the arrays C-contiguous (indexing by
-                    # `keep` would not), so that Pf is a view of P and the
+                    # `keep` would not), so that PRf is a view of PR and the
                     # draws' rows of buf are one run of memory
-                    P, x, reward_sum, tests, Y, buf = (
-                        v.compress(keep, -1) for v in (P, x, reward_sum, tests, Y, buf))
-                    prows, trows, Pf = tuple(P), tuple(tests), P.reshape(-1)
-                    upd = np.empty_like(P)
+                    PR, reward_sum, rows, Y, buf = (
+                        v.compress(keep, -1) for v in (PR, reward_sum, rows, Y, buf))
+                    P, resid, PRf = PR[:6], PR[6], PR.reshape(-1)
+                    prows = tuple(P)
+                    upd, terms = np.empty_like(P), np.empty_like(P)
+                    tr0, tr1 = terms[2:4]
                     gens = list(compress(gens, keep))
                     if off_policy:
                         Z, B, Al, X, XX, RS, RK, calm = block_rows(buf, n)
+                        T0, T1, T2, T3, T4, _ = tests = rows
                     else:
                         Z, B, Al, Zp, W4, K = block_rows(buf, n)
+                        slots = slot_views(rows)
                         Y0, Y1 = Y[:2]
                 if (k + i + 1) % record_every == 0:
-                    p_trace[rec_i][:, live] = P
-                    r_trace[rec_i, live] = (RS[i] if off_policy
+                    p_trace[rec_i][:, cols] = P
+                    r_trace[rec_i, cols] = (RS[i] if off_policy
                                             else reward_sum) / t_trace[rec_i]
                     rec_i += 1
             if off_policy and len(live):
@@ -549,12 +604,12 @@ def _drive(cfg: ErgodicExperimentConfig, algo: str, mode: str,
     # a dead lane's trace ends at the first record after it dies (frozen
     # parameters, no reward average) or at the last, the same alone or
     # beside lanes that live longer
-    rows = np.where(div_step < 0, n_rec,
-                    np.minimum(n_rec, div_step // record_every + 1))
+    n_rows = np.where(div_step < 0, n_rec,
+                      np.minimum(n_rec, div_step // record_every + 1))
     avg = np.full(lanes, np.nan)
     if len(live):
         params[:, live] = P
         avg[live] = reward_sum / (steps * dt)
     return {"names": PARAM_NAMES[algo], "params": params, "avg_reward": avg,
             "div_step": div_step, "t": t_trace, "trace": p_trace,
-            "reward_avg": r_trace, "rows": rows}
+            "reward_avg": r_trace, "rows": n_rows}

@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     ap.add_argument("--reps", type=positive_int, default=20)
     ap.add_argument("--seed", type=nonnegative_int, default=0)
     ap.add_argument("--episodes", type=int, default=20000)
-    ap.add_argument("--algos", nargs="*", default=list(MV_ALGOS),
+    ap.add_argument("--algos", nargs="+", default=list(MV_ALGOS),
                     choices=MV_ALGOS)
     ap.add_argument("--out", default=None, help="optional JSON dump path")
     args = ap.parse_args(argv)

@@ -60,6 +60,8 @@ def packed(column) -> array:
 
 
 def _json_float(v):
+    if isinstance(v, bool):  # an int, but JSON has its own booleans
+        return v
     if isinstance(v, (int, np.integer)):
         return int(v)
     v = float(v)

@@ -113,16 +113,16 @@ def test_behavior_stream_is_tagged():
 
 
 def test_lq_reward_helper_matches_model():
-    # the driver's quadratic form of r dt against LqCoefficients.reward
-    # times dt; the Euler factors are checked through the driver by
+    # the driver's row form of r dt against LqCoefficients.reward times
+    # dt; the Euler factors are checked through the driver by
     # test_step_euler_lq_hand_value
     co = LqCoefficients(A=-1.3, B=0.7, C=0.4, D=0.9, M=1.5, N=2.5, R=0.6,
                         P=-0.8, Q=1.1)
     dt = 0.05
     x = np.array([0.0, 1.5, -0.3, 2.2])
     a = np.array([0.0, -2.0, 0.7, 0.4])
-    k = tuple(-dt * v for v in (0.5 * co.M, co.R, co.P, 0.5 * co.N, co.Q))
-    rdt = ergodic._reward_dt(x, a, x * x, k)
+    k = np.array([-dt * v for v in (co.Q, 0.5 * co.N, co.R, 0.5 * co.M, co.P)])
+    rdt = ergodic._reward_dt(np.stack((a, a * a, x * a, x * x, x)), k.reshape(5, 1))
     for i in range(len(x)):
         assert rdt[i] == pytest.approx(co.reward(float(x[i]), float(a[i])) * dt,
                                        abs=1e-14)
